@@ -8,6 +8,10 @@
 //! to run in CI, large enough to exercise shuffling, a partial final
 //! mini-batch, and multi-epoch schedule progress.
 //!
+//! One further golden per non-classifier task — VAE, detection (with its
+//! warm-up) and GLUE fine-tuning (from a pre-trained transformer) — lives
+//! under `tests/golden/tasks/`.
+//!
 //! Comparison uses [`rex::telemetry::golden::diff_traces`]: integers and
 //! structure exactly, floats under the documented tolerances (LR nearly
 //! exact, losses/norms at 0.5 % relative). On divergence the failure
@@ -236,6 +240,112 @@ fn dtype_f32_default_keeps_all_goldens_byte_identical() {
         checked, committed,
         "a committed golden file was not checked"
     );
+}
+
+/// Compares one non-classifier task's trace against its golden file under
+/// `tests/golden/tasks/`, or rewrites the file when `REX_BLESS` is set.
+/// These goldens live one directory down so the byte-identity court above
+/// keeps counting only the classifier goldens.
+fn check_task_golden(name: &str, events: &[Event]) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/tasks")
+        .join(format!("{name}.jsonl"));
+    if std::env::var_os("REX_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, encode_trace(events, false)).unwrap();
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run scripts/bless_traces.sh",
+            path.display()
+        )
+    });
+    let golden = parse_trace(&text).expect("golden file must parse");
+    if let Err(diff) = diff_traces(&golden, events, &Tolerances::default()) {
+        panic!("{name}: {diff}");
+    }
+}
+
+/// VAE on 64 digits: 2 epochs of 4 batches under Adam + REX.
+#[test]
+fn golden_trace_vae() {
+    use rex::train::tasks::run_vae_cell_traced;
+
+    let train = synth_digits(64, 12, 0xD1_61A);
+    let test = synth_digits(32, 12, 0xD1_61B);
+    let sink = MemorySink::unbounded();
+    let handle = sink.handle();
+    let mut rec = Recorder::new(Box::new(sink));
+    run_vae_cell_traced(
+        &train,
+        &test,
+        2,
+        16,
+        OptimizerKind::adam(),
+        ScheduleSpec::Rex,
+        1e-3,
+        SEED,
+        &mut rec,
+    )
+    .expect("vae golden cell must train");
+    check_task_golden("vae_rex", &handle.events());
+}
+
+/// Detector on 16 scenes: one warm-up epoch plus one budgeted epoch of
+/// 2 batches under Adam + linear.
+#[test]
+fn golden_trace_detection() {
+    use rex::data::scenes::synth_scenes;
+    use rex::train::tasks::run_detection_cell_traced;
+
+    let train = synth_scenes(16, 24, 0x5CE0);
+    let test = synth_scenes(8, 24, 0x5CE1);
+    let sink = MemorySink::unbounded();
+    let handle = sink.handle();
+    let mut rec = Recorder::new(Box::new(sink));
+    run_detection_cell_traced(
+        &train,
+        &test,
+        1,
+        1,
+        8,
+        OptimizerKind::adam(),
+        ScheduleSpec::Linear,
+        1e-3,
+        SEED,
+        &mut rec,
+    )
+    .expect("detection golden cell must train");
+    check_task_golden("detection_linear", &handle.events());
+}
+
+/// GLUE CoLA analogue fine-tuned for 2 epochs of 3 batches from a
+/// one-epoch pre-trained transformer, under AdamW + REX.
+#[test]
+fn golden_trace_glue() {
+    use rex::data::text::{glue_tasks, lm_corpus};
+    use rex::nn::TransformerConfig;
+    use rex::train::tasks::{pretrain_transformer, run_glue_cell_traced};
+
+    let cfg = TransformerConfig {
+        vocab: 32,
+        dim: 16,
+        heads: 2,
+        depth: 1,
+        seq_len: 12,
+        ff_mult: 2,
+    };
+    let corpus = lm_corpus(32, 12, 32, 0x61E0);
+    let tf = pretrain_transformer(&corpus, cfg, 1, 8, 1e-3, SEED).expect("pre-training");
+    let tasks = glue_tasks(24, 12, 12, 32, 0x61E1);
+    let sink = MemorySink::unbounded();
+    let handle = sink.handle();
+    let mut rec = Recorder::new(Box::new(sink));
+    run_glue_cell_traced(&tf, &tasks[0], 2, 8, ScheduleSpec::Rex, 1e-3, SEED, &mut rec)
+        .expect("glue golden cell must train");
+    check_task_golden("glue_rex", &handle.events());
 }
 
 /// The negative control: a one-step LR perturbation far smaller than any
