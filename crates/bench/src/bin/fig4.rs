@@ -10,9 +10,10 @@ use rex_bench::{table_schedules, Args};
 use rex_data::images::{synth_cifar10, synth_cifar100};
 use rex_eval::store::{write_csv, Record};
 use rex_eval::table;
-use rex_train::tasks::{run_image_cell, ImageModel};
+use rex_telemetry::Recorder;
+use rex_train::tasks::ImageModel;
 use rex_train::trial::lr_grid;
-use rex_train::{Budget, OptimizerKind};
+use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() {
     let args = Args::parse();
@@ -40,17 +41,21 @@ fn main() {
             for sched in &schedules {
                 for (li, &lr) in grid.iter().enumerate() {
                     let t0 = std::time::Instant::now();
-                    let err = run_image_cell(
-                        model,
-                        data,
-                        budget.epochs(),
-                        32,
-                        optimizer,
-                        sched.clone(),
-                        lr,
-                        args.seed ^ (li as u64) << 16 ^ (pct as u64) << 24,
-                    )
-                    .expect("training cell failed");
+                    let err = model
+                        .train(
+                            data,
+                            TrainConfig {
+                                lr,
+                                ..TrainConfig::new(
+                                    budget.epochs(),
+                                    optimizer,
+                                    sched.clone(),
+                                    args.seed ^ (li as u64) << 16 ^ (pct as u64) << 24,
+                                )
+                            },
+                            &mut Recorder::disabled(),
+                        )
+                        .expect("training cell failed");
                     eprintln!(
                         "[{setting} {pct}%] {} lr={lr:.4}: {err:.2} ({:.1?})",
                         sched.name(),

@@ -66,13 +66,14 @@ use std::time::Instant;
 use rex_bench::{run_schedule_grid, Cell};
 use rex_core::ScheduleSpec;
 use rex_data::images::synth_cifar10;
+use rex_telemetry::Recorder;
 use rex_tensor::backend::{self, with_backend, BackendKind};
 use rex_tensor::conv::{conv2d_backward, conv2d_forward, Window};
 use rex_tensor::ops::{batch_slice, matmul3};
 use rex_tensor::reference;
 use rex_tensor::{kernels, Prng};
-use rex_train::tasks::{run_image_cell, ImageModel};
-use rex_train::{Budget, OptimizerKind};
+use rex_train::tasks::ImageModel;
+use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 /// Pool sizes the scaling sweep would like to measure; entries above
 /// `min(8, 2·host_cores)` are skipped (and recorded as skipped).
@@ -789,17 +790,22 @@ fn bench_grid(cfg: &Config) -> GridBench {
             None,
             None,
             |cell: &Cell, _rec| {
-                run_image_cell(
-                    ImageModel::MicroResNet20,
-                    &data,
-                    cell.budget.epochs(),
-                    8,
-                    cell.optimizer,
-                    cell.schedule.clone(),
-                    0.05,
-                    cell.seed,
-                )
-                .unwrap()
+                ImageModel::MicroResNet20
+                    .train(
+                        &data,
+                        TrainConfig {
+                            batch_size: 8,
+                            lr: 0.05,
+                            ..TrainConfig::new(
+                                cell.budget.epochs(),
+                                cell.optimizer,
+                                cell.schedule.clone(),
+                                cell.seed,
+                            )
+                        },
+                        &mut Recorder::disabled(),
+                    )
+                    .unwrap()
             },
         )
     };

@@ -11,7 +11,9 @@ use rex_data::text::{glue_tasks, lm_corpus};
 use rex_eval::store::{write_csv, Record};
 use rex_eval::table;
 use rex_nn::TransformerConfig;
-use rex_train::tasks::{pretrain_transformer, run_glue_cell};
+use rex_telemetry::Recorder;
+use rex_train::tasks::{pretrain_transformer, GlueTask};
+use rex_train::{OptimizerKind, TrainConfig, Trainer};
 
 fn main() {
     let args = Args::parse();
@@ -55,16 +57,20 @@ fn main() {
         for task in &tasks {
             for &epochs in &budget_epochs {
                 let t0 = std::time::Instant::now();
-                let acc = run_glue_cell(
-                    &checkpoint,
-                    task,
-                    epochs,
-                    8,
-                    sched.clone(),
+                let seed = args.seed ^ (epochs as u64) << 8;
+                let cfg = TrainConfig {
+                    batch_size: 8,
                     lr,
-                    args.seed ^ (epochs as u64) << 8,
-                )
-                .expect("fine-tuning cell failed");
+                    grad_clip: Some(1.0),
+                    ..TrainConfig::new(epochs, OptimizerKind::adamw(), sched.clone(), seed)
+                };
+                let acc = Trainer::new(cfg)
+                    .run(
+                        &GlueTask::new(&checkpoint, task, seed),
+                        &mut Recorder::disabled(),
+                    )
+                    .expect("fine-tuning cell failed")
+                    .final_metric;
                 eprintln!(
                     "[GLUE/{}] {} {} ep -> {:.1} ({:.1?})",
                     task.name,

@@ -13,8 +13,10 @@ use rex_core::{SamplingRate, ScheduleSpec, Table2Profile};
 use rex_data::images::synth_cifar10;
 use rex_eval::store::{write_csv, Record};
 use rex_eval::table;
-use rex_train::tasks::{run_image_cell, ImageModel};
+use rex_telemetry::Recorder;
+use rex_train::tasks::ImageModel;
 use rex_train::OptimizerKind;
+use rex_train::TrainConfig;
 
 fn main() {
     let args = Args::parse();
@@ -42,17 +44,18 @@ fn main() {
                     for trial in 0..trials {
                         let seed = args.seed ^ (trial as u64 + 1) << 20 ^ (epochs as u64) << 8;
                         let t0 = std::time::Instant::now();
-                        let err = run_image_cell(
-                            model,
-                            &data,
-                            epochs,
-                            32,
-                            optimizer,
-                            ScheduleSpec::Sampled(profile, rate.clone()),
-                            optimizer.default_lr(),
-                            seed,
-                        )
-                        .expect("training cell failed");
+                        let err = model
+                            .train(
+                                &data,
+                                TrainConfig::new(
+                                    epochs,
+                                    optimizer,
+                                    ScheduleSpec::Sampled(profile, rate.clone()),
+                                    seed,
+                                ),
+                                &mut Recorder::disabled(),
+                            )
+                            .expect("training cell failed");
                         eprintln!(
                             "[{setting} {epochs}ep] {} @ {}: {:.2} ({:.1?})",
                             profile.label(),

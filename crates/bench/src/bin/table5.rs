@@ -4,8 +4,8 @@
 use rex_bench::{print_budget_table, run_schedule_grid, table_schedules, Args};
 use rex_data::images::synth_stl10;
 use rex_eval::store::write_csv;
-use rex_train::tasks::{run_image_cell_traced, ImageModel};
-use rex_train::{Budget, OptimizerKind};
+use rex_train::tasks::ImageModel;
+use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() {
     let args = Args::parse();
@@ -35,19 +35,21 @@ fn main() {
             args.trace.as_deref(),
             args.resume.as_deref(),
             |cell, rec| {
-                run_image_cell_traced(
-                    ImageModel::MicroWide(widen),
-                    &data,
-                    cell.budget.epochs(),
-                    32,
-                    cell.optimizer,
-                    cell.schedule.clone(),
-                    cell.optimizer.default_lr(),
-                    cell.seed,
-                    args.dtype,
-                    rec,
-                )
-                .expect("training cell failed")
+                ImageModel::MicroWide(widen)
+                    .train(
+                        &data,
+                        TrainConfig {
+                            dtype: args.dtype,
+                            ..TrainConfig::new(
+                                cell.budget.epochs(),
+                                cell.optimizer,
+                                cell.schedule.clone(),
+                                cell.seed,
+                            )
+                        },
+                        rec,
+                    )
+                    .expect("training cell failed")
             },
         ));
     }

@@ -7,8 +7,8 @@
 use rex_bench::{print_budget_table, run_schedule_grid, table_schedules, Args};
 use rex_data::images::synth_cifar100;
 use rex_eval::store::write_csv;
-use rex_train::tasks::{run_image_cell_traced, ImageModel};
-use rex_train::{Budget, OptimizerKind};
+use rex_train::tasks::ImageModel;
+use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() {
     let args = Args::parse();
@@ -38,24 +38,28 @@ fn main() {
             args.trace.as_deref(),
             args.resume.as_deref(),
             |cell, rec| {
-                run_image_cell_traced(
-                    ImageModel::MicroVgg(12),
-                    &data,
-                    cell.budget.epochs(),
-                    32,
-                    cell.optimizer,
-                    cell.schedule.clone(),
-                    // VGG (no batch norm) needs to sit below the plateau-
-                    // locking LR; see DESIGN.md on per-setting LR choices
-                    match cell.optimizer {
-                        OptimizerKind::Sgdm { .. } => 0.01,
-                        _ => 3e-3,
-                    },
-                    cell.seed,
-                    args.dtype,
-                    rec,
-                )
-                .expect("training cell failed")
+                // VGG (no batch norm) needs to sit below the plateau-locking
+                // LR; see DESIGN.md on per-setting LR choices
+                let lr = match cell.optimizer {
+                    OptimizerKind::Sgdm { .. } => 0.01,
+                    _ => 3e-3,
+                };
+                ImageModel::MicroVgg(12)
+                    .train(
+                        &data,
+                        TrainConfig {
+                            lr,
+                            dtype: args.dtype,
+                            ..TrainConfig::new(
+                                cell.budget.epochs(),
+                                cell.optimizer,
+                                cell.schedule.clone(),
+                                cell.seed,
+                            )
+                        },
+                        rec,
+                    )
+                    .expect("training cell failed")
             },
         ));
     }

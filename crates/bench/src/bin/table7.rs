@@ -5,8 +5,8 @@
 use rex_bench::{print_budget_table, run_schedule_grid, table_schedules, Args};
 use rex_data::digits::synth_digits;
 use rex_eval::store::write_csv;
-use rex_train::tasks::run_vae_cell_traced;
-use rex_train::{Budget, OptimizerKind};
+use rex_train::tasks::VaeTask;
+use rex_train::{Budget, OptimizerKind, TrainConfig, Trainer};
 
 fn main() {
     let args = Args::parse();
@@ -43,18 +43,21 @@ fn main() {
             args.trace.as_deref(),
             args.resume.as_deref(),
             |cell, rec| {
-                run_vae_cell_traced(
-                    &train,
-                    &test,
-                    cell.budget.epochs(),
-                    8,
-                    cell.optimizer,
-                    cell.schedule.clone(),
+                let task = VaeTask::new(&train, &test, cell.seed);
+                let cfg = TrainConfig {
+                    batch_size: 8,
                     lr,
-                    cell.seed,
-                    rec,
-                )
-                .expect("training cell failed")
+                    ..TrainConfig::new(
+                        cell.budget.epochs(),
+                        cell.optimizer,
+                        cell.schedule.clone(),
+                        cell.seed,
+                    )
+                };
+                Trainer::new(cfg)
+                    .run(&task, rec)
+                    .expect("training cell failed")
+                    .final_metric
             },
         ));
     }

@@ -7,8 +7,8 @@ use rex_bench::{print_budget_table, run_schedule_grid, Args};
 use rex_core::ScheduleSpec;
 use rex_data::scenes::synth_scenes;
 use rex_eval::store::write_csv;
-use rex_train::tasks::run_detection_cell_traced;
-use rex_train::{Budget, OptimizerKind};
+use rex_train::tasks::DetectionTask;
+use rex_train::{Budget, OptimizerKind, TrainConfig, Trainer};
 
 fn main() {
     let args = Args::parse();
@@ -46,19 +46,22 @@ fn main() {
         args.trace.as_deref(),
         args.resume.as_deref(),
         |cell, rec| {
-            run_detection_cell_traced(
-                &train,
-                &test,
-                cell.budget.epochs(),
-                2, // warmup epochs, excluded from the budget
-                8,
-                cell.optimizer,
-                cell.schedule.clone(),
-                1e-2,
-                cell.seed,
-                rec,
-            )
-            .expect("training cell failed")
+            let task = DetectionTask::new(&train, &test, cell.seed);
+            let cfg = TrainConfig {
+                batch_size: 8,
+                lr: 1e-2,
+                ..TrainConfig::new(
+                    cell.budget.epochs(),
+                    cell.optimizer,
+                    cell.schedule.clone(),
+                    cell.seed,
+                )
+            };
+            // 2 warm-up epochs, excluded from the budget
+            Trainer::new(task.with_warmup(cfg, 2))
+                .run(&task, rec)
+                .expect("training cell failed")
+                .final_metric
         },
     );
 

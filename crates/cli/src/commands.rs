@@ -4,8 +4,7 @@ use rex_core::{all_paper_schedules, ScheduleSpec};
 use rex_eval::table;
 use rex_telemetry::{JsonlSink, Recorder};
 use rex_train::range_test::lr_range_test_traced;
-use rex_train::settings::{ft_is_active, load_setting, SettingSpec};
-use rex_train::tasks::run_image_cell_traced;
+use rex_train::settings::{load_setting, SettingSpec};
 use rex_train::{Budget, FtConfig, GuardPolicy, TrainState};
 use std::path::{Path, PathBuf};
 
@@ -286,14 +285,6 @@ fn train_inner(argv: &[String]) -> Result<(), String> {
     let profile_path = profile_from_flags(&flags)?;
     let mut rec = recorder_for_train(&flags, &ft)?;
 
-    if !setting.supports_ft() && ft_is_active(&ft) {
-        return Err(
-            "checkpoint/resume/guard flags support image and digits settings; the VAE \
-             path has no snapshot support yet"
-                .into(),
-        );
-    }
-
     let t0 = std::time::Instant::now();
     let budget = Budget::new(setting.max_epochs(), budget_pct);
     let lr: f32 = flags.get_or("lr", setting.default_lr(&optimizer))?;
@@ -415,17 +406,8 @@ fn sweep_inner(argv: &[String]) -> Result<(), String> {
         }
     };
 
-    let SettingSpec::Image {
-        name,
-        model,
-        data,
-        max_epochs,
-        lr_scale,
-    } = setting
-    else {
-        return Err("sweep supports image settings; use `train` for the rest".into());
-    };
-
+    let name = setting.name();
+    let lr = setting.default_lr(&optimizer);
     let resume_dir = flags.get("resume").map(PathBuf::from);
     if let Some(dir) = &resume_dir {
         std::fs::create_dir_all(dir)
@@ -442,7 +424,7 @@ fn sweep_inner(argv: &[String]) -> Result<(), String> {
     for spec in &schedules {
         let mut row = vec![spec.name()];
         for (ci, &pct) in budgets.iter().enumerate() {
-            let budget = Budget::new(max_epochs, pct);
+            let budget = Budget::new(setting.max_epochs(), pct);
             let marker = resume_dir
                 .as_ref()
                 .map(|d| d.join(sweep_done_name(name, &optimizer, spec, pct)));
@@ -452,19 +434,18 @@ fn sweep_inner(argv: &[String]) -> Result<(), String> {
                     err
                 }
                 None => {
-                    let err = run_image_cell_traced(
-                        model,
-                        &data,
-                        budget.epochs(),
-                        32,
-                        optimizer,
-                        spec.clone(),
-                        optimizer.default_lr() * lr_scale,
-                        seed,
-                        dtype,
-                        &mut Recorder::disabled(),
-                    )
-                    .map_err(|e| e.to_string())?;
+                    let err = setting
+                        .run_ft(
+                            pct,
+                            optimizer,
+                            spec.clone(),
+                            lr,
+                            seed,
+                            dtype,
+                            FtConfig::default(),
+                            &mut Recorder::disabled(),
+                        )
+                        .map_err(|e| e.to_string())?;
                     if let Some(path) = &marker {
                         write_done_marker(path, err);
                     }

@@ -132,9 +132,9 @@ BACKEND:
   one backend results are bitwise identical at any thread count, across
   backends they agree to rounding.
 
-FAULT TOLERANCE (train, image and digits settings):
+FAULT TOLERANCE (train, every setting):
   --checkpoint PATH --checkpoint-every N snapshot the full training
-  state (model, optimizer, RNG, schedule progress, trace cursor) every
+  state (model, optimizer, RNGs, schedule progress, trace cursor) every
   N optimizer steps, crash-consistently. With --keep-checkpoints N,
   PATH is a directory holding the N newest generational snapshots
   (state.00017.rexstate ...) plus a LATEST pointer; without it, PATH is

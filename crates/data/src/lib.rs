@@ -29,4 +29,4 @@ pub mod scenes;
 pub mod text;
 
 pub use dataset::ClassificationDataset;
-pub use loader::{augment_hflip, augment_random_crop, batches, batches_traced, Batch};
+pub use loader::{augment_hflip, augment_random_crop, batches, Batch};

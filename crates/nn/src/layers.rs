@@ -320,6 +320,10 @@ impl Module for Dropout {
     fn params(&self) -> Vec<Param> {
         Vec::new()
     }
+
+    fn streams(&self) -> Vec<(String, &RefCell<Prng>)> {
+        vec![("dropout".to_owned(), &self.rng)]
+    }
 }
 
 /// Token embedding table `[vocab, dim]`, Xavier-initialised.

@@ -46,6 +46,13 @@ impl Vae {
         }
     }
 
+    /// The reparameterisation-noise stream as a `(name, cell)` pair — what
+    /// a training-state snapshot saves so a resumed run samples the same
+    /// latents (see [`Module::streams`]).
+    pub fn streams(&self) -> Vec<(String, &RefCell<Prng>)> {
+        vec![("vae.eps".to_owned(), &self.rng)]
+    }
+
     /// Latent dimensionality.
     pub fn latent_dim(&self) -> usize {
         self.latent_dim

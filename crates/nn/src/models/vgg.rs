@@ -114,6 +114,14 @@ impl Module for MicroVgg {
         ps.extend(self.fc2.params());
         ps
     }
+
+    fn streams(&self) -> Vec<(String, &std::cell::RefCell<Prng>)> {
+        self.dropout
+            .streams()
+            .into_iter()
+            .map(|(name, cell)| (format!("vgg.{name}"), cell))
+            .collect()
+    }
 }
 
 #[cfg(test)]

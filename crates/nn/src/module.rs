@@ -1,5 +1,5 @@
 use rex_autograd::{Graph, NodeId, Param};
-use rex_tensor::{Tensor, TensorError};
+use rex_tensor::{Prng, Tensor, TensorError};
 use std::cell::RefCell;
 
 /// A differentiable component: builds its forward computation onto a
@@ -28,6 +28,16 @@ pub trait Module {
     /// parameters. Composite modules concatenate their children's
     /// buffers. Default: none.
     fn buffers(&self) -> Vec<(String, &RefCell<Tensor>)> {
+        Vec::new()
+    }
+
+    /// Private random streams as `(name, cell)` pairs, in a deterministic
+    /// order — dropout masks and the like. Training draws from them, so
+    /// training-state snapshots must save and restore their positions for
+    /// a resumed run to draw what the uninterrupted run would have.
+    /// Composite modules concatenate their children's streams. Default:
+    /// none.
+    fn streams(&self) -> Vec<(String, &RefCell<Prng>)> {
         Vec::new()
     }
 

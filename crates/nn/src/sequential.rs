@@ -102,6 +102,16 @@ impl Module for Sequential {
             })
             .collect()
     }
+
+    fn streams(&self) -> Vec<(String, &std::cell::RefCell<rex_tensor::Prng>)> {
+        self.stages
+            .iter()
+            .flat_map(|s| match s {
+                Stage::Layer(m) => m.streams(),
+                Stage::Activation(_) => Vec::new(),
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -528,9 +528,20 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+    /// The pool counters are process-global and tests run concurrently:
+    /// the test that asserts exact counter deltas holds this exclusively,
+    /// every other test holds it shared.
+    static STATS: RwLock<()> = RwLock::new(());
+
+    fn shared_stats() -> RwLockReadGuard<'static, ()> {
+        STATS.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn parallel_for_covers_every_item_exactly_once() {
+        let _shared = shared_stats();
         with_pool_size(4, || {
             let n = 1003;
             let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
@@ -545,6 +556,7 @@ mod tests {
 
     #[test]
     fn parallel_for_slices_windows_are_disjoint_and_complete() {
+        let _shared = shared_stats();
         with_pool_size(3, || {
             let mut data = vec![0u32; 500];
             parallel_for_slices(&mut data, 7, |c, offset, window| {
@@ -559,6 +571,7 @@ mod tests {
 
     #[test]
     fn reduce_is_bitwise_identical_across_thread_counts() {
+        let _shared = shared_stats();
         // Catastrophic-cancellation-prone series: any re-grouping of the
         // fold changes the result, so equality here means the tree really
         // is fixed.
@@ -583,6 +596,7 @@ mod tests {
 
     #[test]
     fn panicking_chunk_aborts_instead_of_deadlocking() {
+        let _shared = shared_stats();
         with_pool_size(4, || {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 parallel_for(64, 4, |c, _| {
@@ -607,6 +621,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_for_runs_inline_without_deadlock() {
+        let _shared = shared_stats();
         with_pool_size(2, || {
             let totals: Vec<usize> = {
                 let mut out = vec![0usize; 8];
@@ -626,6 +641,7 @@ mod tests {
 
     #[test]
     fn with_pool_size_overrides_and_restores() {
+        let _shared = shared_stats();
         let outer = current_num_threads();
         with_pool_size(5, || {
             assert_eq!(current_num_threads(), 5);
@@ -637,6 +653,7 @@ mod tests {
 
     #[test]
     fn stats_count_pooled_jobs_and_split_wait_from_exec() {
+        let _exclusive = STATS.write().unwrap_or_else(PoisonError::into_inner);
         let before = stats();
         with_pool_size(3, || {
             parallel_for(1000, 10, |_, range| {
@@ -675,6 +692,7 @@ mod tests {
 
     #[test]
     fn zero_items_is_a_no_op() {
+        let _shared = shared_stats();
         with_pool_size(3, || {
             parallel_for(0, 8, |_, _| panic!("must not run"));
             assert!(parallel_reduce(0, 8, |_, _| 1usize, |a, b| a + b).is_none());

@@ -15,8 +15,11 @@
 //! * results are averaged over independent trials
 //!   ([`trial::run_trials`]), each with its own seed.
 //!
-//! The per-setting experiment drivers (classification, VAE, detection,
-//! transformer fine-tuning) live in [`tasks`].
+//! One loop, [`Trainer::run`], implements that protocol for every
+//! setting; what differs between settings — data, loss, evaluation, the
+//! state a snapshot holds — is a [`Task`]. The paper's tasks
+//! (classification, VAE, detection, transformer pre-training and
+//! fine-tuning) live in [`tasks`].
 
 #![warn(missing_docs)]
 
@@ -36,6 +39,6 @@ pub use lineage::{Lineage, LoadReport};
 pub use snapshot::TrainState;
 pub use trainer::{
     classification_loss, evaluate_classifier, EpochStats, FtConfig, GuardPolicy, OptimizerKind,
-    TrainConfig, TrainResult, Trainer,
+    Task, TrainConfig, TrainResult, Trainer,
 };
 pub use trial::EarlyStopping;

@@ -282,6 +282,7 @@ mod tests {
                 scalars: vec![("t".to_owned(), step as f64)],
                 tensors: Vec::new(),
             },
+            streams: Vec::new(),
         }
     }
 

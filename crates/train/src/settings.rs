@@ -22,7 +22,7 @@ use rex_telemetry::Recorder;
 use rex_tensor::{DType, Prng};
 
 use crate::error::TrainError;
-use crate::tasks::{run_image_cell_ft, run_vae_cell_traced, ImageModel};
+use crate::tasks::{ClassifierTask, ImageModel, VaeTask};
 use crate::trainer::{FtConfig, OptimizerKind, TrainConfig, Trainer};
 use crate::Budget;
 
@@ -42,13 +42,13 @@ pub enum SettingSpec {
         /// Multiplier on the optimizer's default LR.
         lr_scale: f32,
     },
-    /// The VAE-MNIST analogue (no checkpoint support yet).
+    /// The VAE-MNIST analogue.
     Vae {
         /// Maximum epochs.
         max_epochs: usize,
     },
     /// A tiny digits MLP — the cheapest cell, for load tests and serving
-    /// benchmarks. Full fault-tolerance support.
+    /// benchmarks.
     Digits {
         /// Maximum epochs.
         max_epochs: usize,
@@ -127,11 +127,6 @@ impl SettingSpec {
         }
     }
 
-    /// Whether checkpoint/resume/guard knobs are supported.
-    pub fn supports_ft(&self) -> bool {
-        !matches!(self, SettingSpec::Vae { .. })
-    }
-
     /// The headline metric's name (`"test error"` / `"test loss"`).
     pub fn metric_label(&self) -> &'static str {
         match self {
@@ -150,16 +145,16 @@ impl SettingSpec {
     }
 
     /// Runs one budgeted cell of this setting and returns its headline
-    /// metric. This is the *only* cell runner: `rexctl train` and the
-    /// HTTP job executor both call it, so a job produces the same
-    /// trajectory — and, traced, the same trace bytes — no matter which
-    /// front end submitted it.
+    /// metric. This is the *only* cell runner: `rexctl train`, `rexctl
+    /// sweep` and the HTTP job executor all call it, so a job produces the
+    /// same trajectory — and, traced, the same trace bytes — no matter
+    /// which front end submitted it. Every setting trains through
+    /// [`Trainer::run`], so every fault-tolerance knob and `dtype` applies
+    /// to all of them.
     ///
     /// # Errors
     ///
-    /// [`TrainError::Config`] when fault-tolerance knobs are set for a
-    /// setting without snapshot support; otherwise whatever the
-    /// underlying cell runner surfaces.
+    /// Whatever [`Trainer::run`] surfaces.
     #[allow(clippy::too_many_arguments)]
     pub fn run_ft(
         &self,
@@ -172,89 +167,49 @@ impl SettingSpec {
         ft: FtConfig,
         rec: &mut Recorder,
     ) -> Result<f64, TrainError> {
-        let budget = Budget::new(self.max_epochs(), budget_pct);
+        let cfg = TrainConfig {
+            epochs: Budget::new(self.max_epochs(), budget_pct).epochs(),
+            batch_size: 32,
+            lr,
+            optimizer,
+            schedule,
+            grad_clip: None,
+            seed,
+            dtype,
+            ft,
+        };
         match self {
-            SettingSpec::Image { model, data, .. } => run_image_cell_ft(
-                *model,
-                data,
-                budget.epochs(),
-                32,
-                optimizer,
-                schedule,
-                lr,
-                seed,
-                dtype,
-                ft,
-                rec,
-            ),
+            SettingSpec::Image { model, data, .. } => model.train(data, cfg, rec),
             SettingSpec::Vae { .. } => {
-                if ft_is_active(&ft) {
-                    return Err(TrainError::Config(
-                        "checkpoint/resume/guard flags support image and digits settings; \
-                         the VAE path has no snapshot support yet"
-                            .to_owned(),
-                    ));
-                }
-                if dtype != DType::F32 {
-                    return Err(TrainError::Config(
-                        "--dtype supports image and digits settings; the VAE path \
-                         stores f32 only"
-                            .to_owned(),
-                    ));
-                }
                 let train = synth_digits(400, 12, seed ^ 0xD161);
                 let test = synth_digits(150, 12, seed ^ 0xD162);
-                Ok(run_vae_cell_traced(
-                    &train,
-                    &test,
-                    budget.epochs(),
-                    8,
-                    optimizer,
-                    schedule,
-                    lr,
-                    seed,
-                    rec,
-                )?)
+                let task = VaeTask::new(&train, &test, seed);
+                let cfg = TrainConfig {
+                    batch_size: 8,
+                    ..cfg
+                };
+                Ok(Trainer::new(cfg).run(&task, rec)?.final_metric)
             }
             SettingSpec::Digits { .. } => {
                 let train = synth_digits(120, 12, seed ^ 0xD1_6217);
                 let test = synth_digits(40, 12, seed ^ 0xD1_6218);
-                let mut rng = Prng::new(seed);
-                let model = Mlp::new("m", &[144, 24, 10], &mut rng);
-                let mut trainer = Trainer::new(TrainConfig {
-                    epochs: budget.epochs(),
+                let model = Mlp::new("m", &[144, 24, 10], &mut Prng::new(seed));
+                let task = ClassifierTask::new(
+                    &model,
+                    &train.images,
+                    &train.labels,
+                    &test.images,
+                    &test.labels,
+                );
+                let cfg = TrainConfig {
                     batch_size: 16,
-                    lr,
-                    optimizer,
-                    schedule,
-                    augment: false,
-                    grad_clip: None,
                     seed: seed ^ 0x7EA1,
-                    dtype,
-                    ft,
-                });
-                Ok(trainer
-                    .train_classifier_traced(
-                        &model,
-                        &train.images,
-                        &train.labels,
-                        &test.images,
-                        &test.labels,
-                        rec,
-                    )?
-                    .final_metric)
+                    ..cfg
+                };
+                Ok(Trainer::new(cfg).run(&task, rec)?.final_metric)
             }
         }
     }
-}
-
-/// Whether any fault-tolerance knob is switched on.
-pub fn ft_is_active(ft: &FtConfig) -> bool {
-    ft.checkpoint_every.is_some()
-        || ft.resume_from.is_some()
-        || ft.guard != crate::GuardPolicy::Off
-        || ft.halt_after_step.is_some()
-        || ft.stop_flag.is_some()
 }
 
 #[cfg(test)]
@@ -275,7 +230,6 @@ mod tests {
     #[test]
     fn digits_cell_trains_and_traces() {
         let spec = load_setting("digits-mlp", 11).unwrap();
-        assert!(spec.supports_ft());
         let sink = MemorySink::unbounded();
         let handle = sink.handle();
         let mut rec = Recorder::new(Box::new(sink));
@@ -342,27 +296,5 @@ mod tests {
             "expected Halted after the first completed step, got {err}"
         );
         flag.store(false, Ordering::Release);
-    }
-
-    #[test]
-    fn vae_rejects_ft_knobs() {
-        let spec = load_setting("vae-mnist", 1).unwrap();
-        assert!(!spec.supports_ft());
-        let err = spec
-            .run_ft(
-                1,
-                OptimizerKind::sgdm(),
-                ScheduleSpec::Rex,
-                1e-2,
-                1,
-                DType::F32,
-                FtConfig {
-                    halt_after_step: Some(3),
-                    ..FtConfig::default()
-                },
-                &mut Recorder::disabled(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, TrainError::Config(_)), "{err}");
     }
 }

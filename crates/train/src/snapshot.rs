@@ -5,6 +5,7 @@
 //! or Adam moments + step count), sample-exact schedule progress, the
 //! trainer RNG stream *and* the pre-shuffle RNG state of the current
 //! epoch (so the in-flight epoch's batch order can be rebuilt), the
+//! model's private RNG streams (dropout masks, VAE latent noise), the
 //! accumulated history, and the telemetry line cursor. Snapshots are
 //! serialized into the `REXSTATE1` section container
 //! ([`rex_nn::checkpoint::save_state`]) and written crash-consistently
@@ -82,6 +83,11 @@ pub struct TrainState {
     pub buffers: Vec<(String, Tensor)>,
     /// Optimizer internals (velocity / moments / step counter).
     pub optim: OptimizerState,
+    /// The model's private RNG stream states by name (dropout masks, VAE
+    /// latent noise). The `streams` section is written only when this is
+    /// non-empty, so stream-free snapshots keep their earlier bytes, and a
+    /// file without it loads as "no streams".
+    pub streams: Vec<(String, [u64; 4])>,
 }
 
 impl TrainState {
@@ -93,7 +99,7 @@ impl TrainState {
     ///
     /// Propagates filesystem errors (including injected ones).
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let sections = vec![
+        let mut sections = vec![
             ("meta".to_owned(), self.encode_meta()),
             ("loop".to_owned(), self.encode_loop()),
             ("rng".to_owned(), self.encode_rng()),
@@ -108,6 +114,9 @@ impl TrainState {
             ),
             ("optim".to_owned(), encode_optim(&self.optim, self.dtype)),
         ];
+        if !self.streams.is_empty() {
+            sections.push(("streams".to_owned(), self.encode_streams()));
+        }
         checkpoint::save_state(path, &sections)
     }
 
@@ -163,6 +172,7 @@ impl TrainState {
                 scalars: Vec::new(),
                 tensors: Vec::new(),
             },
+            streams: Vec::new(),
         };
         state.decode_meta(get("meta")?)?;
         state.decode_loop(get("loop")?)?;
@@ -175,6 +185,9 @@ impl TrainState {
         state.model = checkpoint::decode_entries_dtype(get("model")?, state.dtype)?;
         state.buffers = checkpoint::decode_entries_dtype(get("buffers")?, state.dtype)?;
         state.optim = decode_optim(get("optim")?, state.dtype)?;
+        if let Ok(bytes) = get("streams") {
+            state.decode_streams(bytes)?;
+        }
         Ok(state)
     }
 
@@ -318,6 +331,35 @@ impl TrainState {
         let mut r = Reader::new(bytes);
         for w in self.rng.iter_mut().chain(self.rng_epoch_start.iter_mut()) {
             *w = r.u64()?;
+        }
+        r.done()
+    }
+
+    fn encode_streams(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(self.streams.len() as u32).to_le_bytes());
+        for (name, state) in &self.streams {
+            put_str(&mut buf, name);
+            for w in state {
+                buf.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        buf
+    }
+
+    fn decode_streams(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let mut r = Reader::new(bytes);
+        let n = r.u32()? as usize;
+        // each entry is at least 36 bytes; cap the pre-allocation rather
+        // than trusting the claimed count
+        self.streams = Vec::with_capacity(n.min(1 << 10));
+        for _ in 0..n {
+            let name = r.string()?;
+            let mut state = [0u64; 4];
+            for w in &mut state {
+                *w = r.u64()?;
+            }
+            self.streams.push((name, state));
         }
         r.done()
     }
@@ -488,6 +530,7 @@ mod tests {
                 scalars: vec![("t".to_owned(), 19.0)],
                 tensors: vec![("velocity:w".to_owned(), Tensor::zeros(&[6]))],
             },
+            streams: vec![("vgg.dropout".to_owned(), [9, 10, 11, 12])],
         }
     }
 
@@ -593,6 +636,19 @@ mod tests {
             );
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stream_free_snapshots_omit_the_streams_section() {
+        let mut state = sample_state();
+        state.streams.clear();
+        let path = tmp("no_streams");
+        state.save(&path).unwrap();
+        let sections = checkpoint::load_state(&path).unwrap();
+        let back = TrainState::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(sections.iter().all(|(name, _)| name != "streams"));
+        assert_eq!(state, back);
     }
 
     #[test]

@@ -1,24 +1,29 @@
-//! Per-setting experiment drivers: one function per paper setting, all
-//! following the same budgeted protocol and returning the setting's
-//! headline metric.
+//! The paper's training tasks, one [`Task`] per setting family — image
+//! and digit classification, the VAE, detection, GLUE fine-tuning, and
+//! the masked-token pre-training every GLUE cell starts from. Each runs
+//! through [`Trainer::run`], so every setting gets the same budget clock,
+//! schedule, guards, snapshots and telemetry.
 
-use rex_autograd::Graph;
-use rex_core::{Schedule, ScheduleSpec};
+use std::cell::RefCell;
+
+use rex_autograd::{Graph, NodeId, Param};
+use rex_core::ScheduleSpec;
 use rex_data::digits::DigitDataset;
 use rex_data::scenes::SceneDataset;
 use rex_data::text::{LmCorpus, TextTask};
-use rex_data::{batches_traced, ClassificationDataset};
+use rex_data::{augment_hflip, Batch, ClassificationDataset};
 use rex_eval::map::{mean_average_precision, GroundTruth, Prediction};
 use rex_nn::{
     DetectionTargets, Linear, MicroResNet, MicroVgg, MicroWideResNet, Module, TinyDetector,
     TinyTransformer, TransformerConfig, Vae,
 };
-use rex_optim::{clip_grad_norm, global_grad_norm, global_param_norm, Optimizer};
-use rex_telemetry::{Event, Recorder, StepRecord};
-use rex_tensor::{DType, Prng, TensorError};
+use rex_telemetry::Recorder;
+use rex_tensor::{Prng, Tensor, TensorError};
 
 use crate::error::TrainError;
-use crate::trainer::{FtConfig, OptimizerKind, TrainConfig, Trainer};
+use crate::trainer::{
+    classification_loss, evaluate_classifier, OptimizerKind, Task, TrainConfig, Trainer,
+};
 
 /// Which image-classification architecture a setting uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,279 +53,189 @@ impl ImageModel {
             ImageModel::MicroVgg(input) => Box::new(MicroVgg::new(num_classes, input, seed)),
         }
     }
-}
 
-/// Trains `model_kind` on `data` for `epochs` and returns the test error
-/// (%). One cell of Tables 4–6/8.
-///
-/// # Errors
-///
-/// Propagates [`TrainError`]s from the trainer (tensor errors, plus the
-/// fault-tolerance failure modes when those knobs are on).
-#[allow(clippy::too_many_arguments)]
-pub fn run_image_cell(
-    model_kind: ImageModel,
-    data: &ClassificationDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-) -> Result<f64, TrainError> {
-    run_image_cell_traced(
-        model_kind,
-        data,
-        epochs,
-        batch_size,
-        optimizer,
-        schedule,
-        lr,
-        seed,
-        DType::F32,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`run_image_cell`] with telemetry emitted into `rec` (see
-/// [`Trainer::train_classifier_traced`]) and an explicit parameter
-/// storage precision (`DType::F32` is the legacy bit-exact path).
-///
-/// # Errors
-///
-/// Same conditions as [`run_image_cell`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_image_cell_traced(
-    model_kind: ImageModel,
-    data: &ClassificationDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    dtype: DType,
-    rec: &mut Recorder,
-) -> Result<f64, TrainError> {
-    run_image_cell_ft(
-        model_kind,
-        data,
-        epochs,
-        batch_size,
-        optimizer,
-        schedule,
-        lr,
-        seed,
-        dtype,
-        FtConfig::default(),
-        rec,
-    )
-}
-
-/// [`run_image_cell_traced`] with fault-tolerance knobs: periodic
-/// crash-safe checkpoints, resume, numeric guards, deliberate halts.
-///
-/// # Errors
-///
-/// Same conditions as [`run_image_cell`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_image_cell_ft(
-    model_kind: ImageModel,
-    data: &ClassificationDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    dtype: DType,
-    ft: FtConfig,
-    rec: &mut Recorder,
-) -> Result<f64, TrainError> {
-    let model = model_kind.build(data.num_classes, seed);
-    let mut trainer = Trainer::new(TrainConfig {
-        epochs,
-        batch_size,
-        lr,
-        optimizer,
-        schedule,
-        augment: true,
-        grad_clip: None,
-        seed: seed ^ 0x7EA1,
-        dtype,
-        ft,
-    });
-    Ok(trainer
-        .train_classifier_traced(
-            model.as_ref(),
-            &data.train_images,
-            &data.train_labels,
-            &data.test_images,
-            &data.test_labels,
-            rec,
-        )?
-        .final_metric)
-}
-
-/// Drives the per-iteration schedule/optimizer coupling shared by the
-/// custom loops below. Progress is measured in **samples**, not steps, so
-/// a partial final mini-batch advances the budget clock by its true size.
-struct ScheduleDriver {
-    schedule: Box<dyn Schedule>,
-    total_samples: u64,
-    lr0: f32,
-    samples_done: u64,
-    last_lr: f32,
-}
-
-impl ScheduleDriver {
-    fn new(spec: &ScheduleSpec, total_samples: u64, lr0: f32) -> Self {
-        ScheduleDriver {
-            schedule: spec.build(),
-            total_samples,
-            lr0,
-            samples_done: 0,
-            last_lr: lr0,
-        }
-    }
-
-    /// Applies the LR (and momentum) for the current step, then advances
-    /// the budget clock by the mini-batch's sample count.
-    fn apply(&mut self, opt: &mut dyn Optimizer, batch_len: usize) {
-        let factor = self.schedule.factor(self.samples_done, self.total_samples) as f32;
-        self.last_lr = self.lr0 * factor;
-        opt.set_lr(self.last_lr);
-        if let Some(m) = self
-            .schedule
-            .momentum(self.samples_done, self.total_samples)
-        {
-            opt.set_momentum(m as f32);
-        }
-        self.samples_done += batch_len as u64;
-    }
-
-    fn on_validation(&mut self, loss: f64) {
-        self.schedule.on_validation(loss);
+    /// Trains one image-classification cell of Tables 2, 4–6 and 8: this
+    /// architecture built from `cfg.seed`, trained on `data` with flips
+    /// under `cfg`. The trainer stream is seeded from `cfg.seed ^ 0x7EA1`,
+    /// apart from the init stream. Returns the test error (%).
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Trainer::run`] surfaces.
+    pub fn train(
+        self,
+        data: &ClassificationDataset,
+        cfg: TrainConfig,
+        rec: &mut Recorder,
+    ) -> Result<f64, TrainError> {
+        let model = self.build(data.num_classes, cfg.seed);
+        let task = ClassifierTask::images(model.as_ref(), data);
+        let cfg = TrainConfig {
+            seed: cfg.seed ^ 0x7EA1,
+            ..cfg
+        };
+        Ok(Trainer::new(cfg).run(&task, rec)?.final_metric)
     }
 }
 
-/// Trains a VAE on digit images for `epochs` and returns the test
-/// generalization loss (negative ELBO). One cell of Table 7.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_vae_cell(
-    train: &DigitDataset,
-    test: &DigitDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-) -> Result<f64, TensorError> {
-    run_vae_cell_traced(
-        train,
-        test,
-        epochs,
-        batch_size,
-        optimizer,
-        schedule,
-        lr,
-        seed,
-        &mut Recorder::disabled(),
-    )
+/// Classification under cross-entropy, scored by test error (%): the
+/// image settings and the digits MLP.
+pub struct ClassifierTask<'a> {
+    model: &'a dyn Module,
+    train_images: &'a Tensor,
+    train_labels: &'a [usize],
+    test_images: &'a Tensor,
+    test_labels: &'a [usize],
+    /// Random horizontal flips of `[B, C, H, W]` training batches.
+    augment: bool,
 }
 
-/// [`run_vae_cell`] with telemetry emitted into `rec`.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_vae_cell_traced(
-    train: &DigitDataset,
-    test: &DigitDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    rec: &mut Recorder,
-) -> Result<f64, TensorError> {
-    let dim = train.size * train.size;
-    let vae = Vae::new(dim, 64, 8, seed);
-    let params = vae.params();
-    let mut opt = optimizer.build(params, lr);
-    let traced = rec.is_enabled();
-    opt.set_instrumented(traced);
-    let mut rng = Prng::new(seed ^ 0xE1B0);
-    let total_samples = train.len() as u64 * epochs as u64;
-    let mut driver = ScheduleDriver::new(&schedule, total_samples, lr);
-    let needs_val = schedule.needs_validation_feedback();
-    let fake_labels = vec![0usize; train.len()];
-
-    rec.emit(Event::RunStart {
-        run: "vae".to_owned(),
-        schedule: driver.schedule.name().to_owned(),
-        optimizer: optimizer.name().to_owned(),
-        seed,
-        total_samples,
-    });
-    let mut step: u64 = 0;
-    for epoch in 0..epochs {
-        let epoch_batches = batches_traced(
-            &train.images,
-            &fake_labels,
-            batch_size,
-            Some(&mut rng),
-            rec,
-            epoch as u64,
-        );
-        for (batch_id, batch) in epoch_batches.into_iter().enumerate() {
-            driver.apply(opt.as_mut(), batch.labels.len());
-            opt.zero_grad();
-            let mut g = Graph::new(true);
-            let loss = vae.elbo(&mut g, &batch.images)?;
-            g.backward(loss)?;
-            let grad_norm = if traced {
-                global_grad_norm(opt.params())
-            } else {
-                0.0
-            };
-            opt.step();
-            if traced {
-                rec.emit(Event::Step(StepRecord {
-                    step,
-                    epoch: epoch as u64,
-                    batch_id: batch_id as u64,
-                    lr: driver.last_lr as f64,
-                    loss: g.value(loss).item() as f64,
-                    grad_norm: grad_norm as f64,
-                    param_norm: global_param_norm(opt.params()) as f64,
-                    elapsed_ns: 0,
-                }));
-            }
-            step += 1;
-        }
-        if needs_val {
-            let vl = vae_loss(&vae, test)?;
-            driver.on_validation(vl);
-            if traced {
-                rec.emit(Event::Validation {
-                    epoch: epoch as u64,
-                    loss: vl,
-                });
-            }
+impl<'a> ClassifierTask<'a> {
+    /// Classification of the training rows, scored on the test rows,
+    /// without augmentation.
+    pub fn new(
+        model: &'a dyn Module,
+        train_images: &'a Tensor,
+        train_labels: &'a [usize],
+        test_images: &'a Tensor,
+        test_labels: &'a [usize],
+    ) -> Self {
+        ClassifierTask {
+            model,
+            train_images,
+            train_labels,
+            test_images,
+            test_labels,
+            augment: false,
         }
     }
-    let metric = vae_loss(&vae, test)?;
-    rec.emit(Event::RunEnd { metric });
-    rec.flush();
-    Ok(metric)
+
+    /// An image setting's task: `data`, with random flips.
+    pub fn images(model: &'a dyn Module, data: &'a ClassificationDataset) -> Self {
+        ClassifierTask {
+            augment: true,
+            ..ClassifierTask::new(
+                model,
+                &data.train_images,
+                &data.train_labels,
+                &data.test_images,
+                &data.test_labels,
+            )
+        }
+    }
+}
+
+impl Task for ClassifierTask<'_> {
+    type Batch = Batch;
+
+    fn kind(&self) -> String {
+        "classifier".to_owned()
+    }
+
+    fn train_len(&self) -> usize {
+        self.train_labels.len()
+    }
+
+    fn batch(&self, rows: &[usize], rng: &mut Prng) -> Result<Batch, TensorError> {
+        let mut images = self.train_images.gather_rows(rows);
+        if self.augment && images.ndim() == 4 {
+            images = augment_hflip(&images, rng);
+        }
+        Ok(Batch {
+            images,
+            labels: rows.iter().map(|&i| self.train_labels[i]).collect(),
+        })
+    }
+
+    fn loss(&self, g: &mut Graph, batch: Batch) -> Result<NodeId, TensorError> {
+        let x = g.constant(batch.images);
+        let logits = self.model.forward(g, x)?;
+        g.cross_entropy(logits, &batch.labels)
+    }
+
+    fn val_loss(&self, batch_size: usize) -> Result<f64, TensorError> {
+        classification_loss(self.model, self.test_images, self.test_labels, batch_size)
+    }
+
+    fn metric(&self, batch_size: usize) -> Result<f64, TensorError> {
+        evaluate_classifier(self.model, self.test_images, self.test_labels, batch_size)
+    }
+
+    fn params(&self) -> Vec<Param> {
+        self.model.params()
+    }
+
+    fn buffers(&self) -> Vec<(String, &RefCell<Tensor>)> {
+        self.model.buffers()
+    }
+
+    fn streams(&self) -> Vec<(String, &RefCell<Prng>)> {
+        self.model.streams()
+    }
+}
+
+/// The VAE-MNIST analogue (Table 7): a [`Vae`] on flattened digits,
+/// scored by the test generalization loss (negative ELBO).
+pub struct VaeTask<'a> {
+    vae: Vae,
+    train: &'a DigitDataset,
+    test: &'a DigitDataset,
+}
+
+impl<'a> VaeTask<'a> {
+    /// A fresh VAE (64 hidden units, 8 latents) initialised from `seed`.
+    pub fn new(train: &'a DigitDataset, test: &'a DigitDataset, seed: u64) -> Self {
+        VaeTask {
+            vae: Vae::new(train.size * train.size, 64, 8, seed),
+            train,
+            test,
+        }
+    }
+
+    /// The model being trained.
+    pub fn vae(&self) -> &Vae {
+        &self.vae
+    }
+}
+
+impl Task for VaeTask<'_> {
+    type Batch = Tensor;
+
+    fn kind(&self) -> String {
+        "vae".to_owned()
+    }
+
+    fn train_len(&self) -> usize {
+        self.train.len()
+    }
+
+    fn stream(&self, seed: u64) -> Prng {
+        Prng::new(seed ^ 0xE1B0)
+    }
+
+    fn batch(&self, rows: &[usize], _rng: &mut Prng) -> Result<Tensor, TensorError> {
+        Ok(self.train.images.gather_rows(rows))
+    }
+
+    fn loss(&self, g: &mut Graph, batch: Tensor) -> Result<NodeId, TensorError> {
+        self.vae.elbo(g, &batch)
+    }
+
+    fn val_loss(&self, _batch_size: usize) -> Result<f64, TensorError> {
+        vae_loss(&self.vae, self.test)
+    }
+
+    fn metric(&self, _batch_size: usize) -> Result<f64, TensorError> {
+        vae_loss(&self.vae, self.test)
+    }
+
+    fn params(&self) -> Vec<Param> {
+        self.vae.params()
+    }
+
+    fn streams(&self) -> Vec<(String, &RefCell<Prng>)> {
+        self.vae.streams()
+    }
 }
 
 /// Deterministic (eval-mode) ELBO of a VAE over a digit set.
@@ -334,132 +249,99 @@ pub fn vae_loss(vae: &Vae, data: &DigitDataset) -> Result<f64, TensorError> {
     Ok(g.value(loss).item() as f64)
 }
 
-/// Trains a detector on synthetic scenes, with the paper's 2-epoch linear
-/// warmup excluded from the budget, and returns the test mAP (%). One cell
-/// of Table 9.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_detection_cell(
-    train: &SceneDataset,
-    test: &SceneDataset,
-    epochs: usize,
-    warmup_epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-) -> Result<f64, TensorError> {
-    run_detection_cell_traced(
-        train,
-        test,
-        epochs,
-        warmup_epochs,
-        batch_size,
-        optimizer,
-        schedule,
-        lr,
-        seed,
-        &mut Recorder::disabled(),
-    )
+/// The YOLO-VOC analogue (Table 9): a [`TinyDetector`] on synthetic
+/// scenes, scored by test mAP@0.5 (%).
+pub struct DetectionTask<'a> {
+    det: TinyDetector,
+    train: &'a SceneDataset,
+    test: &'a SceneDataset,
 }
 
-/// [`run_detection_cell`] with telemetry emitted into `rec`.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_detection_cell_traced(
-    train: &SceneDataset,
-    test: &SceneDataset,
-    epochs: usize,
-    warmup_epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    rec: &mut Recorder,
-) -> Result<f64, TensorError> {
-    let input_size = train.images.shape()[2];
-    let det = TinyDetector::new(train.num_classes, input_size, seed);
-    let mut opt = optimizer.build(det.params(), lr);
-    let traced = rec.is_enabled();
-    opt.set_instrumented(traced);
-    let mut rng = Prng::new(seed ^ 0xDE7E);
-    let n = train.len();
-    // Warmup from lr/10 over the warmup epochs, then the budgeted schedule
-    // over the remaining samples (warmup excluded from the budget).
-    let spec = ScheduleSpec::WithWarmup(Box::new(schedule), (warmup_epochs * n) as u64, 0.1);
-    let total_samples = (n * (epochs + warmup_epochs)) as u64;
-    let mut driver = ScheduleDriver::new(&spec, total_samples, lr);
+/// One detection mini-batch: images and their grid targets.
+pub struct SceneBatch {
+    images: Tensor,
+    targets: DetectionTargets,
+}
 
-    rec.emit(Event::RunStart {
-        run: "detection".to_owned(),
-        schedule: driver.schedule.name().to_owned(),
-        optimizer: optimizer.name().to_owned(),
-        seed,
-        total_samples,
-    });
-    let grid = train.grid;
-    let mut step: u64 = 0;
-    for epoch in 0..(epochs + warmup_epochs) {
-        // shuffle scene indices directly: the targets live in parallel
-        // arrays, so batches() cannot assemble them for us
-        let order = rng.permutation(n);
-        if traced {
-            rec.emit(Event::Epoch {
-                epoch: epoch as u64,
-                samples: n as u64,
-                batches: n.div_ceil(batch_size) as u64,
-                shuffled: true,
-            });
-        }
-        for (batch_id, chunk) in order.chunks(batch_size).enumerate() {
-            driver.apply(opt.as_mut(), chunk.len());
-            opt.zero_grad();
-            let images = train.images.gather_rows(chunk);
-            let objectness = train.objectness.gather_rows(chunk);
-            let boxes = train.boxes.gather_rows(chunk);
-            let mut classes = Vec::with_capacity(chunk.len() * grid * grid);
-            for &i in chunk {
-                classes
-                    .extend_from_slice(&train.cell_classes[i * grid * grid..(i + 1) * grid * grid]);
-            }
-            let targets = DetectionTargets::new(objectness, boxes, classes)?;
-            let mut g = Graph::new(true);
-            let x = g.constant(images);
-            let loss = det.loss(&mut g, x, &targets)?;
-            g.backward(loss)?;
-            let grad_norm = if traced {
-                global_grad_norm(opt.params())
-            } else {
-                0.0
-            };
-            opt.step();
-            if traced {
-                rec.emit(Event::Step(StepRecord {
-                    step,
-                    epoch: epoch as u64,
-                    batch_id: batch_id as u64,
-                    lr: driver.last_lr as f64,
-                    loss: g.value(loss).item() as f64,
-                    grad_norm: grad_norm as f64,
-                    param_norm: global_param_norm(opt.params()) as f64,
-                    elapsed_ns: 0,
-                }));
-            }
-            step += 1;
+impl<'a> DetectionTask<'a> {
+    /// A fresh detector for `train`'s classes and image size, initialised
+    /// from `seed`.
+    pub fn new(train: &'a SceneDataset, test: &'a SceneDataset, seed: u64) -> Self {
+        DetectionTask {
+            det: TinyDetector::new(train.num_classes, train.images.shape()[2], seed),
+            train,
+            test,
         }
     }
-    let metric = detection_map(&det, test)?;
-    rec.emit(Event::RunEnd { metric });
-    rec.flush();
-    Ok(metric)
+
+    /// `cfg` with the paper's warm-up prepended: `warmup_epochs` more
+    /// epochs over which the LR rises linearly from a tenth, excluded
+    /// from the budget the schedule decays over.
+    pub fn with_warmup(&self, cfg: TrainConfig, warmup_epochs: usize) -> TrainConfig {
+        let warmup_samples = (warmup_epochs * self.train.len()) as u64;
+        TrainConfig {
+            epochs: cfg.epochs + warmup_epochs,
+            schedule: ScheduleSpec::WithWarmup(Box::new(cfg.schedule), warmup_samples, 0.1),
+            ..cfg
+        }
+    }
+}
+
+impl Task for DetectionTask<'_> {
+    type Batch = SceneBatch;
+
+    fn kind(&self) -> String {
+        "detection".to_owned()
+    }
+
+    fn train_len(&self) -> usize {
+        self.train.len()
+    }
+
+    fn stream(&self, seed: u64) -> Prng {
+        Prng::new(seed ^ 0xDE7E)
+    }
+
+    fn batch(&self, rows: &[usize], _rng: &mut Prng) -> Result<SceneBatch, TensorError> {
+        let cells = self.train.grid * self.train.grid;
+        let mut classes = Vec::with_capacity(rows.len() * cells);
+        for &i in rows {
+            classes.extend_from_slice(&self.train.cell_classes[i * cells..(i + 1) * cells]);
+        }
+        Ok(SceneBatch {
+            images: self.train.images.gather_rows(rows),
+            targets: DetectionTargets::new(
+                self.train.objectness.gather_rows(rows),
+                self.train.boxes.gather_rows(rows),
+                classes,
+            )?,
+        })
+    }
+
+    fn loss(&self, g: &mut Graph, batch: SceneBatch) -> Result<NodeId, TensorError> {
+        let x = g.constant(batch.images);
+        self.det.loss(g, x, &batch.targets)
+    }
+
+    fn val_loss(&self, _batch_size: usize) -> Result<f64, TensorError> {
+        Ok(100.0 - detection_map(&self.det, self.test)?)
+    }
+
+    fn metric(&self, _batch_size: usize) -> Result<f64, TensorError> {
+        detection_map(&self.det, self.test)
+    }
+
+    fn params(&self) -> Vec<Param> {
+        self.det.params()
+    }
+
+    fn buffers(&self) -> Vec<(String, &RefCell<Tensor>)> {
+        self.det.buffers()
+    }
+
+    fn streams(&self) -> Vec<(String, &RefCell<Prng>)> {
+        self.det.streams()
+    }
 }
 
 /// Evaluates a detector's mAP@0.5 (%) over a scene set.
@@ -495,12 +377,96 @@ pub fn detection_map(det: &TinyDetector, test: &SceneDataset) -> Result<f64, Ten
     Ok(mean_average_precision(&preds, &gts, test.num_classes, 0.5))
 }
 
-/// Pre-trains a [`TinyTransformer`] on a masked-token corpus — the shared
-/// "BERT checkpoint" that every GLUE cell fine-tunes from.
+/// Masked-token pre-training of a [`TinyTransformer`] — the shared "BERT
+/// checkpoint" every GLUE cell fine-tunes from — scored by the
+/// reconstruction loss over the corpus.
+struct PretrainTask<'a> {
+    tf: TinyTransformer,
+    corpus: &'a LmCorpus,
+}
+
+impl<'a> PretrainTask<'a> {
+    /// A fresh transformer of shape `cfg`, initialised from `seed`.
+    fn new(corpus: &'a LmCorpus, cfg: TransformerConfig, seed: u64) -> Self {
+        PretrainTask {
+            tf: TinyTransformer::new(cfg, seed),
+            corpus,
+        }
+    }
+
+    /// The (trained) transformer.
+    fn into_model(self) -> TinyTransformer {
+        self.tf
+    }
+
+    /// Tokens and targets of sequences `rows`.
+    fn gather(&self, rows: impl Iterator<Item = usize>) -> (Vec<usize>, Vec<usize>) {
+        let t = self.corpus.seq_len;
+        let (mut inputs, mut targets) = (Vec::new(), Vec::new());
+        for i in rows {
+            inputs.extend_from_slice(&self.corpus.inputs[i * t..(i + 1) * t]);
+            targets.extend_from_slice(&self.corpus.targets[i * t..(i + 1) * t]);
+        }
+        (inputs, targets)
+    }
+}
+
+impl Task for PretrainTask<'_> {
+    type Batch = (Vec<usize>, Vec<usize>);
+
+    fn kind(&self) -> String {
+        "pretrain".to_owned()
+    }
+
+    fn train_len(&self) -> usize {
+        self.corpus.n
+    }
+
+    fn stream(&self, seed: u64) -> Prng {
+        Prng::new(seed ^ 0x93A5)
+    }
+
+    fn batch(&self, rows: &[usize], _rng: &mut Prng) -> Result<Self::Batch, TensorError> {
+        Ok(self.gather(rows.iter().copied()))
+    }
+
+    fn loss(&self, g: &mut Graph, (inputs, targets): Self::Batch) -> Result<NodeId, TensorError> {
+        let logits = self
+            .tf
+            .lm_logits(g, &inputs, inputs.len() / self.corpus.seq_len)?;
+        g.cross_entropy(logits, &targets)
+    }
+
+    fn val_loss(&self, batch_size: usize) -> Result<f64, TensorError> {
+        let n = self.corpus.n;
+        let mut total = 0.0f64;
+        for start in (0..n).step_by(batch_size.max(1)) {
+            let rows = start..(start + batch_size).min(n);
+            let b = rows.len();
+            let (inputs, targets) = self.gather(rows);
+            let mut g = Graph::new(false);
+            let logits = self.tf.lm_logits(&mut g, &inputs, b)?;
+            let loss = g.cross_entropy(logits, &targets)?;
+            total += g.value(loss).item() as f64 * b as f64;
+        }
+        Ok(total / n.max(1) as f64)
+    }
+
+    fn metric(&self, batch_size: usize) -> Result<f64, TensorError> {
+        self.val_loss(batch_size)
+    }
+
+    fn params(&self) -> Vec<Param> {
+        self.tf.params()
+    }
+}
+
+/// Pre-trains a [`TinyTransformer`] on a masked-token corpus under AdamW
+/// with gradient clipping at a constant LR.
 ///
 /// # Errors
 ///
-/// Propagates [`TensorError`]s from the model.
+/// Propagates [`TrainError`]s from the trainer.
 pub fn pretrain_transformer(
     corpus: &LmCorpus,
     cfg: TransformerConfig,
@@ -508,153 +474,89 @@ pub fn pretrain_transformer(
     batch_size: usize,
     lr: f32,
     seed: u64,
-) -> Result<TinyTransformer, TensorError> {
-    let tf = TinyTransformer::new(cfg, seed);
-    let mut opt = OptimizerKind::adamw().build(tf.params(), lr);
-    let mut rng = Prng::new(seed ^ 0x93A5);
-    let t_len = corpus.seq_len;
-    for _ in 0..epochs {
-        let order = rng.permutation(corpus.n);
-        for chunk in order.chunks(batch_size) {
-            opt.zero_grad();
-            let mut inputs = Vec::with_capacity(chunk.len() * t_len);
-            let mut targets = Vec::with_capacity(chunk.len() * t_len);
-            for &i in chunk {
-                inputs.extend_from_slice(&corpus.inputs[i * t_len..(i + 1) * t_len]);
-                targets.extend_from_slice(&corpus.targets[i * t_len..(i + 1) * t_len]);
-            }
-            let mut g = Graph::new(true);
-            let logits = tf.lm_logits(&mut g, &inputs, chunk.len())?;
-            let loss = g.cross_entropy(logits, &targets)?;
-            g.backward(loss)?;
-            clip_grad_norm(opt.params(), 1.0);
-            opt.step();
-        }
-    }
-    Ok(tf)
-}
-
-/// Fine-tunes a copy of `pretrained` on one GLUE task for `epochs` and
-/// returns the test accuracy (%). One cell of Tables 10–11.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_glue_cell(
-    pretrained: &TinyTransformer,
-    task: &TextTask,
-    epochs: usize,
-    batch_size: usize,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-) -> Result<f64, TensorError> {
-    run_glue_cell_traced(
-        pretrained,
-        task,
-        epochs,
+) -> Result<TinyTransformer, TrainError> {
+    let task = PretrainTask::new(corpus, cfg, seed);
+    Trainer::new(TrainConfig {
         batch_size,
-        schedule,
         lr,
-        seed,
-        &mut Recorder::disabled(),
-    )
+        grad_clip: Some(1.0),
+        ..TrainConfig::new(epochs, OptimizerKind::adamw(), ScheduleSpec::None, seed)
+    })
+    .run(&task, &mut Recorder::disabled())?;
+    Ok(task.into_model())
 }
 
-/// [`run_glue_cell`] with telemetry emitted into `rec`.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_glue_cell_traced(
-    pretrained: &TinyTransformer,
-    task: &TextTask,
-    epochs: usize,
-    batch_size: usize,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    rec: &mut Recorder,
-) -> Result<f64, TensorError> {
-    let tf = pretrained.clone_weights(seed);
-    let mut rng = Prng::new(seed ^ 0x61E5);
-    let head = Linear::new("task_head", tf.config().dim, task.num_classes, &mut rng);
-    let mut params = tf.encoder_params();
-    params.extend(head.params());
-    let mut opt = OptimizerKind::adamw().build(params, lr);
-    let traced = rec.is_enabled();
-    opt.set_instrumented(traced);
+/// Fine-tuning of a pre-trained transformer plus a fresh linear head on
+/// one GLUE-analogue task (Tables 10–11), scored by test accuracy (%).
+/// Train it under AdamW with `grad_clip: Some(1.0)`.
+pub struct GlueTask<'a> {
+    tf: TinyTransformer,
+    head: Linear,
+    task: &'a TextTask,
+    /// The head-init stream, continued by the shuffles.
+    stream: Prng,
+}
 
-    let t_len = task.seq_len;
-    let n = task.train_len();
-    let total_samples = (n * epochs) as u64;
-    let mut driver = ScheduleDriver::new(&schedule, total_samples, lr);
-    let needs_val = schedule.needs_validation_feedback();
-
-    rec.emit(Event::RunStart {
-        run: format!("glue:{}", task.name),
-        schedule: driver.schedule.name().to_owned(),
-        optimizer: OptimizerKind::adamw().name().to_owned(),
-        seed,
-        total_samples,
-    });
-    let mut step: u64 = 0;
-    for epoch in 0..epochs {
-        let order = rng.permutation(n);
-        if traced {
-            rec.emit(Event::Epoch {
-                epoch: epoch as u64,
-                samples: n as u64,
-                batches: n.div_ceil(batch_size) as u64,
-                shuffled: true,
-            });
-        }
-        for (batch_id, chunk) in order.chunks(batch_size).enumerate() {
-            driver.apply(opt.as_mut(), chunk.len());
-            opt.zero_grad();
-            let mut tokens = Vec::with_capacity(chunk.len() * t_len);
-            let mut labels = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                tokens.extend_from_slice(&task.train_tokens[i * t_len..(i + 1) * t_len]);
-                labels.push(task.train_labels[i]);
-            }
-            let mut g = Graph::new(true);
-            let logits = tf.classify(&mut g, &tokens, chunk.len(), &head)?;
-            let loss = g.cross_entropy(logits, &labels)?;
-            g.backward(loss)?;
-            let grad_norm = clip_grad_norm(opt.params(), 1.0);
-            opt.step();
-            if traced {
-                rec.emit(Event::Step(StepRecord {
-                    step,
-                    epoch: epoch as u64,
-                    batch_id: batch_id as u64,
-                    lr: driver.last_lr as f64,
-                    loss: g.value(loss).item() as f64,
-                    grad_norm: grad_norm as f64,
-                    param_norm: global_param_norm(opt.params()) as f64,
-                    elapsed_ns: 0,
-                }));
-            }
-            step += 1;
-        }
-        if needs_val {
-            let vl = 100.0 - glue_accuracy(&tf, &head, task)?;
-            driver.on_validation(vl);
-            if traced {
-                rec.emit(Event::Validation {
-                    epoch: epoch as u64,
-                    loss: vl,
-                });
-            }
+impl<'a> GlueTask<'a> {
+    /// A copy of `pretrained` with a head drawn from `seed`.
+    pub fn new(pretrained: &TinyTransformer, task: &'a TextTask, seed: u64) -> Self {
+        let tf = pretrained.clone_weights(seed);
+        let mut stream = Prng::new(seed ^ 0x61E5);
+        let head = Linear::new("task_head", tf.config().dim, task.num_classes, &mut stream);
+        GlueTask {
+            tf,
+            head,
+            task,
+            stream,
         }
     }
-    let metric = glue_accuracy(&tf, &head, task)?;
-    rec.emit(Event::RunEnd { metric });
-    rec.flush();
-    Ok(metric)
+}
+
+impl Task for GlueTask<'_> {
+    type Batch = (Vec<usize>, Vec<usize>);
+
+    fn kind(&self) -> String {
+        format!("glue:{}", self.task.name)
+    }
+
+    fn train_len(&self) -> usize {
+        self.task.train_len()
+    }
+
+    /// Shuffles continue the stream the head was drawn from at
+    /// construction, whatever the run seed.
+    fn stream(&self, _seed: u64) -> Prng {
+        self.stream.clone()
+    }
+
+    fn batch(&self, rows: &[usize], _rng: &mut Prng) -> Result<Self::Batch, TensorError> {
+        let t = self.task.seq_len;
+        let mut tokens = Vec::with_capacity(rows.len() * t);
+        for &i in rows {
+            tokens.extend_from_slice(&self.task.train_tokens[i * t..(i + 1) * t]);
+        }
+        let labels = rows.iter().map(|&i| self.task.train_labels[i]).collect();
+        Ok((tokens, labels))
+    }
+
+    fn loss(&self, g: &mut Graph, (tokens, labels): Self::Batch) -> Result<NodeId, TensorError> {
+        let logits = self.tf.classify(g, &tokens, labels.len(), &self.head)?;
+        g.cross_entropy(logits, &labels)
+    }
+
+    fn val_loss(&self, _batch_size: usize) -> Result<f64, TensorError> {
+        Ok(100.0 - glue_accuracy(&self.tf, &self.head, self.task)?)
+    }
+
+    fn metric(&self, _batch_size: usize) -> Result<f64, TensorError> {
+        glue_accuracy(&self.tf, &self.head, self.task)
+    }
+
+    fn params(&self) -> Vec<Param> {
+        let mut params = self.tf.encoder_params();
+        params.extend(self.head.params());
+        params
+    }
 }
 
 /// Test accuracy (%) of a fine-tuned transformer + head on one task.
@@ -689,20 +591,24 @@ mod tests {
     use rex_data::scenes::synth_scenes;
     use rex_data::text::{glue_tasks, lm_corpus};
 
+    fn cfg(epochs: usize, batch_size: usize, optimizer: OptimizerKind, lr: f32) -> TrainConfig {
+        TrainConfig {
+            batch_size,
+            lr,
+            ..TrainConfig::new(epochs, optimizer, ScheduleSpec::Rex, 1)
+        }
+    }
+
     #[test]
     fn image_cell_runs_and_returns_error() {
         let data = synth_cifar10(3, 2, 0);
-        let err = run_image_cell(
-            ImageModel::MicroResNet20,
-            &data,
-            1,
-            16,
-            OptimizerKind::sgdm(),
-            ScheduleSpec::Rex,
-            0.05,
-            1,
-        )
-        .unwrap();
+        let err = ImageModel::MicroResNet20
+            .train(
+                &data,
+                cfg(1, 16, OptimizerKind::sgdm(), 0.05),
+                &mut Recorder::disabled(),
+            )
+            .unwrap();
         assert!((0.0..=100.0).contains(&err));
     }
 
@@ -710,21 +616,16 @@ mod tests {
     fn vae_cell_improves_over_untrained() {
         let train = synth_digits(64, 12, 0);
         let test = synth_digits(32, 12, 1);
-        let untrained = {
-            let vae = Vae::new(144, 64, 8, 5);
-            vae_loss(&vae, &test).unwrap()
+        let untrained = vae_loss(VaeTask::new(&train, &test, 5).vae(), &test).unwrap();
+        let task = VaeTask::new(&train, &test, 5);
+        let config = TrainConfig {
+            seed: 5,
+            ..cfg(4, 16, OptimizerKind::adam(), 1e-3)
         };
-        let trained = run_vae_cell(
-            &train,
-            &test,
-            4,
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::Rex,
-            1e-3,
-            5,
-        )
-        .unwrap();
+        let trained = Trainer::new(config)
+            .run(&task, &mut Recorder::disabled())
+            .unwrap()
+            .final_metric;
         assert!(trained < untrained, "{trained} !< {untrained}");
     }
 
@@ -732,24 +633,24 @@ mod tests {
     fn detection_cell_produces_valid_map() {
         let train = synth_scenes(16, 24, 0);
         let test = synth_scenes(8, 24, 1);
-        let map = run_detection_cell(
-            &train,
-            &test,
-            1,
-            1,
-            8,
-            OptimizerKind::adam(),
-            ScheduleSpec::Linear,
-            1e-3,
-            2,
-        )
-        .unwrap();
+        let task = DetectionTask::new(&train, &test, 2);
+        let config = TrainConfig {
+            schedule: ScheduleSpec::Linear,
+            seed: 2,
+            ..cfg(1, 8, OptimizerKind::adam(), 1e-3)
+        };
+        let config = task.with_warmup(config, 1);
+        assert_eq!(config.epochs, 2);
+        let map = Trainer::new(config)
+            .run(&task, &mut Recorder::disabled())
+            .unwrap()
+            .final_metric;
         assert!((0.0..=100.0).contains(&map));
     }
 
     #[test]
     fn glue_cell_beats_chance_after_finetune() {
-        let cfg = TransformerConfig {
+        let tcfg = TransformerConfig {
             vocab: 32,
             dim: 16,
             heads: 2,
@@ -758,10 +659,19 @@ mod tests {
             ff_mult: 2,
         };
         let corpus = lm_corpus(64, 12, 32, 0);
-        let tf = pretrain_transformer(&corpus, cfg, 2, 16, 1e-3, 3).unwrap();
+        let tf = pretrain_transformer(&corpus, tcfg, 2, 16, 1e-3, 3).unwrap();
         let tasks = glue_tasks(128, 64, 12, 32, 4);
         let sst2 = tasks.iter().find(|t| t.name == "SST-2").unwrap();
-        let acc = run_glue_cell(&tf, sst2, 3, 8, ScheduleSpec::Linear, 3e-3, 5).unwrap();
+        let task = GlueTask::new(&tf, sst2, 5);
+        let acc = Trainer::new(TrainConfig {
+            schedule: ScheduleSpec::Linear,
+            grad_clip: Some(1.0),
+            seed: 5,
+            ..cfg(3, 8, OptimizerKind::adamw(), 3e-3)
+        })
+        .run(&task, &mut Recorder::disabled())
+        .unwrap()
+        .final_metric;
         assert!(acc > 55.0, "accuracy {acc} not above chance");
     }
 }

@@ -1,14 +1,15 @@
 use crate::error::TrainError;
 use crate::lineage::Lineage;
 use crate::snapshot::TrainState;
-use rex_autograd::{Graph, Param};
+use rex_autograd::{Graph, NodeId, Param};
 use rex_core::{Schedule, ScheduleSpec};
-use rex_data::{augment_hflip, batches, batches_traced};
+use rex_data::batches;
 use rex_nn::{checkpoint, Module};
 use rex_optim::{clip_grad_norm, global_grad_norm, global_param_norm, Adam, Optimizer, Sgd};
 use rex_telemetry::span::span;
 use rex_telemetry::{Event, Recorder, StepRecord};
 use rex_tensor::{DType, Prng, Tensor, TensorError};
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -209,11 +210,10 @@ pub struct TrainConfig {
     pub optimizer: OptimizerKind,
     /// Schedule specification (built fresh inside the run).
     pub schedule: ScheduleSpec,
-    /// Random horizontal flip augmentation (image classification only).
-    pub augment: bool,
     /// Gradient clipping threshold (global L2 norm), if any.
     pub grad_clip: Option<f32>,
-    /// RNG seed for shuffling/augmentation.
+    /// Run seed: reported in `run_start`, checked on resume, and turned
+    /// into the shuffle/augmentation stream by [`Task::stream`].
     pub seed: u64,
     /// Parameter storage precision. `F32` is the legacy bit-exact path;
     /// `F16`/`Bf16` keep all arithmetic in f32 (master weights) but round
@@ -225,7 +225,8 @@ pub struct TrainConfig {
 }
 
 impl TrainConfig {
-    /// A classification config with common defaults.
+    /// A config with common defaults: batches of 32, the optimizer's
+    /// default LR, no clipping, f32 storage, fault tolerance off.
     pub fn new(epochs: usize, optimizer: OptimizerKind, schedule: ScheduleSpec, seed: u64) -> Self {
         TrainConfig {
             epochs,
@@ -233,7 +234,6 @@ impl TrainConfig {
             lr: optimizer.default_lr(),
             optimizer,
             schedule,
-            augment: true,
             grad_clip: None,
             seed,
             dtype: DType::F32,
@@ -262,12 +262,77 @@ pub struct TrainResult {
     pub history: Vec<EpochStats>,
 }
 
-/// The generic budget-aware training loop.
+/// One training problem for [`Trainer::run`]: a training set served as
+/// shuffled mini-batches, a loss, an evaluation, and the model state a
+/// snapshot holds. The trainer owns everything else — budget clock,
+/// schedule, optimizer, dtype rounding, guards, snapshots, telemetry and
+/// spans — so every task gets all of it the same way.
+pub trait Task {
+    /// A gathered mini-batch.
+    type Batch;
+
+    /// Run label reported in `run_start` and checked on resume
+    /// (`"classifier"`, `"vae"`, `"detection"`, `"glue:CoLA"`, …).
+    fn kind(&self) -> String;
+
+    /// Number of training samples; each epoch shuffles this many rows.
+    fn train_len(&self) -> usize;
+
+    /// The trainer's shuffle stream for a run seeded `seed`; image
+    /// batches are flipped from it too. Default: `Prng::new(seed)`.
+    fn stream(&self, seed: u64) -> Prng {
+        Prng::new(seed)
+    }
+
+    /// Gathers the mini-batch of training rows `rows`, drawing any
+    /// augmentation from `rng`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor errors from assembling the batch.
+    fn batch(&self, rows: &[usize], rng: &mut Prng) -> Result<Self::Batch, TensorError>;
+
+    /// Builds `batch`'s scalar training loss on `g`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the model's forward errors.
+    fn loss(&self, g: &mut Graph, batch: Self::Batch) -> Result<NodeId, TensorError>;
+
+    /// Validation loss for plateau schedules (lower is better), in eval
+    /// mode; `batch_size` is the training batch size.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the model's forward errors.
+    fn val_loss(&self, batch_size: usize) -> Result<f64, TensorError>;
+
+    /// The headline metric reported when the run ends, in eval mode.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the model's forward errors.
+    fn metric(&self, batch_size: usize) -> Result<f64, TensorError>;
+
+    /// Trainable parameters, in a deterministic order.
+    fn params(&self) -> Vec<Param>;
+
+    /// Non-trainable state a snapshot holds ([`Module::buffers`]).
+    fn buffers(&self) -> Vec<(String, &RefCell<Tensor>)> {
+        Vec::new()
+    }
+
+    /// Private RNG streams a snapshot holds ([`Module::streams`]).
+    fn streams(&self) -> Vec<(String, &RefCell<Prng>)> {
+        Vec::new()
+    }
+}
+
+/// The budget-aware training loop.
 ///
-/// `Trainer` is deliberately model-agnostic: the caller supplies closures
-/// for the per-batch loss and (optionally) the per-epoch validation loss.
-/// The schedule is stepped **per iteration** against the budgeted total
-/// step count, exactly as the paper prescribes.
+/// `Trainer` is model-agnostic: a [`Task`] supplies the data, loss and
+/// evaluation. The schedule is stepped **per iteration** against the
+/// budgeted sample horizon, exactly as the paper prescribes.
 pub struct Trainer {
     config: TrainConfig,
     schedule: Box<dyn Schedule>,
@@ -296,37 +361,14 @@ impl Trainer {
         &self.config
     }
 
-    /// Runs the loop over an image-classification dataset with the given
-    /// model, returning the final test error (%) and history.
+    /// Trains `task` under the configured budget, returning its final
+    /// metric and per-epoch history.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`TensorError`]s from the model's forward/backward
-    /// (as [`TrainError::Tensor`]) plus any fault-tolerance failure.
-    pub fn train_classifier(
-        &mut self,
-        model: &dyn Module,
-        train_images: &Tensor,
-        train_labels: &[usize],
-        test_images: &Tensor,
-        test_labels: &[usize],
-    ) -> Result<TrainResult, TrainError> {
-        self.train_classifier_traced(
-            model,
-            train_images,
-            train_labels,
-            test_images,
-            test_labels,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`Trainer::train_classifier`] with telemetry: emits run/epoch
-    /// boundaries, one [`StepRecord`] per optimizer step (applied LR, batch
-    /// loss, pre-clip gradient norm, post-step parameter norm), validation
-    /// passes, and the final metric into `rec`. With a disabled recorder
-    /// this is exactly the plain loop — norms are not even computed
-    /// (unless a numeric guard needs them).
+    /// Telemetry goes into `rec`: run/epoch boundaries, one
+    /// [`StepRecord`] per optimizer step (applied LR, batch loss,
+    /// pre-clip gradient norm, post-step parameter norm), validation
+    /// passes, and the final metric. With a disabled recorder the norms
+    /// are not even computed (unless a numeric guard needs them).
     ///
     /// With `cfg.ft.checkpoint_every` set, a full [`TrainState`] is
     /// written crash-consistently every N steps; `cfg.ft.resume_from`
@@ -335,28 +377,24 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates [`TensorError`]s from the model's forward/backward
-    /// (as [`TrainError::Tensor`]), checkpoint/resume failures, guard
-    /// aborts, and the deliberate [`TrainError::Halted`].
-    pub fn train_classifier_traced(
+    /// Propagates [`TensorError`]s from the task (as
+    /// [`TrainError::Tensor`]), checkpoint/resume failures, guard aborts,
+    /// and the deliberate [`TrainError::Halted`].
+    pub fn run<T: Task + ?Sized>(
         &mut self,
-        model: &dyn Module,
-        train_images: &Tensor,
-        train_labels: &[usize],
-        test_images: &Tensor,
-        test_labels: &[usize],
+        task: &T,
         rec: &mut Recorder,
     ) -> Result<TrainResult, TrainError> {
         let cfg = self.config.clone();
-        let ft = cfg.ft.clone();
-        self.validate_ft(&ft)?;
+        let ft = &cfg.ft;
+        self.validate_ft(ft)?;
         if !cfg.dtype.trainable() {
             return Err(TrainError::Config(format!(
                 "{} is not a trainable dtype (expected f32 | f16 | bf16)",
                 cfg.dtype
             )));
         }
-        let mut opt = cfg.optimizer.build(model.params(), cfg.lr);
+        let mut opt = cfg.optimizer.build(task.params(), cfg.lr);
         opt.set_param_dtype(cfg.dtype);
         if cfg.dtype != DType::F32 {
             // project the fresh initialisation onto the storage grid; from
@@ -364,7 +402,7 @@ impl Trainer {
             for p in opt.params() {
                 cfg.dtype.round_slice(p.value_mut().data_mut());
             }
-            round_buffers(cfg.dtype, model);
+            round_buffers(cfg.dtype, task);
         }
         let traced = rec.is_enabled();
         opt.set_instrumented(traced);
@@ -375,11 +413,21 @@ impl Trainer {
         // step. (When the dataset size divides the batch size the
         // progress fractions — and therefore the LR trajectory — are
         // identical to per-step accounting.)
-        let total_samples = train_labels.len() as u64 * cfg.epochs as u64;
+        let n = task.train_len();
+        let total_samples = n as u64 * cfg.epochs as u64;
         let needs_val = cfg.schedule.needs_validation_feedback();
+        let schedule_name = self.schedule.name();
 
-        let mut rng = Prng::new(cfg.seed);
-        let mut st = LoopSt::fresh(cfg.lr, cfg.epochs);
+        let mut live = Live {
+            task,
+            opt,
+            rng: task.stream(cfg.seed),
+            st: LoopSt::fresh(cfg.lr, cfg.epochs),
+            kind: task.kind(),
+            total_samples,
+            mem_snap: None,
+            rolled_back_at: None,
+        };
         if let Some(resume_path) = &ft.resume_from {
             // a directory is a checkpoint lineage: resolve the newest
             // generation that validates, falling back over damaged ones
@@ -393,157 +441,114 @@ impl Trainer {
                 path: resume_path.clone(),
                 source,
             })?;
-            self.check_resume(&state, &cfg, total_samples)?;
-            restore_from(&state, model, opt.as_mut(), &mut rng, &mut st, rec)?;
-            rec.emit(Event::Resume { step: st.step });
+            self.check_resume(&state, &cfg, &live.kind, total_samples)?;
+            live.restore(&state, rec)?;
+            rec.emit(Event::Resume { step: live.st.step });
         } else {
             rec.emit(Event::RunStart {
-                run: "classifier".to_owned(),
-                schedule: self.schedule.name().to_owned(),
+                run: live.kind.clone(),
+                schedule: schedule_name.clone(),
                 optimizer: cfg.optimizer.name().to_owned(),
                 seed: cfg.seed,
                 total_samples,
             });
         }
 
-        // rollback target: the last checkpoint, kept in memory alongside
-        // the on-disk file so restoring needs no I/O
-        let mut mem_snap: Option<TrainState> = None;
-        let mut rolled_back_at: Option<u64> = None;
         let mut last_ckpt_step: Option<u64> = None;
-
         // profiling spans never touch the Recorder, so the deterministic
         // trace stays byte-identical with profiling on; the span *tree*
         // (names and nesting) is itself a pure function of the config
         let _job_span = span("job");
-        'run: while (st.epoch as usize) < cfg.epochs {
+        'run: while (live.st.epoch as usize) < cfg.epochs {
             let _epoch_span = span("epoch");
-            let batch_vec = if st.mid_epoch {
-                st.mid_epoch = false;
+            let order = if live.st.mid_epoch {
                 // Rebuild the in-flight epoch's batch order by replaying
-                // the saved pre-shuffle RNG state; the live stream `rng`
-                // already sits past the shuffle (and every completed
-                // batch's augmentation), exactly where the uninterrupted
-                // run was. The Epoch event is in the trace prefix — not
-                // re-emitted.
-                let mut epoch_rng = Prng::from_state(st.rng_epoch_start);
-                batches(
-                    train_images,
-                    train_labels,
-                    cfg.batch_size,
-                    Some(&mut epoch_rng),
-                )
+                // the saved pre-shuffle RNG state; the live stream already
+                // sits past the shuffle (and every completed batch's
+                // augmentation), exactly where the uninterrupted run was.
+                // The Epoch event is in the trace prefix — not re-emitted.
+                live.st.mid_epoch = false;
+                Prng::from_state(live.st.rng_epoch_start).permutation(n)
             } else {
-                st.rng_epoch_start = rng.state();
+                let st = &mut live.st;
+                st.rng_epoch_start = live.rng.state();
                 st.batch_in_epoch = 0;
                 st.epoch_loss = 0.0;
                 st.epoch_batches = 0;
-                batches_traced(
-                    train_images,
-                    train_labels,
-                    cfg.batch_size,
-                    Some(&mut rng),
-                    rec,
-                    st.epoch,
-                )
+                rec.emit(Event::Epoch {
+                    epoch: st.epoch,
+                    samples: n as u64,
+                    batches: n.div_ceil(cfg.batch_size) as u64,
+                    shuffled: true,
+                });
+                live.rng.permutation(n)
             };
-            while (st.batch_in_epoch as usize) < batch_vec.len() {
+            let batches: Vec<&[usize]> = order.chunks(cfg.batch_size).collect();
+            while let Some(&rows) = batches.get(live.st.batch_in_epoch as usize) {
                 let _step_span = span("step");
-                let batch = &batch_vec[st.batch_in_epoch as usize];
+                let samples = rows.len() as u64;
                 let step_start = traced.then(Instant::now);
+                let st = &mut live.st;
                 let factor = self.schedule.factor(st.samples_done, total_samples) as f32;
                 st.last_lr = cfg.lr * factor;
-                opt.set_lr(st.last_lr);
+                live.opt.set_lr(st.last_lr);
                 if let Some(m) = self.schedule.momentum(st.samples_done, total_samples) {
-                    opt.set_momentum(m as f32);
+                    live.opt.set_momentum(m as f32);
                 }
-                opt.zero_grad();
+                live.opt.zero_grad();
                 let data_span = span("data");
-                let images = if cfg.augment && batch.images.ndim() == 4 {
-                    augment_hflip(&batch.images, &mut rng)
-                } else {
-                    batch.images.clone()
-                };
+                let batch = task.batch(rows, &mut live.rng)?;
                 drop(data_span);
                 let fwd_span = span("forward");
                 let mut g = Graph::new(true);
-                let x = g.constant(images);
-                let logits = model.forward(&mut g, x)?;
-                let loss = g.cross_entropy(logits, &batch.labels)?;
+                let loss = task.loss(&mut g, batch)?;
                 let mut batch_loss = g.value(loss).item() as f64;
                 drop(fwd_span);
-                if rex_faults::poison_loss(st.step) {
+                if rex_faults::poison_loss(live.st.step) {
                     batch_loss = f64::NAN;
                 }
                 if guard_on && !batch_loss.is_finite() {
-                    match self.trip_guard(
-                        &ft,
-                        "loss".to_owned(),
-                        batch_loss,
-                        batch.labels.len() as u64,
-                        &mut st,
-                        &mut rolled_back_at,
-                        &mem_snap,
-                        model,
-                        opt.as_mut(),
-                        &mut rng,
-                        rec,
-                    )? {
+                    match live.trip_guard(ft, "loss".to_owned(), batch_loss, samples, rec)? {
                         GuardOutcome::SkipBatch => continue,
                         GuardOutcome::RestartFromSnapshot => continue 'run,
                     }
                 }
-                st.epoch_loss += batch_loss;
-                st.epoch_batches += 1;
                 let bwd_span = span("backward");
                 g.backward(loss)?;
                 drop(bwd_span);
-                if let Some(seed_idx) = rex_faults::poison_grad(st.step) {
-                    let params = opt.params();
+                if let Some(seed_idx) = rex_faults::poison_grad(live.st.step) {
+                    let params = live.opt.params();
                     if !params.is_empty() {
                         params[seed_idx % params.len()].grad_mut().data_mut()[0] = f32::NAN;
                     }
                 }
                 let opt_span = span("optimizer");
                 let grad_norm = if let Some(max_norm) = cfg.grad_clip {
-                    clip_grad_norm(opt.params(), max_norm)
+                    clip_grad_norm(live.opt.params(), max_norm)
                 } else if traced || guard_on {
-                    global_grad_norm(opt.params())
+                    global_grad_norm(live.opt.params())
                 } else {
                     0.0
                 };
                 if guard_on && !grad_norm.is_finite() {
-                    // the accumulators already counted this batch; undo so
-                    // skip/rollback leave them consistent
-                    st.epoch_loss -= batch_loss;
-                    st.epoch_batches -= 1;
-                    let what = offending_grad(opt.params());
-                    match self.trip_guard(
-                        &ft,
-                        what,
-                        grad_norm as f64,
-                        batch.labels.len() as u64,
-                        &mut st,
-                        &mut rolled_back_at,
-                        &mem_snap,
-                        model,
-                        opt.as_mut(),
-                        &mut rng,
-                        rec,
-                    )? {
+                    let what = offending_grad(live.opt.params());
+                    match live.trip_guard(ft, what, grad_norm as f64, samples, rec)? {
                         GuardOutcome::SkipBatch => continue,
                         GuardOutcome::RestartFromSnapshot => continue 'run,
                     }
                 }
-                opt.step();
+                live.opt.step();
                 if cfg.dtype != DType::F32 {
                     // batch-norm running stats were updated by the forward
                     // pass in full precision; round them like the params so
                     // a checkpoint serializes them losslessly
-                    round_buffers(cfg.dtype, model);
+                    round_buffers(cfg.dtype, task);
                 }
                 drop(opt_span);
-                st.samples_done += batch.labels.len() as u64;
+                let st = &mut live.st;
+                st.epoch_loss += batch_loss;
+                st.epoch_batches += 1;
+                st.samples_done += samples;
                 if traced {
                     rec.emit(Event::Step(StepRecord {
                         step: st.step,
@@ -552,7 +557,7 @@ impl Trainer {
                         lr: st.last_lr as f64,
                         loss: batch_loss,
                         grad_norm: grad_norm as f64,
-                        param_norm: global_param_norm(opt.params()) as f64,
+                        param_norm: global_param_norm(live.opt.params()) as f64,
                         elapsed_ns: step_start
                             .map(|s| s.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
                             .unwrap_or(0),
@@ -560,67 +565,52 @@ impl Trainer {
                 }
                 st.batch_in_epoch += 1;
                 st.step += 1;
+                let step = st.step;
                 if let Some(hb) = &ft.heartbeat {
-                    hb.store(st.step, std::sync::atomic::Ordering::Release);
+                    hb.store(step, std::sync::atomic::Ordering::Release);
                 }
 
-                if let Some(every) = ft.checkpoint_every {
-                    if st.step.is_multiple_of(every) {
-                        let _ckpt_span = span("checkpoint");
-                        // cursor ordering: the checkpoint line joins the
-                        // deterministic stream first, then the flush makes
-                        // the whole prefix durable, then the snapshot
-                        // records the cursor — a resume truncates the
-                        // trace to exactly this prefix
-                        rec.emit(Event::Checkpoint { step: st.step });
-                        rec.flush();
-                        let state = capture_state(
-                            &cfg,
-                            &st,
-                            &rng,
-                            opt.as_ref(),
-                            model,
-                            rec.lines_emitted(),
-                            total_samples,
-                            &self.schedule.name(),
-                        );
-                        write_snapshot(&ft, &state)?;
-                        last_ckpt_step = Some(st.step);
-                        if ft.guard == GuardPolicy::Rollback {
-                            mem_snap = Some(state);
-                        }
+                if ft
+                    .checkpoint_every
+                    .is_some_and(|every| step.is_multiple_of(every))
+                {
+                    let _ckpt_span = span("checkpoint");
+                    // cursor ordering: the checkpoint line joins the
+                    // deterministic stream first, then the flush makes the
+                    // whole prefix durable, then the snapshot records the
+                    // cursor — a resume truncates the trace to exactly
+                    // this prefix
+                    rec.emit(Event::Checkpoint { step });
+                    rec.flush();
+                    let state = live.capture(&cfg, &schedule_name, rec.lines_emitted());
+                    write_snapshot(ft, &state)?;
+                    last_ckpt_step = Some(step);
+                    if ft.guard == GuardPolicy::Rollback {
+                        live.mem_snap = Some(state);
                     }
                 }
-                rex_faults::crash_point(st.step);
-                if ft.halt_after_step == Some(st.step) || ft.stop_requested() {
+                rex_faults::crash_point(step);
+                if ft.halt_after_step == Some(step) || ft.stop_requested() {
                     if ft.checkpoint_on_halt
                         && ft.checkpoint_every.is_some()
-                        && last_ckpt_step != Some(st.step)
+                        && last_ckpt_step != Some(step)
                     {
                         // snapshot at the halt boundary with *no* trace
                         // event: the cursor covers exactly the flushed
                         // deterministic prefix, so the resumed trace is
                         // still byte-identical to an uninterrupted run's
                         rec.flush();
-                        let state = capture_state(
-                            &cfg,
-                            &st,
-                            &rng,
-                            opt.as_ref(),
-                            model,
-                            rec.lines_emitted(),
-                            total_samples,
-                            &self.schedule.name(),
-                        );
-                        write_snapshot(&ft, &state)?;
+                        let state = live.capture(&cfg, &schedule_name, rec.lines_emitted());
+                        write_snapshot(ft, &state)?;
                     }
                     rec.flush();
-                    return Err(TrainError::Halted { step: st.step });
+                    return Err(TrainError::Halted { step });
                 }
             }
+            let st = &mut live.st;
             let val_loss = if needs_val {
                 let _val_span = span("validation");
-                let vl = classification_loss(model, test_images, test_labels, cfg.batch_size)?;
+                let vl = task.val_loss(cfg.batch_size)?;
                 self.schedule.on_validation(vl);
                 if traced {
                     rec.emit(Event::Validation {
@@ -648,14 +638,14 @@ impl Trainer {
             st.epoch += 1;
         }
 
-        let final_metric = evaluate_classifier(model, test_images, test_labels, cfg.batch_size)?;
+        let final_metric = task.metric(cfg.batch_size)?;
         rec.emit(Event::RunEnd {
             metric: final_metric,
         });
         rec.flush();
         Ok(TrainResult {
             final_metric,
-            history: st.history,
+            history: live.st.history,
         })
     }
 
@@ -699,6 +689,7 @@ impl Trainer {
         &self,
         state: &TrainState,
         cfg: &TrainConfig,
+        kind: &str,
         total_samples: u64,
     ) -> Result<(), TrainError> {
         let mismatch = |field: &str, run: String, ckpt: String| {
@@ -706,8 +697,8 @@ impl Trainer {
                 "{field} mismatch: run has {run}, checkpoint has {ckpt}"
             )))
         };
-        if state.run != "classifier" {
-            return mismatch("run kind", "classifier".to_owned(), state.run.clone());
+        if state.run != kind {
+            return mismatch("run kind", kind.to_owned(), state.run.clone());
         }
         if state.schedule != self.schedule.name() {
             return mismatch("schedule", self.schedule.name(), state.schedule.clone());
@@ -746,69 +737,6 @@ impl Trainer {
             );
         }
         Ok(())
-    }
-
-    /// Handles one numeric-guard trip. Returns how the loop should
-    /// proceed, or the abort error.
-    #[allow(clippy::too_many_arguments)]
-    fn trip_guard(
-        &mut self,
-        ft: &FtConfig,
-        what: String,
-        value: f64,
-        batch_samples: u64,
-        st: &mut LoopSt,
-        rolled_back_at: &mut Option<u64>,
-        mem_snap: &Option<TrainState>,
-        model: &dyn Module,
-        opt: &mut dyn Optimizer,
-        rng: &mut Prng,
-        rec: &mut Recorder,
-    ) -> Result<GuardOutcome, TrainError> {
-        rec.emit(Event::GuardTrip {
-            step: st.step,
-            what: what.clone(),
-            value,
-            action: ft.guard.name().to_owned(),
-        });
-        match ft.guard {
-            GuardPolicy::Off | GuardPolicy::Abort => {
-                rec.flush();
-                Err(TrainError::NonFinite {
-                    step: st.step,
-                    what,
-                    value,
-                })
-            }
-            GuardPolicy::SkipStep => {
-                // the step is dropped but its samples still count toward
-                // the budget clock — the schedule keeps decaying on real
-                // time, and a repeatable injection does not loop forever
-                st.samples_done += batch_samples;
-                st.batch_in_epoch += 1;
-                st.step += 1;
-                Ok(GuardOutcome::SkipBatch)
-            }
-            GuardPolicy::Rollback => {
-                if *rolled_back_at == Some(st.step) {
-                    rec.flush();
-                    return Err(TrainError::NonFinite {
-                        step: st.step,
-                        what: format!("{what} (again after rollback)"),
-                        value,
-                    });
-                }
-                let Some(snap) = mem_snap else {
-                    rec.flush();
-                    return Err(TrainError::Resume(
-                        "rollback requested before any checkpoint was taken".to_owned(),
-                    ));
-                };
-                *rolled_back_at = Some(st.step);
-                restore_from(snap, model, opt, rng, st, rec)?;
-                Ok(GuardOutcome::RestartFromSnapshot)
-            }
-        }
     }
 }
 
@@ -856,6 +784,199 @@ impl LoopSt {
     }
 }
 
+/// The objects one run mutates — what a snapshot photographs and a
+/// resume or rollback restores.
+struct Live<'t, T: ?Sized> {
+    task: &'t T,
+    opt: Box<dyn Optimizer>,
+    /// The trainer's shuffle (and flip) stream.
+    rng: Prng,
+    st: LoopSt,
+    /// The task's run label.
+    kind: String,
+    total_samples: u64,
+    /// Rollback target: the last checkpoint, kept in memory alongside the
+    /// on-disk file so restoring needs no I/O.
+    mem_snap: Option<TrainState>,
+    /// The step a rollback last restarted from; a second trip there aborts.
+    rolled_back_at: Option<u64>,
+}
+
+impl<T: Task + ?Sized> Live<'_, T> {
+    /// Photographs the live training objects into a [`TrainState`].
+    fn capture(&self, cfg: &TrainConfig, schedule: &str, trace_events: u64) -> TrainState {
+        let st = &self.st;
+        TrainState {
+            run: self.kind.clone(),
+            schedule: schedule.to_owned(),
+            optimizer: cfg.optimizer.name().to_owned(),
+            seed: cfg.seed,
+            total_samples: self.total_samples,
+            batch_size: cfg.batch_size as u64,
+            epochs: cfg.epochs as u64,
+            lr: cfg.lr,
+            dtype: cfg.dtype,
+            backend: rex_tensor::backend::kind().to_string(),
+            simd_level: rex_tensor::backend::active().simd_level().to_owned(),
+            epoch: st.epoch,
+            batch_in_epoch: st.batch_in_epoch,
+            step: st.step,
+            samples_done: st.samples_done,
+            epoch_loss: st.epoch_loss,
+            epoch_batches: st.epoch_batches,
+            last_lr: st.last_lr,
+            history: st.history.clone(),
+            rng: self.rng.state(),
+            rng_epoch_start: st.rng_epoch_start,
+            trace_events,
+            model: self
+                .task
+                .params()
+                .iter()
+                .map(|p| (p.name(), p.value().clone()))
+                .collect(),
+            buffers: self
+                .task
+                .buffers()
+                .iter()
+                .map(|(name, cell)| (name.clone(), cell.borrow().clone()))
+                .collect(),
+            optim: self.opt.export_state(),
+            streams: self
+                .task
+                .streams()
+                .iter()
+                .map(|(name, cell)| (name.clone(), cell.borrow().state()))
+                .collect(),
+        }
+    }
+
+    /// Installs a snapshot into the live training objects (params,
+    /// buffers, streams, optimizer internals, RNG stream, loop position,
+    /// telemetry cursor). Shared by resume-from-file and in-memory
+    /// rollback.
+    fn restore(&mut self, state: &TrainState, rec: &mut Recorder) -> Result<(), TrainError> {
+        checkpoint::restore_params(&state.model, &self.task.params())
+            .map_err(TrainError::Resume)?;
+        let live = self.task.buffers();
+        if live.len() != state.buffers.len() {
+            return Err(TrainError::Resume(format!(
+                "model has {} buffers, checkpoint has {}",
+                live.len(),
+                state.buffers.len()
+            )));
+        }
+        for (name, cell) in live {
+            let saved = state
+                .buffers
+                .iter()
+                .find(|(n, _)| *n == name)
+                .ok_or_else(|| {
+                    TrainError::Resume(format!("checkpoint is missing buffer {name:?}"))
+                })?;
+            if saved.1.shape() != cell.borrow().shape() {
+                return Err(TrainError::Resume(format!(
+                    "buffer {name:?} has shape {:?}, checkpoint has {:?}",
+                    cell.borrow().shape(),
+                    saved.1.shape()
+                )));
+            }
+            *cell.borrow_mut() = saved.1.clone();
+        }
+        let live = self.task.streams();
+        for (name, cell) in &live {
+            let saved = state
+                .streams
+                .iter()
+                .find(|(n, _)| n == name)
+                .ok_or_else(|| {
+                    TrainError::Resume(format!("checkpoint is missing RNG stream {name:?}"))
+                })?;
+            *cell.borrow_mut() = Prng::from_state(saved.1);
+        }
+        if live.len() != state.streams.len() {
+            return Err(TrainError::Resume(format!(
+                "model has {} RNG streams, checkpoint has {}",
+                live.len(),
+                state.streams.len()
+            )));
+        }
+        self.opt
+            .import_state(&state.optim)
+            .map_err(TrainError::Resume)?;
+        self.rng = Prng::from_state(state.rng);
+        rec.set_lines_emitted(state.trace_events);
+        self.st = LoopSt {
+            epoch: state.epoch,
+            batch_in_epoch: state.batch_in_epoch,
+            step: state.step,
+            samples_done: state.samples_done,
+            epoch_loss: state.epoch_loss,
+            epoch_batches: state.epoch_batches,
+            last_lr: state.last_lr,
+            history: state.history.clone(),
+            rng_epoch_start: state.rng_epoch_start,
+            mid_epoch: true,
+        };
+        Ok(())
+    }
+
+    /// Handles one numeric-guard trip. Returns how the loop should
+    /// proceed, or the abort error.
+    fn trip_guard(
+        &mut self,
+        ft: &FtConfig,
+        what: String,
+        value: f64,
+        batch_samples: u64,
+        rec: &mut Recorder,
+    ) -> Result<GuardOutcome, TrainError> {
+        let step = self.st.step;
+        rec.emit(Event::GuardTrip {
+            step,
+            what: what.clone(),
+            value,
+            action: ft.guard.name().to_owned(),
+        });
+        match ft.guard {
+            GuardPolicy::Off | GuardPolicy::Abort => {
+                rec.flush();
+                Err(TrainError::NonFinite { step, what, value })
+            }
+            GuardPolicy::SkipStep => {
+                // the step is dropped but its samples still count toward
+                // the budget clock — the schedule keeps decaying on real
+                // time, and a repeatable injection does not loop forever
+                self.st.samples_done += batch_samples;
+                self.st.batch_in_epoch += 1;
+                self.st.step += 1;
+                Ok(GuardOutcome::SkipBatch)
+            }
+            GuardPolicy::Rollback => {
+                if self.rolled_back_at == Some(step) {
+                    rec.flush();
+                    return Err(TrainError::NonFinite {
+                        step,
+                        what: format!("{what} (again after rollback)"),
+                        value,
+                    });
+                }
+                let Some(snap) = self.mem_snap.take() else {
+                    rec.flush();
+                    return Err(TrainError::Resume(
+                        "rollback requested before any checkpoint was taken".to_owned(),
+                    ));
+                };
+                self.rolled_back_at = Some(step);
+                let restored = self.restore(&snap, rec);
+                self.mem_snap = Some(snap);
+                restored?;
+                Ok(GuardOutcome::RestartFromSnapshot)
+            }
+        }
+    }
+}
+
 /// Routes a captured snapshot to disk: a rotating [`Lineage`] generation
 /// when `keep_checkpoints` is set, the single `checkpoint_path` file
 /// otherwise.
@@ -872,113 +993,11 @@ fn write_snapshot(ft: &FtConfig, state: &TrainState) -> Result<(), TrainError> {
     })
 }
 
-/// Installs a snapshot into the live training objects (model params,
-/// optimizer internals, RNG stream, loop position, telemetry cursor).
-/// Shared by resume-from-file and in-memory rollback.
-fn restore_from(
-    state: &TrainState,
-    model: &dyn Module,
-    opt: &mut dyn Optimizer,
-    rng: &mut Prng,
-    st: &mut LoopSt,
-    rec: &mut Recorder,
-) -> Result<(), TrainError> {
-    checkpoint::restore_params(&state.model, &model.params()).map_err(TrainError::Resume)?;
-    let live = model.buffers();
-    if live.len() != state.buffers.len() {
-        return Err(TrainError::Resume(format!(
-            "model has {} buffers, checkpoint has {}",
-            live.len(),
-            state.buffers.len()
-        )));
-    }
-    for (name, cell) in live {
-        let saved = state
-            .buffers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .ok_or_else(|| TrainError::Resume(format!("checkpoint is missing buffer {name:?}")))?;
-        if saved.1.shape() != cell.borrow().shape() {
-            return Err(TrainError::Resume(format!(
-                "buffer {name:?} has shape {:?}, checkpoint has {:?}",
-                cell.borrow().shape(),
-                saved.1.shape()
-            )));
-        }
-        *cell.borrow_mut() = saved.1.clone();
-    }
-    opt.import_state(&state.optim).map_err(TrainError::Resume)?;
-    *rng = Prng::from_state(state.rng);
-    rec.set_lines_emitted(state.trace_events);
-    *st = LoopSt {
-        epoch: state.epoch,
-        batch_in_epoch: state.batch_in_epoch,
-        step: state.step,
-        samples_done: state.samples_done,
-        epoch_loss: state.epoch_loss,
-        epoch_batches: state.epoch_batches,
-        last_lr: state.last_lr,
-        history: state.history.clone(),
-        rng_epoch_start: state.rng_epoch_start,
-        mid_epoch: true,
-    };
-    Ok(())
-}
-
-/// Photographs the live training objects into a [`TrainState`].
-#[allow(clippy::too_many_arguments)]
-fn capture_state(
-    cfg: &TrainConfig,
-    st: &LoopSt,
-    rng: &Prng,
-    opt: &dyn Optimizer,
-    model: &dyn Module,
-    trace_events: u64,
-    total_samples: u64,
-    schedule_name: &str,
-) -> TrainState {
-    TrainState {
-        run: "classifier".to_owned(),
-        schedule: schedule_name.to_owned(),
-        optimizer: cfg.optimizer.name().to_owned(),
-        seed: cfg.seed,
-        total_samples,
-        batch_size: cfg.batch_size as u64,
-        epochs: cfg.epochs as u64,
-        lr: cfg.lr,
-        dtype: cfg.dtype,
-        backend: rex_tensor::backend::kind().to_string(),
-        simd_level: rex_tensor::backend::active().simd_level().to_owned(),
-        epoch: st.epoch,
-        batch_in_epoch: st.batch_in_epoch,
-        step: st.step,
-        samples_done: st.samples_done,
-        epoch_loss: st.epoch_loss,
-        epoch_batches: st.epoch_batches,
-        last_lr: st.last_lr,
-        history: st.history.clone(),
-        rng: rng.state(),
-        rng_epoch_start: st.rng_epoch_start,
-        trace_events,
-        model: model
-            .params()
-            .iter()
-            .map(|p| (p.name(), p.value().clone()))
-            .collect(),
-        buffers: model
-            .buffers()
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.borrow().clone()))
-            .collect(),
-        optim: opt.export_state(),
-    }
-}
-
 /// Rounds non-trainable model state (batch-norm running statistics) to
 /// the storage dtype in place. Pure per-element bit functions: identical
 /// at every backend and thread count.
-fn round_buffers(dtype: DType, model: &dyn Module) {
-    for (_, cell) in model.buffers() {
+fn round_buffers<T: Task + ?Sized>(dtype: DType, task: &T) {
+    for (_, cell) in task.buffers() {
         dtype.round_slice(cell.borrow_mut().data_mut());
     }
 }
@@ -1042,8 +1061,10 @@ pub fn classification_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tasks::ClassifierTask;
     use rex_data::images::synth_cifar10;
     use rex_nn::Mlp;
+    use rex_telemetry::MemorySink;
 
     fn flatten_images(t: &Tensor) -> Tensor {
         let n = t.shape()[0];
@@ -1051,32 +1072,42 @@ mod tests {
         t.reshape(&[n, d]).unwrap()
     }
 
+    /// A 432-`hidden`-10 MLP from `model_seed` trained under `cfg` on a
+    /// flattened synthetic CIFAR set of `(train, test)` images per class
+    /// generated from `data_seed`.
+    fn train(
+        cfg: TrainConfig,
+        (per_class, data_seed): ((usize, usize), u64),
+        (hidden, model_seed): (usize, u64),
+        rec: &mut Recorder,
+    ) -> TrainResult {
+        let data = synth_cifar10(per_class.0, per_class.1, data_seed);
+        let model = Mlp::new("m", &[3 * 12 * 12, hidden, 10], &mut Prng::new(model_seed));
+        let (train, test) = (
+            flatten_images(&data.train_images),
+            flatten_images(&data.test_images),
+        );
+        let task =
+            ClassifierTask::new(&model, &train, &data.train_labels, &test, &data.test_labels);
+        Trainer::new(cfg).run(&task, rec).unwrap()
+    }
+
+    /// An SGDM config: `epochs` of batches of `batch_size` from `lr`.
+    fn config(epochs: usize, batch_size: usize, lr: f32, schedule: ScheduleSpec) -> TrainConfig {
+        TrainConfig {
+            batch_size,
+            lr,
+            ..TrainConfig::new(epochs, OptimizerKind::sgdm(), schedule, 0)
+        }
+    }
+
     #[test]
     fn training_beats_chance_on_synthetic_data() {
-        let data = synth_cifar10(8, 4, 0);
-        let mut rng = Prng::new(1);
-        let model = Mlp::new("m", &[3 * 12 * 12, 32, 10], &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 10,
-            batch_size: 16,
-            lr: 0.05,
-            optimizer: OptimizerKind::sgdm(),
-            schedule: ScheduleSpec::Rex,
-            augment: false,
-            grad_clip: None,
+        let cfg = TrainConfig {
             seed: 2,
-            dtype: DType::F32,
-            ft: FtConfig::default(),
-        });
-        let result = trainer
-            .train_classifier(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+            ..config(10, 16, 0.05, ScheduleSpec::Rex)
+        };
+        let result = train(cfg, ((8, 4), 0), (32, 1), &mut Recorder::disabled());
         // chance is 90% error on 10 classes
         assert!(
             result.final_metric < 85.0,
@@ -1090,30 +1121,11 @@ mod tests {
 
     #[test]
     fn schedule_decays_lr_within_budget() {
-        let data = synth_cifar10(4, 2, 3);
-        let mut rng = Prng::new(4);
-        let model = Mlp::new("m", &[3 * 12 * 12, 8, 10], &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 4,
-            batch_size: 20,
-            lr: 0.1,
-            optimizer: OptimizerKind::sgdm(),
-            schedule: ScheduleSpec::Linear,
-            augment: false,
-            grad_clip: None,
+        let cfg = TrainConfig {
             seed: 5,
-            dtype: DType::F32,
-            ft: FtConfig::default(),
-        });
-        let result = trainer
-            .train_classifier(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+            ..config(4, 20, 0.1, ScheduleSpec::Linear)
+        };
+        let result = train(cfg, ((4, 2), 3), (8, 4), &mut Recorder::disabled());
         // the last epoch's final LR must be far below the initial LR:
         // the linear schedule decays over the budget, not the max epochs
         let last_lr = result.history.last().unwrap().lr;
@@ -1122,125 +1134,50 @@ mod tests {
 
     #[test]
     fn plateau_schedule_triggers_validation_passes() {
-        let data = synth_cifar10(4, 2, 6);
-        let mut rng = Prng::new(7);
-        let model = Mlp::new("m", &[3 * 12 * 12, 8, 10], &mut rng);
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 3,
-            batch_size: 20,
-            lr: 0.05,
+        let plateau = TrainConfig {
             optimizer: OptimizerKind::adam(),
-            schedule: ScheduleSpec::DecayOnPlateau(1),
-            augment: false,
-            grad_clip: None,
             seed: 8,
-            dtype: DType::F32,
-            ft: FtConfig::default(),
-        });
-        let result = trainer
-            .train_classifier(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+            ..config(3, 20, 0.05, ScheduleSpec::DecayOnPlateau(1))
+        };
+        let result = train(plateau, ((4, 2), 6), (8, 7), &mut Recorder::disabled());
         assert!(result.history.iter().all(|e| e.val_loss.is_some()));
 
         // non-plateau schedules skip the validation pass
-        let mut trainer2 = Trainer::new(TrainConfig {
-            epochs: 1,
-            batch_size: 20,
-            lr: 0.05,
+        let cosine = TrainConfig {
             optimizer: OptimizerKind::adam(),
-            schedule: ScheduleSpec::Cosine,
-            augment: false,
-            grad_clip: None,
             seed: 8,
-            dtype: DType::F32,
-            ft: FtConfig::default(),
-        });
-        let r2 = trainer2
-            .train_classifier(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+            ..config(1, 20, 0.05, ScheduleSpec::Cosine)
+        };
+        let r2 = train(cosine, ((4, 2), 6), (8, 7), &mut Recorder::disabled());
         assert!(r2.history.iter().all(|e| e.val_loss.is_none()));
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let data = synth_cifar10(4, 2, 9);
         let run = || {
-            let mut rng = Prng::new(10);
-            let model = Mlp::new("m", &[3 * 12 * 12, 8, 10], &mut rng);
-            let mut trainer = Trainer::new(TrainConfig {
-                epochs: 2,
-                batch_size: 20,
-                lr: 0.05,
-                optimizer: OptimizerKind::sgdm(),
-                schedule: ScheduleSpec::Rex,
-                augment: true,
-                grad_clip: None,
+            let cfg = TrainConfig {
                 seed: 11,
-                dtype: DType::F32,
-                ft: FtConfig::default(),
-            });
-            trainer
-                .train_classifier(
-                    &model,
-                    &flatten_images(&data.train_images),
-                    &data.train_labels,
-                    &flatten_images(&data.test_images),
-                    &data.test_labels,
-                )
-                .unwrap()
-                .final_metric
+                ..config(2, 20, 0.05, ScheduleSpec::Rex)
+            };
+            train(cfg, ((4, 2), 9), (8, 10), &mut Recorder::disabled()).final_metric
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn partial_final_batch_advances_budget_by_its_true_size() {
-        use rex_telemetry::MemorySink;
-
         // 10 samples, batch 4 → batches of 4, 4, 2. Sample-exact accounting
         // must place the three steps of a 1-epoch linear run at progress
         // 0/10, 4/10, 8/10 (LR factors 1.0, 0.6, 0.2); the old per-step
         // accounting would have used 0/3, 1/3, 2/3.
-        let data = synth_cifar10(1, 1, 12);
-        let mut rng = Prng::new(13);
-        let model = Mlp::new("m", &[3 * 12 * 12, 8, 10], &mut rng);
         let sink = MemorySink::unbounded();
         let handle = sink.handle();
         let mut rec = Recorder::new(Box::new(sink));
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 1,
-            batch_size: 4,
-            lr: 0.1,
-            optimizer: OptimizerKind::sgdm(),
-            schedule: ScheduleSpec::Linear,
-            augment: false,
-            grad_clip: None,
+        let cfg = TrainConfig {
             seed: 14,
-            dtype: DType::F32,
-            ft: FtConfig::default(),
-        });
-        trainer
-            .train_classifier_traced(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-                &mut rec,
-            )
-            .unwrap();
+            ..config(1, 4, 0.1, ScheduleSpec::Linear)
+        };
+        train(cfg, ((1, 1), 12), (8, 13), &mut rec);
         let steps = handle.steps();
         assert_eq!(steps.len(), 3);
         let lrs: Vec<f64> = steps.iter().map(|r| r.lr).collect();
@@ -1251,36 +1188,15 @@ mod tests {
 
     #[test]
     fn traced_run_emits_one_step_record_per_optimizer_step() {
-        use rex_telemetry::MemorySink;
-
-        let data = synth_cifar10(4, 2, 15);
-        let mut rng = Prng::new(16);
-        let model = Mlp::new("m", &[3 * 12 * 12, 8, 10], &mut rng);
         let sink = MemorySink::unbounded();
         let handle = sink.handle();
         let mut rec = Recorder::new(Box::new(sink));
-        let mut trainer = Trainer::new(TrainConfig {
-            epochs: 2,
-            batch_size: 16,
-            lr: 0.05,
+        let cfg = || TrainConfig {
             optimizer: OptimizerKind::adam(),
-            schedule: ScheduleSpec::Rex,
-            augment: false,
-            grad_clip: None,
             seed: 17,
-            dtype: DType::F32,
-            ft: FtConfig::default(),
-        });
-        let result = trainer
-            .train_classifier_traced(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-                &mut rec,
-            )
-            .unwrap();
+            ..config(2, 16, 0.05, ScheduleSpec::Rex)
+        };
+        let result = train(cfg(), ((4, 2), 15), (8, 16), &mut rec);
         let events = handle.events();
         // 40 samples / batch 16 → 3 batches per epoch × 2 epochs
         let steps = handle.steps();
@@ -1309,29 +1225,7 @@ mod tests {
 
         // tracing must not perturb the trajectory: an untraced same-seed
         // run reaches the identical final metric
-        let mut rng2 = Prng::new(16);
-        let model2 = Mlp::new("m", &[3 * 12 * 12, 8, 10], &mut rng2);
-        let mut trainer2 = Trainer::new(TrainConfig {
-            epochs: 2,
-            batch_size: 16,
-            lr: 0.05,
-            optimizer: OptimizerKind::adam(),
-            schedule: ScheduleSpec::Rex,
-            augment: false,
-            grad_clip: None,
-            seed: 17,
-            dtype: DType::F32,
-            ft: FtConfig::default(),
-        });
-        let r2 = trainer2
-            .train_classifier(
-                &model2,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+        let r2 = train(cfg(), ((4, 2), 15), (8, 16), &mut Recorder::disabled());
         assert_eq!(r2.final_metric, result.final_metric);
     }
 

@@ -14,6 +14,7 @@ use rex_faults::FaultPlan;
 use rex_nn::{Mlp, Module};
 use rex_telemetry::{Event, MemorySink, Recorder};
 use rex_tensor::{Prng, Tensor};
+use rex_train::tasks::ClassifierTask;
 use rex_train::{
     FtConfig, GuardPolicy, OptimizerKind, TrainConfig, TrainError, TrainResult, Trainer,
 };
@@ -36,7 +37,6 @@ fn config(epochs: usize, batch_size: usize, ft: FtConfig) -> TrainConfig {
         lr: 0.1,
         optimizer: OptimizerKind::sgdm(),
         schedule: ScheduleSpec::Linear,
-        augment: false,
         grad_clip: None,
         seed: 33,
         dtype: rex_tensor::DType::F32,
@@ -50,14 +50,9 @@ fn run(
     m: &Mlp,
     rec: &mut Recorder,
 ) -> Result<TrainResult, TrainError> {
-    Trainer::new(cfg).train_classifier_traced(
-        m,
-        &flatten(&data.train_images),
-        &data.train_labels,
-        &flatten(&data.test_images),
-        &data.test_labels,
-        rec,
-    )
+    let (train, test) = (flatten(&data.train_images), flatten(&data.test_images));
+    let task = ClassifierTask::new(m, &train, &data.train_labels, &test, &data.test_labels);
+    Trainer::new(cfg).run(&task, rec)
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {

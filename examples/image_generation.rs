@@ -5,49 +5,31 @@
 //! cargo run --release --example image_generation
 //! ```
 
-use rex::autograd::Graph;
-use rex::data::batches;
 use rex::data::digits::synth_digits;
-use rex::nn::Vae;
-use rex::optim::{Adam, Optimizer};
 use rex::schedules::ScheduleSpec;
+use rex::telemetry::Recorder;
 use rex::tensor::{Prng, Tensor};
+use rex::train::tasks::VaeTask;
+use rex::train::{OptimizerKind, TrainConfig, Trainer};
 
 const SIZE: usize = 12;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = synth_digits(600, SIZE, 0);
     let test = synth_digits(8, SIZE, 1);
-    let vae = Vae::new(SIZE * SIZE, 64, 8, 42);
-    let mut opt = Adam::new(vae.params(), 2e-3);
-    let mut schedule = ScheduleSpec::Rex.build();
-    let mut rng = Prng::new(9);
-
-    let epochs = 30;
-    let batch = 32;
-    let steps_per_epoch = train.len().div_ceil(batch) as u64;
-    let total = steps_per_epoch * epochs as u64;
-    let labels = vec![0usize; train.len()];
-    let mut t = 0u64;
-    for epoch in 0..epochs {
-        let mut sum = 0.0;
-        let mut n = 0;
-        for b in batches(&train.images, &labels, batch, Some(&mut rng)) {
-            opt.set_lr(2e-3 * schedule.factor(t, total) as f32);
-            t += 1;
-            opt.zero_grad();
-            let mut g = Graph::new(true);
-            let loss = vae.elbo(&mut g, &b.images)?;
-            sum += g.value(loss).item();
-            n += 1;
-            g.backward(loss)?;
-            opt.step();
-        }
-        if epoch % 5 == 0 || epoch == epochs - 1 {
-            println!("epoch {epoch:>2}: train ELBO {:.2}", sum / n as f32);
+    let task = VaeTask::new(&train, &test, 42);
+    let cfg = TrainConfig {
+        lr: 2e-3,
+        ..TrainConfig::new(30, OptimizerKind::adam(), ScheduleSpec::Rex, 9)
+    };
+    let result = Trainer::new(cfg).run(&task, &mut Recorder::disabled())?;
+    for (epoch, stats) in result.history.iter().enumerate() {
+        if epoch % 5 == 0 || epoch == result.history.len() - 1 {
+            println!("epoch {epoch:>2}: train ELBO {:.2}", stats.train_loss);
         }
     }
 
+    let vae = task.vae();
     let recon = vae.reconstruct(&test.images)?;
     println!("\noriginal (top) vs reconstruction (bottom):\n");
     for i in 0..4 {

@@ -9,8 +9,9 @@
 use rex::data::scenes::synth_scenes;
 use rex::nn::TinyDetector;
 use rex::schedules::ScheduleSpec;
-use rex::train::tasks::{detection_map, run_detection_cell};
-use rex::train::{Budget, OptimizerKind};
+use rex::telemetry::Recorder;
+use rex::train::tasks::{detection_map, DetectionTask};
+use rex::train::{Budget, OptimizerKind, TrainConfig, Trainer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = synth_scenes(240, 24, 5);
@@ -35,17 +36,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for pct in [10u32, 50, 100] {
         let budget = Budget::new(max_epochs, pct);
         let t0 = std::time::Instant::now();
-        let map = run_detection_cell(
-            &train,
-            &test,
-            budget.epochs(),
-            2, // warmup epochs, excluded from the budget (paper protocol)
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::Rex,
-            1e-3,
-            42,
-        )?;
+        let task = DetectionTask::new(&train, &test, 42);
+        let cfg = TrainConfig {
+            batch_size: 16,
+            lr: 1e-3,
+            ..TrainConfig::new(
+                budget.epochs(),
+                OptimizerKind::adam(),
+                ScheduleSpec::Rex,
+                42,
+            )
+        };
+        // 2 warm-up epochs, excluded from the budget (paper protocol)
+        let map = Trainer::new(task.with_warmup(cfg, 2))
+            .run(&task, &mut Recorder::disabled())?
+            .final_metric;
         println!(
             "budget {budget}: mAP@0.5 {map:5.1}%  ({:.1?})",
             t0.elapsed()

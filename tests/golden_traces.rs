@@ -24,7 +24,7 @@
 //! scripts/bless_traces.sh        # = REX_BLESS=1 cargo test --test golden_traces
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rex::data::digits::synth_digits;
 use rex::nn::Mlp;
@@ -32,6 +32,7 @@ use rex::schedules::ScheduleSpec;
 use rex::telemetry::golden::{diff_traces, Tolerances};
 use rex::telemetry::{encode_trace, parse_trace, Event, MemorySink, Recorder};
 use rex::tensor::Prng;
+use rex::train::tasks::ClassifierTask;
 use rex::train::{Budget, FtConfig, OptimizerKind, TrainConfig, Trainer};
 
 /// Maximum epochs of the golden setting; budgets are percentages of this.
@@ -56,21 +57,20 @@ fn run_trace(spec: &ScheduleSpec, budget_pct: u32) -> Vec<Event> {
         lr: 0.1,
         optimizer: OptimizerKind::sgdm(),
         schedule: spec.clone(),
-        augment: false,
         grad_clip: None,
         seed: SEED ^ u64::from(budget_pct),
         dtype: rex::tensor::DType::F32,
         ft: FtConfig::default(),
     });
+    let task = ClassifierTask::new(
+        &model,
+        &train.images,
+        &train.labels,
+        &test.images,
+        &test.labels,
+    );
     trainer
-        .train_classifier_traced(
-            &model,
-            &train.images,
-            &train.labels,
-            &test.images,
-            &test.labels,
-            &mut rec,
-        )
+        .run(&task, &mut rec)
         .expect("golden cell must train");
     handle.events()
 }
@@ -81,26 +81,34 @@ fn golden_path(name: &str, budget_pct: u32) -> PathBuf {
         .join(format!("{name}_b{budget_pct}.jsonl"))
 }
 
-/// Compares one cell against its golden file, or rewrites the file when
-/// the `REX_BLESS` environment variable is set.
+/// Compares one classifier cell against its golden file (see
+/// [`check_golden`]).
 fn check_cell(name: &str, spec: &ScheduleSpec, budget_pct: u32) {
-    let events = run_trace(spec, budget_pct);
-    let path = golden_path(name, budget_pct);
+    check_golden(
+        &golden_path(name, budget_pct),
+        &run_trace(spec, budget_pct),
+        &format!("{name} @ {budget_pct}%"),
+    );
+}
+
+/// Compares `events` against the golden file at `path`, or rewrites the
+/// file when `REX_BLESS` is set.
+fn check_golden(path: &Path, events: &[Event], label: &str) {
     if std::env::var_os("REX_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, encode_trace(&events, false)).unwrap();
+        std::fs::write(path, encode_trace(events, false)).unwrap();
         eprintln!("blessed {}", path.display());
         return;
     }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "missing golden file {} ({e}); run scripts/bless_traces.sh",
             path.display()
         )
     });
     let golden = parse_trace(&text).expect("golden file must parse");
-    if let Err(diff) = diff_traces(&golden, &events, &Tolerances::default()) {
-        panic!("{name} @ {budget_pct}%: {diff}");
+    if let Err(diff) = diff_traces(&golden, events, &Tolerances::default()) {
+        panic!("{label}: {diff}");
     }
 }
 
@@ -250,46 +258,27 @@ fn check_task_golden(name: &str, events: &[Event]) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/tasks")
         .join(format!("{name}.jsonl"));
-    if std::env::var_os("REX_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, encode_trace(events, false)).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run scripts/bless_traces.sh",
-            path.display()
-        )
-    });
-    let golden = parse_trace(&text).expect("golden file must parse");
-    if let Err(diff) = diff_traces(&golden, events, &Tolerances::default()) {
-        panic!("{name}: {diff}");
-    }
+    check_golden(&path, events, name);
 }
 
 /// VAE on 64 digits: 2 epochs of 4 batches under Adam + REX.
 #[test]
 fn golden_trace_vae() {
-    use rex::train::tasks::run_vae_cell_traced;
+    use rex::train::tasks::VaeTask;
 
     let train = synth_digits(64, 12, 0xD1_61A);
     let test = synth_digits(32, 12, 0xD1_61B);
     let sink = MemorySink::unbounded();
     let handle = sink.handle();
     let mut rec = Recorder::new(Box::new(sink));
-    run_vae_cell_traced(
-        &train,
-        &test,
-        2,
-        16,
-        OptimizerKind::adam(),
-        ScheduleSpec::Rex,
-        1e-3,
-        SEED,
-        &mut rec,
-    )
-    .expect("vae golden cell must train");
+    let cfg = TrainConfig {
+        batch_size: 16,
+        lr: 1e-3,
+        ..TrainConfig::new(2, OptimizerKind::adam(), ScheduleSpec::Rex, SEED)
+    };
+    Trainer::new(cfg)
+        .run(&VaeTask::new(&train, &test, SEED), &mut rec)
+        .expect("vae golden cell must train");
     check_task_golden("vae_rex", &handle.events());
 }
 
@@ -298,26 +287,22 @@ fn golden_trace_vae() {
 #[test]
 fn golden_trace_detection() {
     use rex::data::scenes::synth_scenes;
-    use rex::train::tasks::run_detection_cell_traced;
+    use rex::train::tasks::DetectionTask;
 
     let train = synth_scenes(16, 24, 0x5CE0);
     let test = synth_scenes(8, 24, 0x5CE1);
     let sink = MemorySink::unbounded();
     let handle = sink.handle();
     let mut rec = Recorder::new(Box::new(sink));
-    run_detection_cell_traced(
-        &train,
-        &test,
-        1,
-        1,
-        8,
-        OptimizerKind::adam(),
-        ScheduleSpec::Linear,
-        1e-3,
-        SEED,
-        &mut rec,
-    )
-    .expect("detection golden cell must train");
+    let task = DetectionTask::new(&train, &test, SEED);
+    let cfg = TrainConfig {
+        batch_size: 8,
+        lr: 1e-3,
+        ..TrainConfig::new(1, OptimizerKind::adam(), ScheduleSpec::Linear, SEED)
+    };
+    Trainer::new(task.with_warmup(cfg, 1))
+        .run(&task, &mut rec)
+        .expect("detection golden cell must train");
     check_task_golden("detection_linear", &handle.events());
 }
 
@@ -327,7 +312,7 @@ fn golden_trace_detection() {
 fn golden_trace_glue() {
     use rex::data::text::{glue_tasks, lm_corpus};
     use rex::nn::TransformerConfig;
-    use rex::train::tasks::{pretrain_transformer, run_glue_cell_traced};
+    use rex::train::tasks::{pretrain_transformer, GlueTask};
 
     let cfg = TransformerConfig {
         vocab: 32,
@@ -343,7 +328,14 @@ fn golden_trace_glue() {
     let sink = MemorySink::unbounded();
     let handle = sink.handle();
     let mut rec = Recorder::new(Box::new(sink));
-    run_glue_cell_traced(&tf, &tasks[0], 2, 8, ScheduleSpec::Rex, 1e-3, SEED, &mut rec)
+    let cfg = TrainConfig {
+        batch_size: 8,
+        lr: 1e-3,
+        grad_clip: Some(1.0),
+        ..TrainConfig::new(2, OptimizerKind::adamw(), ScheduleSpec::Rex, SEED)
+    };
+    Trainer::new(cfg)
+        .run(&GlueTask::new(&tf, &tasks[0], SEED), &mut rec)
         .expect("glue golden cell must train");
     check_task_golden("glue_rex", &handle.events());
 }

@@ -7,8 +7,9 @@ use rex::data::scenes::synth_scenes;
 use rex::data::text::glue_tasks;
 use rex::nn::{MicroResNet, Module};
 use rex::schedules::ScheduleSpec;
-use rex::train::tasks::{run_image_cell, run_vae_cell, ImageModel};
-use rex::train::OptimizerKind;
+use rex::telemetry::Recorder;
+use rex::train::tasks::{ImageModel, VaeTask};
+use rex::train::{OptimizerKind, TrainConfig, Trainer};
 
 #[test]
 fn datasets_are_seed_deterministic() {
@@ -49,17 +50,17 @@ fn model_init_is_seed_deterministic() {
 fn full_training_cell_is_bit_reproducible() {
     let data = synth_cifar10(4, 2, 11);
     let run = || {
-        run_image_cell(
-            ImageModel::MicroResNet20,
-            &data,
-            2,
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::Rex,
-            1e-3,
-            99,
-        )
-        .unwrap()
+        ImageModel::MicroResNet20
+            .train(
+                &data,
+                TrainConfig {
+                    batch_size: 16,
+                    lr: 1e-3,
+                    ..TrainConfig::new(2, OptimizerKind::adam(), ScheduleSpec::Rex, 99)
+                },
+                &mut Recorder::disabled(),
+            )
+            .unwrap()
     };
     assert_eq!(run(), run());
 }
@@ -71,17 +72,15 @@ fn vae_cell_is_bit_reproducible_despite_sampling() {
     let train = synth_digits(32, 12, 0);
     let test = synth_digits(16, 12, 1);
     let run = || {
-        run_vae_cell(
-            &train,
-            &test,
-            2,
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::Linear,
-            1e-3,
-            5,
-        )
-        .unwrap()
+        let cfg = TrainConfig {
+            batch_size: 16,
+            lr: 1e-3,
+            ..TrainConfig::new(2, OptimizerKind::adam(), ScheduleSpec::Linear, 5)
+        };
+        Trainer::new(cfg)
+            .run(&VaeTask::new(&train, &test, 5), &mut Recorder::disabled())
+            .unwrap()
+            .final_metric
     };
     assert_eq!(run(), run());
 }
@@ -90,17 +89,17 @@ fn vae_cell_is_bit_reproducible_despite_sampling() {
 fn different_trial_seeds_give_different_results() {
     let data = synth_cifar10(4, 2, 11);
     let run = |seed| {
-        run_image_cell(
-            ImageModel::MicroResNet20,
-            &data,
-            1,
-            16,
-            OptimizerKind::sgdm(),
-            ScheduleSpec::Rex,
-            0.1,
-            seed,
-        )
-        .unwrap()
+        ImageModel::MicroResNet20
+            .train(
+                &data,
+                TrainConfig {
+                    batch_size: 16,
+                    lr: 0.1,
+                    ..TrainConfig::new(1, OptimizerKind::sgdm(), ScheduleSpec::Rex, seed)
+                },
+                &mut Recorder::disabled(),
+            )
+            .unwrap()
     };
     // different seeds shuffle/init differently; final errors almost surely
     // differ at this tiny scale

@@ -7,7 +7,10 @@
 //! (mid-epoch, one step past the last snapshot — so resume must both
 //! truncate the over-written trace tail and replay a partially consumed
 //! epoch shuffle), resumes from the snapshot, and compares the two trace
-//! files with a plain byte comparison plus the final metric.
+//! files with a plain byte comparison plus the final metric. The
+//! `vgg16-cifar100` and `vae-mnist` settings run the same protocol: their
+//! models draw dropout masks and latent noise from private RNG streams,
+//! which the snapshot must carry too.
 
 use std::path::PathBuf;
 
@@ -15,7 +18,9 @@ use rex::data::digits::synth_digits;
 use rex::nn::Mlp;
 use rex::schedules::ScheduleSpec;
 use rex::telemetry::{JsonlSink, Recorder};
-use rex::tensor::Prng;
+use rex::tensor::{DType, Prng};
+use rex::train::settings::load_setting;
+use rex::train::tasks::ClassifierTask;
 use rex::train::{
     FtConfig, OptimizerKind, TrainConfig, TrainError, TrainResult, TrainState, Trainer,
 };
@@ -39,7 +44,7 @@ fn run_cell(
     sink: JsonlSink,
     ft: FtConfig,
 ) -> Result<TrainResult, TrainError> {
-    run_cell_dtype(spec, opt, sink, ft, rex::tensor::DType::F32)
+    run_cell_dtype(spec, opt, sink, ft, DType::F32)
 }
 
 /// [`run_cell`] with an explicit parameter-storage dtype.
@@ -61,18 +66,46 @@ fn run_cell_dtype(
         lr: opt.default_lr(),
         optimizer: opt,
         schedule: spec.clone(),
-        augment: false,
         grad_clip: None,
         seed: SEED,
         dtype,
         ft,
     })
-    .train_classifier_traced(
-        &model,
-        &train.images,
-        &train.labels,
-        &test.images,
-        &test.labels,
+    .run(
+        &ClassifierTask::new(
+            &model,
+            &train.images,
+            &train.labels,
+            &test.images,
+            &test.labels,
+        ),
+        &mut rec,
+    );
+    rec.flush();
+    result
+}
+
+/// One run of a setting's cell through `SettingSpec::run_ft`, tracing
+/// into `sink`; returns the final metric.
+fn run_setting(
+    setting: &str,
+    budget: u32,
+    opt: OptimizerKind,
+    dtype: DType,
+    sink: JsonlSink,
+    ft: FtConfig,
+) -> Result<f64, TrainError> {
+    let spec = load_setting(setting, SEED).unwrap();
+    let mut rec = Recorder::new(Box::new(sink));
+    let lr = spec.default_lr(&opt);
+    let result = spec.run_ft(
+        budget,
+        opt,
+        ScheduleSpec::Rex,
+        lr,
+        SEED,
+        dtype,
+        ft,
         &mut rec,
     );
     rec.flush();
@@ -82,18 +115,29 @@ fn run_cell_dtype(
 /// Full run vs. halt-at-step-6 + resume: byte-identical traces, equal
 /// final metrics.
 fn check_cell(spec: &ScheduleSpec, opt: OptimizerKind, cell: &str) {
-    check_cell_dtype(spec, opt, cell, rex::tensor::DType::F32);
+    check_cell_dtype(spec, opt, cell, DType::F32);
 }
 
 /// [`check_cell`] with an explicit parameter-storage dtype; returns the
 /// size in bytes of the finished run's snapshot so dtype-size tests can
 /// compare storage footprints.
-fn check_cell_dtype(
-    spec: &ScheduleSpec,
-    opt: OptimizerKind,
-    cell: &str,
-    dtype: rex::tensor::DType,
-) -> u64 {
+fn check_cell_dtype(spec: &ScheduleSpec, opt: OptimizerKind, cell: &str, dtype: DType) -> u64 {
+    check_resume(cell, |sink, ft| {
+        run_cell_dtype(spec, opt, sink, ft, dtype).map(|r| r.final_metric)
+    })
+}
+
+/// [`check_cell`] for a catalogued setting at `budget` percent.
+fn check_setting(setting: &str, budget: u32, opt: OptimizerKind, dtype: DType, cell: &str) {
+    check_resume(cell, |sink, ft| {
+        run_setting(setting, budget, opt, dtype, sink, ft)
+    });
+}
+
+/// The protocol itself, for any cell `run` trains: uninterrupted vs.
+/// halted + resumed, compared byte for byte. Returns the finished run's
+/// snapshot size in bytes.
+fn check_resume(cell: &str, run: impl Fn(JsonlSink, FtConfig) -> Result<f64, TrainError>) -> u64 {
     let dir = workdir(cell);
     let full_trace = dir.join("full.jsonl");
     let cut_trace = dir.join("cut.jsonl");
@@ -101,23 +145,18 @@ fn check_cell_dtype(
     let cut_ckpt = dir.join("cut.state");
 
     // uninterrupted baseline (checkpointing on, so the event streams match)
-    let baseline = run_cell_dtype(
-        spec,
-        opt,
+    let baseline = run(
         JsonlSink::create(&full_trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             checkpoint_path: Some(full_ckpt.clone()),
             ..FtConfig::default()
         },
-        dtype,
     )
     .expect("baseline run");
 
     // interrupted run: snapshot at step 5, halt after step 6
-    let err = run_cell_dtype(
-        spec,
-        opt,
+    let err = run(
         JsonlSink::create(&cut_trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
@@ -125,7 +164,6 @@ fn check_cell_dtype(
             halt_after_step: Some(HALT_AFTER),
             ..FtConfig::default()
         },
-        dtype,
     )
     .expect_err("interrupted run must halt");
     assert!(
@@ -135,9 +173,7 @@ fn check_cell_dtype(
 
     // resume: truncate the trace to the snapshot's line cursor, finish
     let cursor = TrainState::trace_cursor(&cut_ckpt).expect("snapshot readable");
-    let resumed = run_cell_dtype(
-        spec,
-        opt,
+    let resumed = run(
         JsonlSink::resume(&cut_trace, cursor).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
@@ -145,12 +181,12 @@ fn check_cell_dtype(
             resume_from: Some(cut_ckpt),
             ..FtConfig::default()
         },
-        dtype,
     )
     .expect("resumed run");
 
     assert_eq!(
-        baseline.final_metric, resumed.final_metric,
+        baseline.to_bits(),
+        resumed.to_bits(),
         "{cell}: resumed run landed on a different metric"
     );
     let full = std::fs::read(&full_trace).unwrap();
@@ -207,13 +243,13 @@ fn resume_is_byte_identical_at_f16_and_checkpoint_halves() {
         &ScheduleSpec::Rex,
         OptimizerKind::sgdm(),
         "rex_sgdm_f32ref",
-        rex::tensor::DType::F32,
+        DType::F32,
     );
     let f16_bytes = check_cell_dtype(
         &ScheduleSpec::Rex,
         OptimizerKind::sgdm(),
         "rex_sgdm_f16",
-        rex::tensor::DType::F16,
+        DType::F16,
     );
     let ratio = f32_bytes as f64 / f16_bytes as f64;
     assert!(
@@ -229,8 +265,89 @@ fn resume_is_byte_identical_at_bf16() {
         &ScheduleSpec::Rex,
         OptimizerKind::adam(),
         "rex_adam_bf16",
-        rex::tensor::DType::Bf16,
+        DType::Bf16,
     );
+}
+
+/// `MicroVgg`'s dropout masks come from the model's own stream; a resume
+/// that restored everything but that stream drew different masks from
+/// the halt onward.
+#[test]
+fn resume_is_byte_identical_with_vgg_dropout() {
+    check_setting(
+        "vgg16-cifar100",
+        5,
+        OptimizerKind::sgdm(),
+        DType::F32,
+        "vgg",
+    );
+}
+
+/// The VAE's latent noise likewise comes from the model's own stream.
+#[test]
+fn resume_is_byte_identical_for_the_vae() {
+    check_setting("vae-mnist", 1, OptimizerKind::sgdm(), DType::F32, "vae_f32");
+}
+
+#[test]
+fn resume_is_byte_identical_for_the_vae_at_bf16() {
+    check_setting(
+        "vae-mnist",
+        1,
+        OptimizerKind::adam(),
+        DType::Bf16,
+        "vae_bf16",
+    );
+}
+
+/// A snapshot without the streams section (as older files are) loads as
+/// "no streams"; a model that has one refuses it by name instead of
+/// resuming onto a fresh stream.
+#[test]
+fn snapshot_without_streams_is_refused_by_a_model_with_one() {
+    use rex::nn::checkpoint::{load_state, save_state};
+
+    let dir = workdir("no_streams");
+    let trace = dir.join("trace.jsonl");
+    let ckpt = dir.join("ckpt.state");
+    let run = |sink, ft| run_setting("vae-mnist", 1, OptimizerKind::sgdm(), DType::F32, sink, ft);
+    let err = run(
+        JsonlSink::create(&trace).unwrap(),
+        FtConfig {
+            checkpoint_every: Some(CHECKPOINT_EVERY),
+            checkpoint_path: Some(ckpt.clone()),
+            halt_after_step: Some(HALT_AFTER),
+            ..FtConfig::default()
+        },
+    )
+    .expect_err("interrupted run must halt");
+    assert!(matches!(err, TrainError::Halted { .. }), "{err:?}");
+
+    let mut sections = load_state(&ckpt).unwrap();
+    let before = sections.len();
+    sections.retain(|(name, _)| name != "streams");
+    assert_eq!(
+        sections.len(),
+        before - 1,
+        "the VAE snapshot holds a stream"
+    );
+    save_state(&ckpt, &sections).unwrap();
+    assert!(TrainState::load(&ckpt).unwrap().streams.is_empty());
+
+    let cursor = TrainState::trace_cursor(&ckpt).unwrap();
+    let err = run(
+        JsonlSink::resume(&trace, cursor).unwrap(),
+        FtConfig {
+            resume_from: Some(ckpt),
+            ..FtConfig::default()
+        },
+    )
+    .expect_err("resume without the VAE's stream must be refused");
+    assert!(
+        matches!(&err, TrainError::Resume(msg) if msg.contains("\"vae.eps\"")),
+        "refusal must name the stream, got: {err}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// A snapshot written at one dtype must refuse to resume at another —
@@ -252,7 +369,7 @@ fn dtype_mismatched_resume_is_refused() {
             halt_after_step: Some(HALT_AFTER),
             ..FtConfig::default()
         },
-        rex::tensor::DType::F16,
+        DType::F16,
     )
     .expect_err("interrupted run must halt");
     assert!(matches!(err, TrainError::Halted { .. }), "{err:?}");
@@ -268,7 +385,7 @@ fn dtype_mismatched_resume_is_refused() {
             resume_from: Some(ckpt),
             ..FtConfig::default()
         },
-        rex::tensor::DType::Bf16,
+        DType::Bf16,
     )
     .expect_err("dtype-mismatched resume must be refused");
     let msg = err.to_string();

@@ -152,16 +152,22 @@ fn wait_done(addr: SocketAddr, id: &str, within: Duration) -> BTreeMap<String, V
     }
 }
 
-/// Runs `rexctl train` with a trace and checkpoint cadence matching the
-/// server's, returning the trace bytes.
-fn cli_reference_trace(dir: &Path, budget: u32, seed: u64, checkpoint_every: u64) -> Vec<u8> {
+/// Runs `rexctl train` on `setting` with a trace and checkpoint cadence
+/// matching the server's, returning the trace bytes.
+fn cli_reference_trace(
+    dir: &Path,
+    setting: &str,
+    budget: u32,
+    seed: u64,
+    checkpoint_every: u64,
+) -> Vec<u8> {
     let trace = dir.join("cli_trace.jsonl");
     let ckpt = dir.join("cli_ckpt.state");
     let out = Command::new(bin_path("rexctl"))
         .args([
             "train",
             "--setting",
-            "digits-mlp",
+            setting,
             "--budget",
             &budget.to_string(),
             "--schedule",
@@ -189,38 +195,41 @@ fn cli_reference_trace(dir: &Path, budget: u32, seed: u64, checkpoint_every: u64
 }
 
 /// Front-end equivalence: the server's on-disk trace, the trace it
-/// streams over HTTP, and the CLI's trace are all byte-identical.
+/// streams over HTTP, and the CLI's trace are all byte-identical — for
+/// the digits classifier and for the VAE.
 #[test]
 fn http_job_trace_matches_cli_trace_byte_for_byte() {
-    let dir = fresh_dir("parity");
-    let (budget, seed, checkpoint_every) = (50u32, 9u64, 5u64);
+    for (setting, budget) in [("digits-mlp", 50u32), ("vae-mnist", 1)] {
+        let dir = fresh_dir(&format!("parity_{setting}"));
+        let (seed, checkpoint_every) = (9u64, 5u64);
 
-    let server_trace;
-    let streamed;
-    {
-        let daemon = start_daemon(&dir, None);
-        let id = submit(
-            daemon.addr,
-            &format!(
-                r#"{{"setting":"digits-mlp","budget":{budget},"schedule":"rex","optimizer":"sgdm","seed":{seed},"checkpoint_every":{checkpoint_every}}}"#
-            ),
+        let server_trace;
+        let streamed;
+        {
+            let daemon = start_daemon(&dir, None);
+            let id = submit(
+                daemon.addr,
+                &format!(
+                    r#"{{"setting":"{setting}","budget":{budget},"schedule":"rex","optimizer":"sgdm","seed":{seed},"checkpoint_every":{checkpoint_every}}}"#
+                ),
+            );
+            wait_done(daemon.addr, &id, Duration::from_secs(60));
+            streamed = get(daemon.addr, &format!("/v1/jobs/{id}/trace")).body;
+            server_trace = std::fs::read(dir.join("jobs").join(&id).join("trace.jsonl")).unwrap();
+        }
+
+        let cli_trace = cli_reference_trace(&dir, setting, budget, seed, checkpoint_every);
+        assert!(!cli_trace.is_empty());
+        assert_eq!(
+            streamed, server_trace,
+            "{setting}: streamed trace differs from the server's on-disk trace"
         );
-        wait_done(daemon.addr, &id, Duration::from_secs(60));
-        streamed = get(daemon.addr, &format!("/v1/jobs/{id}/trace")).body;
-        server_trace = std::fs::read(dir.join("jobs").join(&id).join("trace.jsonl")).unwrap();
+        assert_eq!(
+            server_trace, cli_trace,
+            "{setting}: HTTP-submitted job and CLI run produced different trace bytes"
+        );
+        let _ = std::fs::remove_dir_all(dir);
     }
-
-    let cli_trace = cli_reference_trace(&dir, budget, seed, checkpoint_every);
-    assert!(!cli_trace.is_empty());
-    assert_eq!(
-        streamed, server_trace,
-        "streamed trace differs from the server's on-disk trace"
-    );
-    assert_eq!(
-        server_trace, cli_trace,
-        "HTTP-submitted job and CLI run produced different trace bytes"
-    );
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Eviction and resume: a fault-injected kill takes the server down on
@@ -266,7 +275,7 @@ fn killed_server_resumes_job_with_identical_trace() {
         final_trace = std::fs::read(dir.join("jobs").join(&id).join("trace.jsonl")).unwrap();
     }
 
-    let cli_trace = cli_reference_trace(&dir, budget, seed, checkpoint_every);
+    let cli_trace = cli_reference_trace(&dir, "digits-mlp", budget, seed, checkpoint_every);
     assert_eq!(
         final_trace, cli_trace,
         "kill + restart + resume changed the trace bytes"

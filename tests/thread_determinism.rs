@@ -15,8 +15,8 @@ use rex::schedules::ScheduleSpec;
 use rex::telemetry::{JsonlSink, Recorder};
 use rex::tensor::conv::{conv2d_backward, conv2d_forward, Window};
 use rex::tensor::{Prng, Tensor};
-use rex::train::tasks::{run_image_cell_traced, ImageModel};
-use rex::train::OptimizerKind;
+use rex::train::tasks::ImageModel;
+use rex::train::{OptimizerKind, TrainConfig};
 
 /// Pool sizes every case is checked at; 1 is the serial reference.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 7];
@@ -190,19 +190,17 @@ fn traced_training_run_is_byte_identical_across_thread_counts() {
         let err = rex_pool::with_pool_size(threads, || {
             let sink = JsonlSink::create(&path).unwrap();
             let mut rec = Recorder::new(Box::new(sink));
-            let err = run_image_cell_traced(
-                ImageModel::MicroResNet20,
-                &data,
-                1,
-                8,
-                OptimizerKind::sgdm(),
-                ScheduleSpec::Rex,
-                0.05,
-                23,
-                rex::tensor::DType::F32,
-                &mut rec,
-            )
-            .unwrap();
+            let err = ImageModel::MicroResNet20
+                .train(
+                    &data,
+                    TrainConfig {
+                        batch_size: 8,
+                        lr: 0.05,
+                        ..TrainConfig::new(1, OptimizerKind::sgdm(), ScheduleSpec::Rex, 23)
+                    },
+                    &mut rec,
+                )
+                .unwrap();
             rec.flush();
             err
         });
@@ -220,6 +218,37 @@ fn traced_training_run_is_byte_identical_across_thread_counts() {
             "JSONL trace bytes differ at {threads} threads"
         );
     }
+}
+
+/// The VAE setting through the shared loop: its sampled latents come from
+/// the model's own stream, so the JSONL trace must still match byte for
+/// byte at every pool size.
+#[test]
+fn vae_training_run_is_byte_identical_across_thread_counts() {
+    use rex::train::settings::load_setting;
+
+    let spec = load_setting("vae-mnist", 31).unwrap();
+    let path = std::env::temp_dir().join(format!("rex_vae_det_{}.jsonl", std::process::id()));
+    assert_same_at_all_counts(|| {
+        let mut rec = Recorder::new(Box::new(JsonlSink::create(&path).unwrap()));
+        let opt = OptimizerKind::adam();
+        let loss = spec
+            .run_ft(
+                1,
+                opt,
+                ScheduleSpec::Rex,
+                spec.default_lr(&opt),
+                31,
+                rex::tensor::DType::F32,
+                rex::train::FtConfig::default(),
+                &mut rec,
+            )
+            .unwrap();
+        rec.flush();
+        drop(rec);
+        (loss.to_bits(), std::fs::read(&path).unwrap())
+    });
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -242,19 +271,17 @@ fn profiled_run_computes_identical_bytes_at_any_thread_count() {
             }
             let sink = JsonlSink::create(&path).unwrap();
             let mut rec = Recorder::new(Box::new(sink));
-            let err = run_image_cell_traced(
-                ImageModel::MicroResNet20,
-                &data,
-                1,
-                8,
-                OptimizerKind::sgdm(),
-                ScheduleSpec::Rex,
-                0.05,
-                29,
-                rex::tensor::DType::F32,
-                &mut rec,
-            )
-            .unwrap();
+            let err = ImageModel::MicroResNet20
+                .train(
+                    &data,
+                    TrainConfig {
+                        batch_size: 8,
+                        lr: 0.05,
+                        ..TrainConfig::new(1, OptimizerKind::sgdm(), ScheduleSpec::Rex, 29)
+                    },
+                    &mut rec,
+                )
+                .unwrap();
             rec.flush();
             (err, span::take().shape())
         });
