@@ -380,7 +380,7 @@ impl Trainer {
     /// Propagates [`TensorError`]s from the task (as
     /// [`TrainError::Tensor`]), checkpoint/resume failures, guard aborts,
     /// and the deliberate [`TrainError::Halted`].
-    pub fn run<T: Task + ?Sized>(
+    pub fn run<T: Task>(
         &mut self,
         task: &T,
         rec: &mut Recorder,
@@ -786,7 +786,7 @@ impl LoopSt {
 
 /// The objects one run mutates — what a snapshot photographs and a
 /// resume or rollback restores.
-struct Live<'t, T: ?Sized> {
+struct Live<'t, T> {
     task: &'t T,
     opt: Box<dyn Optimizer>,
     /// The trainer's shuffle (and flip) stream.
@@ -802,7 +802,7 @@ struct Live<'t, T: ?Sized> {
     rolled_back_at: Option<u64>,
 }
 
-impl<T: Task + ?Sized> Live<'_, T> {
+impl<T: Task> Live<'_, T> {
     /// Photographs the live training objects into a [`TrainState`].
     fn capture(&self, cfg: &TrainConfig, schedule: &str, trace_events: u64) -> TrainState {
         let st = &self.st;
@@ -996,7 +996,7 @@ fn write_snapshot(ft: &FtConfig, state: &TrainState) -> Result<(), TrainError> {
 /// Rounds non-trainable model state (batch-norm running statistics) to
 /// the storage dtype in place. Pure per-element bit functions: identical
 /// at every backend and thread count.
-fn round_buffers<T: Task + ?Sized>(dtype: DType, task: &T) {
+fn round_buffers<T: Task>(dtype: DType, task: &T) {
     for (_, cell) in task.buffers() {
         dtype.round_slice(cell.borrow_mut().data_mut());
     }
