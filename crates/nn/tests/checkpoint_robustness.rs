@@ -19,11 +19,12 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// A small but structurally complete checkpoint: several entries, ranks
-/// 1 and 2, a multi-byte name table.
-fn valid_checkpoint_bytes() -> Vec<u8> {
+/// 1 and 2, a multi-byte name table. Each test passes its own `name`:
+/// tests run concurrently and must not share the scratch file.
+fn valid_checkpoint_bytes(name: &str) -> Vec<u8> {
     let mut rng = Prng::new(0xC0FFEE);
     let m = Mlp::new("m", &[6, 5, 3], &mut rng);
-    let path = tmp("template");
+    let path = tmp(&format!("template_{name}"));
     checkpoint::save(&path, &m.params()).unwrap();
     let bytes = fs::read(&path).unwrap();
     let _ = fs::remove_file(path);
@@ -40,7 +41,7 @@ fn load_bytes(name: &str, bytes: &[u8]) -> std::io::Result<Vec<(String, rex_tens
 
 #[test]
 fn truncation_at_every_offset_is_a_clean_error() {
-    let good = valid_checkpoint_bytes();
+    let good = valid_checkpoint_bytes("trunc");
     assert!(load_bytes("full", &good).is_ok());
 
     // every strict prefix: header cuts, mid-name cuts, mid-dims cuts,
@@ -61,7 +62,7 @@ fn truncation_at_every_offset_is_a_clean_error() {
 
 #[test]
 fn flipped_magic_count_and_dims_bytes_are_clean_errors() {
-    let good = valid_checkpoint_bytes();
+    let good = valid_checkpoint_bytes("flip");
     // header layout: magic[0..8] | count[8..12] | name_len[12..16] |
     // name | ndim | dims… — flip every byte of the first entry's header
     // plus a sample of payload bytes spread through the file
