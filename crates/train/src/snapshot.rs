@@ -549,19 +549,46 @@ mod tests {
         assert_eq!(state, back);
     }
 
-    #[test]
-    fn half_precision_state_roundtrips_and_shrinks_tensor_sections() {
+    /// `sample_state()` stored at `dtype`, its tensors pre-rounded to it
+    /// as live training state always is.
+    fn sample_state_at(dtype: DType) -> TrainState {
         let mut state = sample_state();
-        state.dtype = DType::F16;
-        // live training state is always pre-rounded to the storage dtype
+        state.dtype = dtype;
         for (_, t) in state
             .model
             .iter_mut()
             .chain(state.buffers.iter_mut())
             .chain(state.optim.tensors.iter_mut())
         {
-            DType::F16.round_slice(t.data_mut());
+            dtype.round_slice(t.data_mut());
         }
+        state
+    }
+
+    #[test]
+    fn writers_match_pinned_lengths_and_hashes() {
+        // length and fnv1a64 of the whole file, per storage dtype: any
+        // change to a section writer or the container shows up here
+        for (dtype, len, hash) in [
+            (DType::F32, 653, 0xf4a4_5f1c_1e95_33fe_u64),
+            (DType::F16, 621, 0x7236_7adc_569c_5f9e),
+            (DType::Bf16, 622, 0xbbe6_acac_888d_61f6),
+        ] {
+            let path = tmp(&format!("pin_{dtype}"));
+            sample_state_at(dtype).save(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                (bytes.len(), checkpoint::fnv1a64(&bytes)),
+                (len, hash),
+                "{dtype} snapshot bytes changed"
+            );
+        }
+    }
+
+    #[test]
+    fn half_precision_state_roundtrips_and_shrinks_tensor_sections() {
+        let state = sample_state_at(DType::F16);
         let path = tmp("half");
         state.save(&path).unwrap();
         let half_len = std::fs::metadata(&path).unwrap().len();
