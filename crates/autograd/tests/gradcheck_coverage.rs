@@ -14,7 +14,7 @@ use rex_autograd::gradcheck::check_gradients;
 use rex_autograd::{Graph, NodeId, Param};
 use rex_nn::{checkpoint, Module, MultiHeadAttention};
 use rex_tensor::conv::Window;
-use rex_tensor::{Prng, Tensor, TensorError};
+use rex_tensor::{DType, Prng, Tensor, TensorError};
 
 fn param(rng: &mut Prng, name: &str, shape: &[usize], std: f32) -> Param {
     Param::new(name, rng.normal_tensor(shape, 0.0, std))
@@ -87,17 +87,19 @@ fn gradients_survive_checkpoint_roundtrip() {
     let values_before: Vec<Vec<f32>> = params.iter().map(|p| p.value().data().to_vec()).collect();
     let grads_before = grads_of(&params);
 
-    let path = std::env::temp_dir().join(format!("rex-gradcheck-{}.ckpt", std::process::id()));
-    checkpoint::save(&path, &params).unwrap();
-    // clobber every value, then restore from disk
+    let entries: Vec<(String, Tensor)> = params
+        .iter()
+        .map(|p| (p.name(), p.value().clone()))
+        .collect();
+    let bytes = checkpoint::encode_entries_dtype(&entries, DType::F32);
+    // clobber every value, then restore from the encoded entries
     for p in &params {
         let shape = p.value().shape().to_vec();
         let junk = Tensor::from_vec(vec![0.123f32; p.len()], &shape).unwrap();
         *p.value_mut() = junk;
     }
-    let report = checkpoint::load_into(&path, &params).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    std::fs::remove_file(&path).ok();
+    let restored = checkpoint::decode_entries_dtype(&bytes, DType::F32).unwrap();
+    checkpoint::restore_params(&restored, &params).unwrap();
 
     // the f32 payload round-trips bit-exactly, so values AND the gradients
     // recomputed from them must be identical — and still pass gradcheck

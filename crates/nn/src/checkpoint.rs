@@ -1,126 +1,81 @@
-//! Parameter checkpointing: a small self-describing binary format for
-//! saving and restoring model weights, plus the `REXSTATE1` section
-//! container used by full training-state snapshots.
-//!
-//! The BERT-GLUE experiment pre-trains one transformer checkpoint and
-//! fine-tunes it many times; persisting that checkpoint lets the harness
-//! (and downstream users) skip re-pre-training. The weight format is
-//! little-endian, versioned, and name-addressed:
+//! Training-state persistence: the `REXSTATE1` section container that
+//! full snapshots are written in, the tensor-entry codec of its
+//! `model`/`buffers`/`optim` sections, and [`restore_params`], which
+//! resume uses to load parameters by name (see DESIGN.md §12 for the
+//! byte-layout table):
 //!
 //! ```text
-//! magic "REXCKPT1" | u32 count | repeat: u32 name_len | name (utf-8)
-//!                  | u32 ndim  | u64 dims…            | f32 data…
+//! container: magic "REXSTATE1" | u32 section_count
+//!                              | repeat: u32 name_len | name (utf-8)
+//!                              |         u64 byte_len | bytes…
+//!                              | u64 fnv1a64(all preceding bytes)
+//! entries:   u32 count | repeat: u32 name_len | name (utf-8)
+//!                      |         u32 ndim | u64 dims… | values…
 //! ```
 //!
-//! The full-state container reuses the same entry encoding inside opaque
-//! named sections (see DESIGN.md §12 for the byte-layout table):
-//!
-//! ```text
-//! magic "REXSTATE1" | u32 section_count
-//!                   | repeat: u32 name_len | name (utf-8)
-//!                   |         u64 byte_len | bytes…
-//!                   | u64 fnv1a64(all preceding bytes)
-//! ```
-//!
-//! Both formats are written through [`rex_faults::atomic_write`], so a
-//! crash mid-save leaves the previous file intact rather than a torn one.
+//! Entry values are little-endian `f32`, or one `u16` each at f16/bf16.
+//! Both formats decode through [`ByteReader`]; the container is written
+//! through [`rex_faults::atomic_write`], so a crash mid-save leaves the
+//! previous file intact rather than a torn one.
 
-use std::fs::{self, File};
-use std::io::{self, BufReader, Read};
+use std::fs;
+use std::io;
 use std::path::Path;
 
 use rex_autograd::Param;
 use rex_tensor::dtype::{bf16_bits_to_f32, f16_bits_to_f32, f32_to_bf16_bits, f32_to_f16_bits};
 use rex_tensor::{DType, Tensor};
 
-const MAGIC: &[u8; 8] = b"REXCKPT1";
+use crate::bytes::{invalid, ByteReader};
+
 /// Magic of the full training-state container.
 pub const STATE_MAGIC: &[u8; 9] = b"REXSTATE1";
 
-// sanity caps: reject corrupt headers before attempting allocation
+// sanity caps: reject corrupt headers as bad structure, not truncation
 const MAX_ENTRIES: usize = 1 << 20;
 const MAX_NAME: usize = 1 << 12;
 const MAX_ELEMENTS: usize = 1 << 30;
 const MAX_SECTIONS: usize = 64;
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Saves parameters (name, shape, values) to `path`, atomically: the
-/// bytes land in a same-directory temp file which is fsynced and renamed
-/// over the target, so a crash mid-save never corrupts an existing copy.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save(path: &Path, params: &[Param]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
-    for p in params {
-        push_entry(&mut buf, &p.name(), &p.value());
-    }
-    rex_faults::atomic_write("ckpt", path, &buf)
-}
-
-fn push_entry(buf: &mut Vec<u8>, name: &str, value: &Tensor) {
-    buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    buf.extend_from_slice(name.as_bytes());
-    buf.extend_from_slice(&(value.ndim() as u32).to_le_bytes());
-    for &d in value.shape() {
-        buf.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    for &v in value.data() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Encodes `(name, tensor)` entries in the checkpoint entry format
-/// (`u32 count` followed by the entries, no magic) — the payload of the
-/// model/optimizer sections inside a `REXSTATE1` snapshot.
-pub fn encode_entries(entries: &[(String, Tensor)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (name, value) in entries {
-        push_entry(&mut buf, name, value);
-    }
-    buf
-}
-
-/// Decodes a byte slice produced by [`encode_entries`].
-///
-/// # Errors
-///
-/// Returns `InvalidData`/`UnexpectedEof` on malformed input, including
-/// trailing garbage after the last entry.
-pub fn decode_entries(bytes: &[u8]) -> io::Result<Vec<(String, Tensor)>> {
-    decode_entries_dtype(bytes, DType::F32)
-}
-
-/// [`encode_entries`] with a storage precision. `F32` produces bytes
-/// identical to the legacy codec (so default-precision snapshots are
-/// unchanged); `F16`/`Bf16` store one little-endian `u16` per element —
-/// half the payload. Values are expected to already be rounded to
-/// `dtype` (the optimizer's storage-rounding step guarantees this), so
+/// Encodes `(name, tensor)` entries (`u32 count` followed by the
+/// entries) at a storage precision — the payload of the model, buffer
+/// and optimizer sections inside a `REXSTATE1` snapshot. `F32` stores
+/// each value's bits; `F16`/`Bf16` store one little-endian `u16` per
+/// element — half the payload. Values are expected to already be rounded
+/// to `dtype` (the optimizer's storage-rounding step guarantees this), so
 /// the narrowing here is lossless for live training state.
 ///
 /// # Panics
 ///
 /// Panics if `dtype` is not trainable (`q8_0` has no training codec).
 pub fn encode_entries_dtype(entries: &[(String, Tensor)], dtype: DType) -> Vec<u8> {
-    assert!(dtype.trainable(), "{dtype} is not a trainable dtype");
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (name, value) in entries {
-        match dtype {
-            DType::F32 => push_entry(&mut buf, name, value),
-            DType::F16 => push_entry_half(&mut buf, name, value, f32_to_f16_bits),
-            DType::Bf16 => push_entry_half(&mut buf, name, value, f32_to_bf16_bits),
-            DType::Q80 => unreachable!("rejected above"),
-        }
+    match dtype {
+        DType::F32 => push_entries(&mut buf, entries, f32::to_le_bytes),
+        DType::F16 => push_entries(&mut buf, entries, |v| f32_to_f16_bits(v).to_le_bytes()),
+        DType::Bf16 => push_entries(&mut buf, entries, |v| f32_to_bf16_bits(v).to_le_bytes()),
+        DType::Q80 => panic!("{dtype} is not a trainable dtype"),
     }
     buf
+}
+
+fn push_entries<const W: usize>(
+    buf: &mut Vec<u8>,
+    entries: &[(String, Tensor)],
+    to_le: impl Fn(f32) -> [u8; W],
+) {
+    for (name, value) in entries {
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+        buf.extend_from_slice(&(value.ndim() as u32).to_le_bytes());
+        for &d in value.shape() {
+            buf.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        for &v in value.data() {
+            buf.extend_from_slice(&to_le(v));
+        }
+    }
 }
 
 /// Decodes a byte slice produced by [`encode_entries_dtype`] with the
@@ -128,105 +83,38 @@ pub fn encode_entries_dtype(entries: &[(String, Tensor)], dtype: DType) -> Vec<u
 ///
 /// # Errors
 ///
-/// Returns `InvalidData`/`UnexpectedEof` on malformed input, including
-/// trailing garbage after the last entry.
+/// `UnexpectedEof` on truncation; `InvalidData` on bad structure,
+/// including trailing garbage after the last entry.
 ///
 /// # Panics
 ///
 /// Panics if `dtype` is not trainable (`q8_0` has no training codec).
 pub fn decode_entries_dtype(bytes: &[u8], dtype: DType) -> io::Result<Vec<(String, Tensor)>> {
-    assert!(dtype.trainable(), "{dtype} is not a trainable dtype");
-    let mut r = bytes;
-    let count = read_u32(&mut r)? as usize;
-    let entries = match dtype {
-        DType::F32 => read_entries_with(&mut r, count, 4, |c| {
-            f32::from_le_bytes(c.try_into().unwrap())
-        })?,
-        DType::F16 => read_entries_with(&mut r, count, 2, |c| {
-            f16_bits_to_f32(u16::from_le_bytes(c.try_into().unwrap()))
-        })?,
-        DType::Bf16 => read_entries_with(&mut r, count, 2, |c| {
-            bf16_bits_to_f32(u16::from_le_bytes(c.try_into().unwrap()))
-        })?,
-        DType::Q80 => unreachable!("rejected above"),
+    let from_le: fn(&[u8]) -> f32 = match dtype {
+        DType::F32 => |c| f32::from_le_bytes(c.try_into().unwrap()),
+        DType::F16 => |c| f16_bits_to_f32(u16::from_le_bytes(c.try_into().unwrap())),
+        DType::Bf16 => |c| bf16_bits_to_f32(u16::from_le_bytes(c.try_into().unwrap())),
+        DType::Q80 => panic!("{dtype} is not a trainable dtype"),
     };
-    if !r.is_empty() {
-        return Err(invalid(format!(
-            "{} trailing bytes after the last checkpoint entry",
-            r.len()
-        )));
-    }
-    Ok(entries)
-}
-
-fn push_entry_half(buf: &mut Vec<u8>, name: &str, value: &Tensor, to_bits: fn(f32) -> u16) {
-    buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    buf.extend_from_slice(name.as_bytes());
-    buf.extend_from_slice(&(value.ndim() as u32).to_le_bytes());
-    for &d in value.shape() {
-        buf.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    for &v in value.data() {
-        buf.extend_from_slice(&to_bits(v).to_le_bytes());
-    }
-}
-
-/// Reads all `(name, tensor)` entries from a checkpoint.
-///
-/// # Errors
-///
-/// Returns `InvalidData` for a bad magic/un-parseable file, or propagates
-/// I/O errors.
-pub fn load_raw(path: &Path) -> io::Result<Vec<(String, Tensor)>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(invalid("not a REXCKPT1 checkpoint"));
-    }
-    let count = read_u32(&mut r)? as usize;
-    read_entries(&mut r, count)
-}
-
-fn read_entries(r: &mut impl Read, count: usize) -> io::Result<Vec<(String, Tensor)>> {
-    read_entries_with(r, count, 4, |c| f32::from_le_bytes(c.try_into().unwrap()))
-}
-
-fn read_entries_with(
-    r: &mut impl Read,
-    count: usize,
-    elem_bytes: usize,
-    decode: impl Fn(&[u8]) -> f32,
-) -> io::Result<Vec<(String, Tensor)>> {
+    let elem = dtype.nbytes(1);
+    let mut r = ByteReader::new(bytes);
+    let count = r.u32()? as usize;
     if count > MAX_ENTRIES {
         return Err(invalid(format!(
             "implausible entry count {count} in checkpoint"
         )));
     }
-    // cap the pre-allocation: a corrupt count must not reserve gigabytes
-    let mut out = Vec::with_capacity(count.min(1 << 10));
+    // every entry holds at least its name length and rank
+    let mut out = r.vec_for(count, 8);
     for _ in 0..count {
-        let name_len = read_u32(r)? as usize;
-        if name_len > MAX_NAME {
-            return Err(invalid(format!(
-                "implausible name length {name_len} in checkpoint"
-            )));
-        }
-        let mut name_bytes = vec![0u8; name_len];
-        r.read_exact(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes).map_err(|e| invalid(e.to_string()))?;
-        let ndim = read_u32(r)? as usize;
+        let name = r.string(MAX_NAME)?;
+        let ndim = r.u32()? as usize;
         if ndim > 8 {
             return Err(invalid(format!("implausible rank {ndim} in checkpoint")));
         }
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            let dim = usize::try_from(u64::from_le_bytes(b))
-                .map_err(|_| invalid("checkpoint dimension exceeds the address space"))?;
-            shape.push(dim);
-        }
+        let shape = (0..ndim)
+            .map(|_| r.len_u64())
+            .collect::<io::Result<Vec<_>>>()?;
         // overflow-checked element count: adversarial dims must error, not
         // wrap (release) or panic (debug)
         let n = shape
@@ -238,75 +126,17 @@ fn read_entries_with(
                 "implausible tensor size {n} in checkpoint"
             )));
         }
-        // read in bounded chunks so a huge claimed size on a truncated
-        // file fails with UnexpectedEof before allocating the full claim
-        let mut data = Vec::new();
-        let mut remaining = n;
-        let mut buf = [0u8; 4 * 4096];
-        while remaining > 0 {
-            let take = remaining.min(4096);
-            r.read_exact(&mut buf[..elem_bytes * take])?;
-            data.extend(
-                buf[..elem_bytes * take]
-                    .chunks_exact(elem_bytes)
-                    .map(&decode),
-            );
-            remaining -= take;
-        }
+        let data = r.take(n * elem)?.chunks_exact(elem).map(from_le).collect();
         let tensor = Tensor::from_vec(data, &shape).map_err(|e| invalid(e.to_string()))?;
         out.push((name, tensor));
     }
+    r.finish()?;
     Ok(out)
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// What [`load_into`] found but did not use: checkpoint entries whose
-/// names match no parameter. A non-empty list usually means a renamed or
-/// typo'd parameter, so callers should surface it.
-#[must_use = "unused checkpoint entries usually indicate a renamed or typo'd parameter"]
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Names present in the checkpoint but absent from the model.
-    pub unused: Vec<String>,
-}
-
-impl LoadReport {
-    /// True when every checkpoint entry was consumed by some parameter.
-    pub fn is_clean(&self) -> bool {
-        self.unused.is_empty()
-    }
-}
-
-/// Restores values into `params`, matching entries by name.
-///
-/// Every parameter must find a checkpoint entry with its exact name and
-/// shape. Extra checkpoint entries do not fail the load (so a full-model
-/// checkpoint can initialise a sub-model) but are reported in the
-/// returned [`LoadReport`] for typo detection.
-///
-/// # Errors
-///
-/// Returns `InvalidData` when a parameter has no matching entry or the
-/// shapes disagree.
-pub fn load_into(path: &Path, params: &[Param]) -> io::Result<LoadReport> {
-    let entries = load_raw(path)?;
-    restore_params(&entries, params).map_err(invalid)?;
-    let unused = entries
-        .iter()
-        .map(|(n, _)| n)
-        .filter(|n| !params.iter().any(|p| p.name() == **n))
-        .cloned()
-        .collect();
-    Ok(LoadReport { unused })
-}
-
-/// Assigns `entries` into `params` by exact name and shape; the core of
-/// [`load_into`], shared with the full-state resume path.
+/// Assigns `entries` into `params` by exact name and shape — how resume
+/// restores a snapshot's `model` section. Entries that match no
+/// parameter are ignored.
 ///
 /// # Errors
 ///
@@ -375,15 +205,16 @@ pub fn load_state(path: &Path) -> io::Result<Vec<(String, Vec<u8>)>> {
 ///
 /// See [`load_state`].
 pub fn decode_state(bytes: &[u8]) -> io::Result<Vec<(String, Vec<u8>)>> {
-    let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "truncated REXSTATE1 snapshot");
-    let min = STATE_MAGIC.len() + 4 + 8;
-    if bytes.len() < min {
-        return Err(eof());
-    }
-    if &bytes[..STATE_MAGIC.len()] != STATE_MAGIC {
-        return Err(invalid("not a REXSTATE1 snapshot"));
+    if bytes.len() < STATE_MAGIC.len() + 4 + 8 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "truncated REXSTATE1 snapshot",
+        ));
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    if !body.starts_with(STATE_MAGIC) {
+        return Err(invalid("not a REXSTATE1 snapshot"));
+    }
     let stored = u64::from_le_bytes(trailer.try_into().unwrap());
     let actual = fnv1a64(body);
     if stored != actual {
@@ -391,45 +222,18 @@ pub fn decode_state(bytes: &[u8]) -> io::Result<Vec<(String, Vec<u8>)>> {
             "REXSTATE1 checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
         )));
     }
-    let mut r = &body[STATE_MAGIC.len()..];
-    let count = read_u32(&mut r)? as usize;
+    let mut r = ByteReader::new(&body[STATE_MAGIC.len()..]);
+    let count = r.u32()? as usize;
     if count > MAX_SECTIONS {
         return Err(invalid(format!("implausible section count {count}")));
     }
     let mut sections = Vec::with_capacity(count);
     for _ in 0..count {
-        let name_len = read_u32(&mut r)? as usize;
-        if name_len > MAX_NAME {
-            return Err(invalid(format!(
-                "implausible section name length {name_len}"
-            )));
-        }
-        if r.len() < name_len {
-            return Err(eof());
-        }
-        let (name_bytes, rest) = r.split_at(name_len);
-        let name = String::from_utf8(name_bytes.to_vec()).map_err(|e| invalid(e.to_string()))?;
-        r = rest;
-        if r.len() < 8 {
-            return Err(eof());
-        }
-        let (len_bytes, rest) = r.split_at(8);
-        let len = usize::try_from(u64::from_le_bytes(len_bytes.try_into().unwrap()))
-            .map_err(|_| invalid("section length exceeds the address space"))?;
-        r = rest;
-        if r.len() < len {
-            return Err(eof());
-        }
-        let (payload, rest) = r.split_at(len);
-        sections.push((name, payload.to_vec()));
-        r = rest;
+        let name = r.string(MAX_NAME)?;
+        let len = r.len_u64()?;
+        sections.push((name, r.take(len)?.to_vec()));
     }
-    if !r.is_empty() {
-        return Err(invalid(format!(
-            "{} trailing bytes after the last section",
-            r.len()
-        )));
-    }
+    r.finish()?;
     Ok(sections)
 }
 
@@ -456,74 +260,71 @@ mod tests {
         std::env::temp_dir().join(format!("rex_ckpt_{name}_{}", std::process::id()))
     }
 
+    fn entries_of(params: &[Param]) -> Vec<(String, Tensor)> {
+        params
+            .iter()
+            .map(|p| (p.name(), p.value().clone()))
+            .collect()
+    }
+
     #[test]
     fn roundtrip_preserves_values_and_names() {
         let mut rng = Prng::new(1);
         let m = Mlp::new("m", &[4, 8, 2], &mut rng);
-        let path = tmp("roundtrip");
-        save(&path, &m.params()).unwrap();
+        let bytes = encode_entries_dtype(&entries_of(&m.params()), DType::F32);
 
-        let raw = load_raw(&path).unwrap();
+        let raw = decode_entries_dtype(&bytes, DType::F32).unwrap();
         assert_eq!(raw.len(), 4); // 2 layers x (weight + bias)
         assert!(raw.iter().any(|(n, _)| n == "m.fc0.weight"));
 
-        // load into a differently-initialised clone
+        // restore into a differently-initialised clone
         let mut rng2 = Prng::new(2);
         let m2 = Mlp::new("m", &[4, 8, 2], &mut rng2);
         assert_ne!(*m.params()[0].value(), *m2.params()[0].value());
-        let report = load_into(&path, &m2.params()).unwrap();
-        assert!(report.is_clean(), "{report:?}");
+        restore_params(&raw, &m2.params()).unwrap();
         for (a, b) in m.params().iter().zip(m2.params().iter()) {
             assert_eq!(*a.value(), *b.value());
         }
-        let _ = fs::remove_file(path);
     }
 
     #[test]
     fn rejects_wrong_magic() {
-        let path = tmp("badmagic");
-        fs::write(&path, b"NOTACKPT____").unwrap();
-        assert!(load_raw(&path).is_err());
-        let _ = fs::remove_file(path);
+        let mut bytes = encode_state(&[("meta".to_owned(), b"x".to_vec())]);
+        bytes[..9].copy_from_slice(b"NOTASTATE");
+        let err = decode_state(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not a REXSTATE1"), "{err}");
     }
 
     #[test]
     fn missing_entry_is_an_error() {
         let mut rng = Prng::new(3);
         let small = Mlp::new("a", &[2, 2], &mut rng);
-        let path = tmp("missing");
-        save(&path, &small.params()).unwrap();
         let other = Mlp::new("b", &[2, 2], &mut rng);
-        let err = load_into(&path, &other.params()).unwrap_err();
-        assert!(err.to_string().contains("no entry"), "{err}");
-        let _ = fs::remove_file(path);
+        let err = restore_params(&entries_of(&small.params()), &other.params()).unwrap_err();
+        assert!(err.contains("no entry"), "{err}");
     }
 
     #[test]
     fn shape_mismatch_is_an_error() {
         let mut rng = Prng::new(4);
         let m = Mlp::new("m", &[2, 3], &mut rng);
-        let path = tmp("shape");
-        save(&path, &m.params()).unwrap();
         let wider = Mlp::new("m", &[2, 4], &mut rng);
-        let err = load_into(&path, &wider.params()).unwrap_err();
-        assert!(err.to_string().contains("shape mismatch"), "{err}");
-        let _ = fs::remove_file(path);
+        let err = restore_params(&entries_of(&m.params()), &wider.params()).unwrap_err();
+        assert!(err.contains("shape mismatch"), "{err}");
     }
 
     #[test]
-    fn extra_checkpoint_entries_are_reported_not_fatal() {
+    fn extra_checkpoint_entries_are_not_fatal() {
         let mut rng = Prng::new(5);
         let full = Mlp::new("m", &[4, 8, 2], &mut rng);
-        let path = tmp("extra");
-        save(&path, &full.params()).unwrap();
         // a "sub-model" holding only the first layer's params
         let sub = &full.params()[..2];
-        let report = load_into(&path, sub).unwrap();
-        assert_eq!(report.unused.len(), 2, "{report:?}");
-        assert!(report.unused.iter().any(|n| n == "m.fc1.weight"));
-        assert!(!report.is_clean());
-        let _ = fs::remove_file(path);
+        let before: Vec<Tensor> = sub.iter().map(|p| p.value().clone()).collect();
+        restore_params(&entries_of(&full.params()), sub).unwrap();
+        for (p, b) in sub.iter().zip(&before) {
+            assert_eq!(*p.value(), *b);
+        }
     }
 
     #[test]
@@ -535,12 +336,12 @@ mod tests {
             ),
             ("b".to_owned(), Tensor::from_vec(vec![5.0], &[1]).unwrap()),
         ];
-        let bytes = encode_entries(&entries);
-        assert_eq!(decode_entries(&bytes).unwrap(), entries);
+        let bytes = encode_entries_dtype(&entries, DType::F32);
+        assert_eq!(decode_entries_dtype(&bytes, DType::F32).unwrap(), entries);
 
         let mut padded = bytes.clone();
         padded.push(0);
-        let err = decode_entries(&padded).unwrap_err();
+        let err = decode_entries_dtype(&padded, DType::F32).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -564,18 +365,6 @@ mod tests {
             padded.push(0);
             assert!(decode_entries_dtype(&padded, dtype).is_err());
         }
-    }
-
-    #[test]
-    fn f32_entry_codec_is_byte_identical_to_legacy() {
-        let entries = vec![(
-            "a".to_owned(),
-            Tensor::from_vec(vec![1.0, -2.5, 3.25], &[3]).unwrap(),
-        )];
-        assert_eq!(
-            encode_entries_dtype(&entries, DType::F32),
-            encode_entries(&entries)
-        );
     }
 
     #[test]

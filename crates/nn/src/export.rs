@@ -37,11 +37,13 @@
 //! negligible fraction of the bytes and disproportionately sensitive to
 //! quantization error — the same policy mainstream GGUF exporters use.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use rex_tensor::storage::Storage;
 use rex_tensor::{DType, Tensor};
+
+use crate::bytes::{invalid, ByteReader};
 
 /// File magic, 8 bytes at offset zero.
 pub const MAGIC: &[u8; 8] = b"REXGGUF\0";
@@ -52,8 +54,8 @@ pub const VERSION: u32 = 1;
 /// aligned loads directly.
 pub const ALIGN: usize = 32;
 
-/// Hard cap on tensor/metadata counts and name/value lengths while
-/// parsing, so a corrupt header cannot drive huge allocations.
+/// Cap on tensor/metadata counts and name/value lengths while parsing:
+/// a header claiming more is corrupt (`InvalidData`), not truncated.
 const SANE_MAX: usize = 1 << 20;
 
 /// One entry of the tensor index.
@@ -208,49 +210,50 @@ impl ExportFile {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on a bad magic, unknown version or dtype tag,
-    /// malformed strings, or an index pointing outside the data section.
+    /// `UnexpectedEof` when the header is cut short; `InvalidData` on a
+    /// bad magic, unknown version or dtype tag, malformed strings, an
+    /// implausible count, or an index entry whose payload lies outside
+    /// the data section or disagrees with its dtype and shape (checked
+    /// element and byte counts, so overflowing dims are refused).
     pub fn parse(bytes: &[u8]) -> io::Result<ExportFile> {
-        let mut r = bytes;
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("not a REXGGUF file (bad magic)"));
+        let mut r = ByteReader::new(bytes);
+        if r.take(MAGIC.len())? != MAGIC {
+            return Err(invalid("not a REXGGUF file (bad magic)"));
         }
-        let version = read_u32(&mut r)?;
+        let version = r.u32()?;
         if version != VERSION {
-            return Err(bad(&format!(
+            return Err(invalid(format!(
                 "unsupported REXGGUF version {version} (expected {VERSION})"
             )));
         }
-        let n_tensors = read_u32(&mut r)? as usize;
-        let n_meta = read_u32(&mut r)? as usize;
+        let n_tensors = r.u32()? as usize;
+        let n_meta = r.u32()? as usize;
         if n_tensors > SANE_MAX || n_meta > SANE_MAX {
-            return Err(bad("implausible header counts"));
+            return Err(invalid("implausible header counts"));
         }
-        let mut meta = Vec::with_capacity(n_meta);
+        // a metadata pair is at least its two length prefixes
+        let mut meta = r.vec_for(n_meta, 8);
         for _ in 0..n_meta {
-            let k = read_str(&mut r)?;
-            let v = read_str(&mut r)?;
+            let k = r.string(SANE_MAX)?;
+            let v = r.string(SANE_MAX)?;
             meta.push((k, v));
         }
-        let mut tensors = Vec::with_capacity(n_tensors);
+        // an index entry is at least name length, tag, ndim, offset, nbytes
+        let mut tensors = r.vec_for(n_tensors, 25);
         for _ in 0..n_tensors {
-            let name = read_str(&mut r)?;
-            let mut tag = [0u8; 1];
-            r.read_exact(&mut tag)?;
-            let dtype = dtype_of(tag[0])
-                .ok_or_else(|| bad(&format!("unknown dtype tag {} for {name:?}", tag[0])))?;
-            let ndim = read_u32(&mut r)? as usize;
+            let name = r.string(SANE_MAX)?;
+            let tag = r.u8()?;
+            let dtype = dtype_of(tag)
+                .ok_or_else(|| invalid(format!("unknown dtype tag {tag} for {name:?}")))?;
+            let ndim = r.u32()? as usize;
             if ndim > 8 {
-                return Err(bad(&format!("implausible ndim {ndim} for {name:?}")));
+                return Err(invalid(format!("implausible ndim {ndim} for {name:?}")));
             }
-            let mut dims = Vec::with_capacity(ndim);
-            for _ in 0..ndim {
-                dims.push(read_u64(&mut r)? as usize);
-            }
-            let offset = read_u64(&mut r)?;
-            let nbytes = read_u64(&mut r)?;
+            let dims = (0..ndim)
+                .map(|_| r.len_u64())
+                .collect::<io::Result<Vec<_>>>()?;
+            let offset = r.u64()?;
+            let nbytes = r.u64()?;
             tensors.push(ExportEntry {
                 name,
                 dtype,
@@ -259,28 +262,34 @@ impl ExportFile {
                 nbytes,
             });
         }
-        let consumed = bytes.len() - r.len();
-        let data_start = align_up(consumed as u64) as usize;
-        if data_start > bytes.len() {
-            return Err(bad("file truncated before the data section"));
-        }
-        let data = bytes[data_start..].to_vec();
+        let data_start = align_up(r.position() as u64) as usize;
+        let data = bytes
+            .get(data_start..)
+            .ok_or_else(|| invalid("file truncated before the data section"))?
+            .to_vec();
         for e in &tensors {
             if e.offset % ALIGN as u64 != 0 {
-                return Err(bad(&format!("misaligned payload for {:?}", e.name)));
+                return Err(invalid(format!("misaligned payload for {:?}", e.name)));
             }
             let end = e
                 .offset
                 .checked_add(e.nbytes)
-                .ok_or_else(|| bad("offset overflow"))?;
-            if end as usize > data.len() {
-                return Err(bad(&format!(
+                .ok_or_else(|| invalid("offset overflow"))?;
+            if end > data.len() as u64 {
+                return Err(invalid(format!(
                     "payload of {:?} extends past the end of the file",
                     e.name
                 )));
             }
-            if e.nbytes as usize != e.dtype.nbytes(e.len()) {
-                return Err(bad(&format!(
+            // checked: dims whose element or byte count overflows describe
+            // no tensor at all
+            let expected = e
+                .dims
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d))
+                .and_then(|n| e.dtype.checked_nbytes(n));
+            if expected.map(|n| n as u64) != Some(e.nbytes) {
+                return Err(invalid(format!(
                     "payload size of {:?} does not match its dtype and shape",
                     e.name
                 )));
@@ -329,7 +338,7 @@ impl ExportFile {
     /// (cannot happen on a file accepted by [`parse`](Self::parse)).
     pub fn storage(&self, entry: &ExportEntry) -> io::Result<Storage> {
         Storage::from_le_bytes(entry.dtype, entry.len(), self.payload(entry))
-            .ok_or_else(|| bad(&format!("corrupt payload for {:?}", entry.name)))
+            .ok_or_else(|| invalid(format!("corrupt payload for {:?}", entry.name)))
     }
 
     /// Decodes an entry into an f32 [`Tensor`] (widening / dequantizing).
@@ -339,16 +348,12 @@ impl ExportFile {
     /// As [`storage`](Self::storage), plus an invalid shape.
     pub fn tensor(&self, entry: &ExportEntry) -> io::Result<Tensor> {
         Tensor::from_vec(self.storage(entry)?.to_f32(), &entry.dims)
-            .map_err(|e| bad(&format!("bad shape for {:?}: {e}", entry.name)))
+            .map_err(|e| invalid(format!("bad shape for {:?}: {e}", entry.name)))
     }
 }
 
 fn align_up(n: u64) -> u64 {
     n.div_ceil(ALIGN as u64) * ALIGN as u64
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -358,28 +363,6 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_str(r: &mut impl Read) -> io::Result<String> {
-    let len = read_u32(r)? as usize;
-    if len > SANE_MAX {
-        return Err(bad("implausible string length"));
-    }
-    let mut b = vec![0u8; len];
-    r.read_exact(&mut b)?;
-    String::from_utf8(b).map_err(|_| bad("non-UTF-8 string"))
 }
 
 #[cfg(test)]

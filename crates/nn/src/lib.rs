@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 mod attention;
+pub mod bytes;
 pub mod checkpoint;
 pub mod export;
 mod layers;

@@ -68,12 +68,23 @@ impl DType {
     }
 
     /// Exact serialized payload size, in bytes, of `n` elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the size overflows `usize`; decoders of untrusted
+    /// counts use [`checked_nbytes`](Self::checked_nbytes).
     pub fn nbytes(self, n: usize) -> usize {
+        self.checked_nbytes(n)
+            .expect("payload size overflows usize")
+    }
+
+    /// [`nbytes`](Self::nbytes), or `None` when the size overflows.
+    pub fn checked_nbytes(self, n: usize) -> Option<usize> {
         match self {
-            DType::F32 => n * 4,
-            DType::F16 | DType::Bf16 => n * 2,
+            DType::F32 => n.checked_mul(4),
+            DType::F16 | DType::Bf16 => n.checked_mul(2),
             // per block: one u16 scale; per element: one i8 quant
-            DType::Q80 => n.div_ceil(QK) * 2 + n,
+            DType::Q80 => (n.div_ceil(QK) * 2).checked_add(n),
         }
     }
 
@@ -360,6 +371,8 @@ mod tests {
         assert_eq!(DType::Q80.nbytes(40), 2 * 2 + 40);
         assert_eq!(DType::F16.nbytes(40), 80);
         assert_eq!(DType::F32.nbytes(40), 160);
+        assert_eq!(DType::F32.checked_nbytes(usize::MAX / 2), None);
+        assert_eq!(DType::Q80.checked_nbytes(usize::MAX), None);
     }
 
     #[test]

@@ -14,11 +14,16 @@
 //! [`Trainer`]: crate::Trainer
 
 use crate::trainer::EpochStats;
+use rex_nn::bytes::{invalid, ByteReader};
 use rex_nn::checkpoint;
 use rex_optim::OptimizerState;
 use rex_tensor::{DType, Tensor};
+use std::fs;
 use std::io;
 use std::path::Path;
+
+/// Longest name or string field a snapshot section may hold.
+const MAX_STR: usize = 1 << 12;
 
 /// A complete, resumable picture of a training run at a step boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,8 +45,8 @@ pub struct TrainState {
     /// Initial learning rate η₀ (bit pattern compared on resume).
     pub lr: f32,
     /// Parameter storage precision. Governs the tensor-section codec:
-    /// `f32` keeps the legacy byte-identical layout, `f16`/`bf16` store
-    /// one `u16` per element. Resume refuses a dtype mismatch — the
+    /// `f32` stores four bytes per element, `f16`/`bf16` store one `u16`
+    /// per element. Resume refuses a dtype mismatch — the
     /// stored bits are not losslessly re-interpretable across dtypes.
     pub dtype: DType,
     /// Compute backend that produced the snapshot (`"scalar"`/`"simd"`).
@@ -99,6 +104,15 @@ impl TrainState {
     ///
     /// Propagates filesystem errors (including injected ones).
     pub fn save(&self, path: &Path) -> io::Result<()> {
+        checkpoint::save_state(path, &self.sections())
+    }
+
+    /// The snapshot's bytes, exactly as [`save`](Self::save) writes them.
+    pub fn encode(&self) -> Vec<u8> {
+        checkpoint::encode_state(&self.sections())
+    }
+
+    fn sections(&self) -> Vec<(String, Vec<u8>)> {
         let mut sections = vec![
             ("meta".to_owned(), self.encode_meta()),
             ("loop".to_owned(), self.encode_loop()),
@@ -117,103 +131,161 @@ impl TrainState {
         if !self.streams.is_empty() {
             sections.push(("streams".to_owned(), self.encode_streams()));
         }
-        checkpoint::save_state(path, &sections)
+        sections
     }
 
-    /// Reads a snapshot back, verifying the container checksum and every
-    /// section's internal structure.
+    /// Reads a snapshot back; see [`decode`](Self::decode).
     ///
     /// # Errors
     ///
-    /// `InvalidData`/`UnexpectedEof` on corrupt or truncated files;
-    /// propagates filesystem errors.
+    /// As [`decode`](Self::decode); propagates filesystem errors.
     pub fn load(path: &Path) -> io::Result<TrainState> {
-        let sections = checkpoint::load_state(path)?;
-        let get = |name: &str| -> io::Result<&[u8]> {
-            sections
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, b)| b.as_slice())
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("state snapshot missing section {name:?}"),
-                    )
-                })
-        };
-
-        let mut state = TrainState {
-            run: String::new(),
-            schedule: String::new(),
-            optimizer: String::new(),
-            seed: 0,
-            total_samples: 0,
-            batch_size: 0,
-            epochs: 0,
-            lr: 0.0,
-            dtype: DType::F32,
-            backend: String::new(),
-            simd_level: String::new(),
-            epoch: 0,
-            batch_in_epoch: 0,
-            step: 0,
-            samples_done: 0,
-            epoch_loss: 0.0,
-            epoch_batches: 0,
-            last_lr: 0.0,
-            history: Vec::new(),
-            rng: [0; 4],
-            rng_epoch_start: [0; 4],
-            trace_events: 0,
-            model: Vec::new(),
-            buffers: Vec::new(),
-            optim: OptimizerState {
-                kind: String::new(),
-                scalars: Vec::new(),
-                tensors: Vec::new(),
-            },
-            streams: Vec::new(),
-        };
-        state.decode_meta(get("meta")?)?;
-        state.decode_loop(get("loop")?)?;
-        state.decode_rng(get("rng")?)?;
-        {
-            let mut r = Reader::new(get("trace")?);
-            state.trace_events = r.u64()?;
-            r.done()?;
-        }
-        state.model = checkpoint::decode_entries_dtype(get("model")?, state.dtype)?;
-        state.buffers = checkpoint::decode_entries_dtype(get("buffers")?, state.dtype)?;
-        state.optim = decode_optim(get("optim")?, state.dtype)?;
-        if let Ok(bytes) = get("streams") {
-            state.decode_streams(bytes)?;
-        }
-        Ok(state)
+        TrainState::decode(&fs::read(path)?)
     }
 
-    /// Reads only the telemetry line cursor from a snapshot — what a
-    /// resuming caller needs to truncate the trace file *before*
-    /// constructing the sink.
+    /// The telemetry line cursor of a valid snapshot — what a resuming
+    /// caller needs to truncate the trace file *before* constructing the
+    /// sink.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TrainState::load`].
     pub fn trace_cursor(path: &Path) -> io::Result<u64> {
-        let sections = checkpoint::load_state(path)?;
-        let bytes = sections
-            .iter()
-            .find(|(n, _)| n == "trace")
-            .map(|(_, b)| b.as_slice())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "state snapshot missing section \"trace\"",
-                )
-            })?;
-        let mut r = Reader::new(bytes);
-        let cursor = r.u64()?;
-        r.done()?;
-        Ok(cursor)
+        Ok(TrainState::load(path)?.trace_events)
+    }
+
+    /// Decodes snapshot bytes, verifying the container checksum and every
+    /// section's internal structure. A missing `streams` section decodes
+    /// as "no streams".
+    ///
+    /// # Errors
+    ///
+    /// `UnexpectedEof` on truncation; `InvalidData` on any other damage,
+    /// including a missing section.
+    pub fn decode(bytes: &[u8]) -> io::Result<TrainState> {
+        let sections = checkpoint::decode_state(bytes)?;
+        let section = |name: &str| {
+            sections
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, b)| ByteReader::new(b))
+                .ok_or_else(|| invalid(format!("state snapshot missing section {name:?}")))
+        };
+
+        let mut r = section("meta")?;
+        let (run, schedule, optimizer) =
+            (r.string(MAX_STR)?, r.string(MAX_STR)?, r.string(MAX_STR)?);
+        let (seed, total_samples, batch_size, epochs) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        let lr = f32::from_bits(r.u32()?);
+        let dtype_name = r.string(MAX_STR)?;
+        let dtype = DType::parse(&dtype_name)
+            .ok_or_else(|| invalid(format!("snapshot has unknown dtype {dtype_name:?}")))?;
+        if !dtype.trainable() {
+            return Err(invalid(format!(
+                "snapshot dtype {dtype} is not a training dtype"
+            )));
+        }
+        let (backend, simd_level) = (r.string(MAX_STR)?, r.string(MAX_STR)?);
+        r.finish()?;
+
+        let mut r = section("loop")?;
+        let (epoch, batch_in_epoch, step, samples_done) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        let epoch_loss = f64::from_bits(r.u64()?);
+        let epoch_batches = r.u64()?;
+        let last_lr = f32::from_bits(r.u32()?);
+        let n = r.u32()? as usize;
+        // every history entry is at least 13 bytes
+        let mut history = r.vec_for(n, 13);
+        for _ in 0..n {
+            let train_loss = f64::from_bits(r.u64()?);
+            let val_loss = match r.u8()? {
+                0 => None,
+                1 => Some(f64::from_bits(r.u64()?)),
+                other => return Err(invalid(format!("bad val_loss tag {other}"))),
+            };
+            let lr = f32::from_bits(r.u32()?);
+            history.push(EpochStats {
+                train_loss,
+                val_loss,
+                lr,
+            });
+        }
+        r.finish()?;
+
+        let mut r = section("rng")?;
+        let (mut rng, mut rng_epoch_start) = ([0; 4], [0; 4]);
+        for w in rng.iter_mut().chain(&mut rng_epoch_start) {
+            *w = r.u64()?;
+        }
+        r.finish()?;
+
+        let mut r = section("trace")?;
+        let trace_events = r.u64()?;
+        r.finish()?;
+
+        let model = checkpoint::decode_entries_dtype(section("model")?.rest(), dtype)?;
+        let buffers = checkpoint::decode_entries_dtype(section("buffers")?.rest(), dtype)?;
+
+        let mut r = section("optim")?;
+        let kind = r.string(MAX_STR)?;
+        let n = r.u32()? as usize;
+        if n > 64 {
+            return Err(invalid(format!("optimizer state claims {n} scalars")));
+        }
+        let mut scalars = Vec::with_capacity(n);
+        for _ in 0..n {
+            scalars.push((r.string(MAX_STR)?, f64::from_bits(r.u64()?)));
+        }
+        let tensors = checkpoint::decode_entries_dtype(r.rest(), dtype)?;
+
+        let mut streams = Vec::new();
+        if let Ok(mut r) = section("streams") {
+            let n = r.u32()? as usize;
+            // every stream is at least 36 bytes
+            streams = r.vec_for(n, 36);
+            for _ in 0..n {
+                let name = r.string(MAX_STR)?;
+                let mut state = [0u64; 4];
+                for w in &mut state {
+                    *w = r.u64()?;
+                }
+                streams.push((name, state));
+            }
+            r.finish()?;
+        }
+
+        Ok(TrainState {
+            run,
+            schedule,
+            optimizer,
+            seed,
+            total_samples,
+            batch_size,
+            epochs,
+            lr,
+            dtype,
+            backend,
+            simd_level,
+            epoch,
+            batch_in_epoch,
+            step,
+            samples_done,
+            epoch_loss,
+            epoch_batches,
+            last_lr,
+            history,
+            rng,
+            rng_epoch_start,
+            trace_events,
+            model,
+            buffers,
+            optim: OptimizerState {
+                kind,
+                scalars,
+                tensors,
+            },
+            streams,
+        })
     }
 
     fn encode_meta(&self) -> Vec<u8> {
@@ -230,34 +302,6 @@ impl TrainState {
         put_str(&mut buf, &self.backend);
         put_str(&mut buf, &self.simd_level);
         buf
-    }
-
-    fn decode_meta(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut r = Reader::new(bytes);
-        self.run = r.string()?;
-        self.schedule = r.string()?;
-        self.optimizer = r.string()?;
-        self.seed = r.u64()?;
-        self.total_samples = r.u64()?;
-        self.batch_size = r.u64()?;
-        self.epochs = r.u64()?;
-        self.lr = f32::from_bits(r.u32()?);
-        let dtype_name = r.string()?;
-        self.dtype = DType::parse(&dtype_name).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("snapshot has unknown dtype {dtype_name:?}"),
-            )
-        })?;
-        if !self.dtype.trainable() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("snapshot dtype {} is not a training dtype", self.dtype),
-            ));
-        }
-        self.backend = r.string()?;
-        self.simd_level = r.string()?;
-        r.done()
     }
 
     fn encode_loop(&self) -> Vec<u8> {
@@ -284,55 +328,12 @@ impl TrainState {
         buf
     }
 
-    fn decode_loop(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut r = Reader::new(bytes);
-        self.epoch = r.u64()?;
-        self.batch_in_epoch = r.u64()?;
-        self.step = r.u64()?;
-        self.samples_done = r.u64()?;
-        self.epoch_loss = f64::from_bits(r.u64()?);
-        self.epoch_batches = r.u64()?;
-        self.last_lr = f32::from_bits(r.u32()?);
-        let n = r.u32()? as usize;
-        // each history entry is at least 13 bytes; cap the pre-allocation
-        // rather than trusting the claimed count
-        self.history = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            let train_loss = f64::from_bits(r.u64()?);
-            let val_loss = match r.u8()? {
-                0 => None,
-                1 => Some(f64::from_bits(r.u64()?)),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad val_loss tag {other}"),
-                    ))
-                }
-            };
-            let lr = f32::from_bits(r.u32()?);
-            self.history.push(EpochStats {
-                train_loss,
-                val_loss,
-                lr,
-            });
-        }
-        r.done()
-    }
-
     fn encode_rng(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
         for w in self.rng.iter().chain(&self.rng_epoch_start) {
             buf.extend_from_slice(&w.to_le_bytes());
         }
         buf
-    }
-
-    fn decode_rng(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut r = Reader::new(bytes);
-        for w in self.rng.iter_mut().chain(self.rng_epoch_start.iter_mut()) {
-            *w = r.u64()?;
-        }
-        r.done()
     }
 
     fn encode_streams(&self) -> Vec<u8> {
@@ -345,23 +346,6 @@ impl TrainState {
             }
         }
         buf
-    }
-
-    fn decode_streams(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut r = Reader::new(bytes);
-        let n = r.u32()? as usize;
-        // each entry is at least 36 bytes; cap the pre-allocation rather
-        // than trusting the claimed count
-        self.streams = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            let name = r.string()?;
-            let mut state = [0u64; 4];
-            for w in &mut state {
-                *w = r.u64()?;
-            }
-            self.streams.push((name, state));
-        }
-        r.done()
     }
 }
 
@@ -377,102 +361,9 @@ fn encode_optim(state: &OptimizerState, dtype: DType) -> Vec<u8> {
     buf
 }
 
-fn decode_optim(bytes: &[u8], dtype: DType) -> io::Result<OptimizerState> {
-    let mut r = Reader::new(bytes);
-    let kind = r.string()?;
-    let n = r.u32()? as usize;
-    if n > 64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("optimizer state claims {n} scalars"),
-        ));
-    }
-    let mut scalars = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.string()?;
-        scalars.push((name, f64::from_bits(r.u64()?)));
-    }
-    let tensors = checkpoint::decode_entries_dtype(r.rest(), dtype)?;
-    Ok(OptimizerState {
-        kind,
-        scalars,
-        tensors,
-    })
-}
-
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
-}
-
-/// Slice cursor with clean `UnexpectedEof`/`InvalidData` errors — no
-/// panics, no over-allocation, whatever the input claims.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let out = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(out)
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "state section truncated",
-            )),
-        }
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        if len > 1 << 12 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("string of {len} bytes exceeds the cap"),
-            ));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "string is not UTF-8"))
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let out = &self.bytes[self.pos..];
-        self.pos = self.bytes.len();
-        out
-    }
-
-    fn done(&mut self) -> io::Result<()> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes in state section",
-            ))
-        }
-    }
 }
 
 #[cfg(test)]
