@@ -194,7 +194,11 @@ pub fn read_chunked_body<R: BufRead>(r: &mut R) -> Result<Vec<u8>, HttpError> {
                 }
             }
         }
-        if body.len() + size > MAX_BODY_BYTES {
+        if body
+            .len()
+            .checked_add(size)
+            .is_none_or(|n| n > MAX_BODY_BYTES)
+        {
             return Err(HttpError::BodyTooLarge);
         }
         body.extend_from_slice(&read_exact_body(r, size)?);

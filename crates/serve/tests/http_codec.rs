@@ -129,6 +129,13 @@ fn oversized_bodies_are_413() {
     raw.extend_from_slice(b"0\r\n\r\n");
     let err = parse(&raw).unwrap_err();
     assert!(matches!(err, HttpError::BodyTooLarge), "{err:?}");
+
+    // nor can a chunk size that overflows the running total
+    let raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                1\r\nx\r\nffffffffffffffff\r\n\r\n0\r\n\r\n";
+    assert_eq!(raw.len(), 78);
+    let err = parse(raw).unwrap_err();
+    assert!(matches!(err, HttpError::BodyTooLarge), "{err:?}");
 }
 
 #[test]
