@@ -99,7 +99,6 @@ USAGE:
                [--workers N] [--checkpoint-every STEPS]
                [--threads N] [--backend scalar|simd|auto]
                [--access-log FILE] [--profile on|off]
-               [--metrics-compat on|off]
       Run the budgeted-training job server (HTTP/1.1, zero deps) in the
       foreground. POST /v1/jobs submits a train job as flat JSON; a full
       queue answers 429 + Retry-After. GET /v1/jobs/:id/trace streams the

@@ -16,7 +16,6 @@ usage: rexctl serve --data-dir DIR [--addr HOST:PORT] [--queue-depth N]
                     [--max-retries N] [--watchdog-secs S]
                     [--threads N] [--backend scalar|simd|auto]
                     [--access-log FILE] [--profile on|off]
-                    [--metrics-compat on|off]
 
 Runs the budgeted-training job server in the foreground. Durable job
 state (manifests, traces, REXSTATE1 checkpoints) lives under --data-dir;
@@ -37,9 +36,7 @@ the same --data-dir picks every job back up.
 Observability: --access-log appends one key=value line per request
 (request id, method, path, status, bytes, duration, job id);
 --profile on collects a phase-span profile per job and writes it to
-jobs/<id>/profile.json as Chrome trace-event JSON (load in Perfetto);
---metrics-compat on re-exports the legacy *_min_seconds/*_max_seconds
-timer gauges alongside the /metrics histograms for one release.";
+jobs/<id>/profile.json as Chrome trace-event JSON (load in Perfetto).";
 
 fn parse_flags(argv: &[String]) -> Result<BTreeMap<String, String>, String> {
     let mut map = BTreeMap::new();
@@ -78,7 +75,6 @@ pub fn config_from_args(argv: &[String]) -> Result<ServeConfig, String> {
         "backend",
         "access-log",
         "profile",
-        "metrics-compat",
     ];
     if let Some(k) = flags.keys().find(|k| !known.contains(&k.as_str())) {
         return Err(format!("unknown flag --{k}"));
@@ -125,7 +121,6 @@ pub fn config_from_args(argv: &[String]) -> Result<ServeConfig, String> {
         default_checkpoint_every: num("checkpoint-every", defaults.default_checkpoint_every)?,
         access_log: flags.get("access-log").map(PathBuf::from),
         profile: switch("profile")?,
-        metrics_compat: switch("metrics-compat")?,
         watchdog_secs: num("watchdog-secs", defaults.watchdog_secs)?,
         default_max_retries: num("max-retries", defaults.default_max_retries)?,
     };
@@ -199,7 +194,6 @@ mod tests {
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.access_log, None);
         assert!(!cfg.profile);
-        assert!(!cfg.metrics_compat);
 
         let cfg = config_from_args(&sv(&[
             "--data-dir",
@@ -208,13 +202,10 @@ mod tests {
             "/tmp/x/access.log",
             "--profile",
             "on",
-            "--metrics-compat",
-            "on",
         ]))
         .unwrap();
         assert_eq!(cfg.access_log, Some(PathBuf::from("/tmp/x/access.log")));
         assert!(cfg.profile);
-        assert!(cfg.metrics_compat);
 
         let cfg = config_from_args(&sv(&[
             "--data-dir",

@@ -47,9 +47,6 @@ pub struct ServeConfig {
     /// When set, each job's worker collects a phase-span profile and
     /// writes `jobs/<id>/profile.json` (Chrome trace-event JSON).
     pub profile: bool,
-    /// Re-export the legacy `*_min_seconds` / `*_max_seconds` timer
-    /// gauges alongside the histogram series (one-release compat shim).
-    pub metrics_compat: bool,
     /// Hung-job watchdog: a running job making no step progress for this
     /// many seconds is halted and retried as a transient failure. 0
     /// disables the watchdog.
@@ -70,7 +67,6 @@ impl Default for ServeConfig {
             default_checkpoint_every: 5,
             access_log: None,
             profile: false,
-            metrics_compat: false,
             watchdog_secs: 0,
             default_max_retries: crate::jobs::DEFAULT_MAX_RETRIES,
         }
@@ -138,7 +134,6 @@ impl Server {
             queue.push_unbounded(id.clone());
             metrics.counter_inc("rex_jobs_resumed_total", 1);
         }
-        metrics.set_summary_compat(cfg.metrics_compat);
         let access_log = match &cfg.access_log {
             Some(path) => Some(Mutex::new(
                 std::fs::OpenOptions::new()

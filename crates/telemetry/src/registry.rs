@@ -24,7 +24,6 @@ use crate::hist::Histogram;
 use crate::json;
 use crate::sink::Sink;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Running summary of an observed duration series.
@@ -56,7 +55,6 @@ struct Inner {
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
-    summary_compat: AtomicBool,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -134,13 +132,6 @@ impl MetricsRegistry {
             .map(|h| h.quantile_ns(q) as f64 * 1e-9)
     }
 
-    /// Additionally emits the deprecated `_min_seconds` / `_max_seconds`
-    /// summary gauges next to each timer histogram. One-release bridge
-    /// for scrapers of the pre-histogram names; off by default.
-    pub fn set_summary_compat(&self, on: bool) {
-        self.summary_compat.store(on, Ordering::Relaxed);
-    }
-
     /// Snapshot of every counter, sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
         self.lock()
@@ -153,12 +144,8 @@ impl MetricsRegistry {
     /// Renders the registry in the Prometheus text exposition format:
     /// counters and gauges as single samples, timers as histograms with
     /// cumulative `_bucket{le="..."}` series plus `_sum` / `_count`
-    /// (seconds). With [`MetricsRegistry::set_summary_compat`] enabled,
-    /// the deprecated `_min_seconds` / `_max_seconds` gauges of the old
-    /// summary form are appended after each histogram. Output is
-    /// deterministic (sorted by metric name).
+    /// (seconds). Output is deterministic (sorted by metric name).
     pub fn render_prometheus(&self) -> String {
-        let compat = self.summary_compat.load(Ordering::Relaxed);
         let inner = self.lock();
         let mut out = String::with_capacity(512);
         for (name, value) in &inner.counters {
@@ -189,16 +176,6 @@ impl MetricsRegistry {
                 json::fmt_f64(stat.sum_ns as f64 * 1e-9),
                 stat.count,
             ));
-            if compat {
-                out.push_str(&format!(
-                    "# TYPE {name}_min_seconds gauge\n\
-                     {name}_min_seconds {}\n\
-                     # TYPE {name}_max_seconds gauge\n\
-                     {name}_max_seconds {}\n",
-                    json::fmt_f64(stat.min_ns as f64 * 1e-9),
-                    json::fmt_f64(stat.max_ns as f64 * 1e-9),
-                ));
-            }
         }
         out
     }
@@ -359,7 +336,7 @@ mod tests {
         assert!(text.contains("lat_seconds_bucket{le=\"+Inf\"} 1\n"));
         assert!(text.contains("lat_seconds_count 1\n"));
         assert!(text.contains("lat_seconds_sum 2\n"));
-        // compat mode off: the deprecated summary gauges stay out
+        // the retired min/max summary gauges stay out
         assert!(!text.contains("lat_min_seconds"));
     }
 
@@ -382,19 +359,6 @@ mod tests {
         assert!(p50 < 0.001, "p50 = {p50}");
         assert!(p99 > 0.1, "p99 = {p99}");
         assert!(reg.timer_histogram("lat").unwrap().count() == 10);
-    }
-
-    #[test]
-    fn summary_compat_appends_min_max_gauges() {
-        let reg = MetricsRegistry::new();
-        reg.timer_observe_ns("lat", 2_000_000_000);
-        reg.set_summary_compat(true);
-        let text = reg.render_prometheus();
-        assert!(text.contains("# TYPE lat_seconds histogram\n"));
-        assert!(text.contains("# TYPE lat_min_seconds gauge\nlat_min_seconds 2\n"));
-        assert!(text.contains("# TYPE lat_max_seconds gauge\nlat_max_seconds 2\n"));
-        reg.set_summary_compat(false);
-        assert!(!reg.render_prometheus().contains("lat_min_seconds"));
     }
 
     #[test]
