@@ -403,9 +403,8 @@ fn injected_kill(label: &str, nth: u64, stage: WriteStage) -> ! {
 /// the complete new one.
 ///
 /// `label` names the write stream for fault injection (`"state"` for
-/// training-state snapshots, `"ckpt"` for weight checkpoints, `"trace"`
-/// for telemetry rewrites, …); the active [`FaultPlan`] may fail or kill
-/// the N-th write of a given label.
+/// training-state snapshots, `"trace"` for telemetry rewrites, …); the
+/// active [`FaultPlan`] may fail or kill the N-th write of a given label.
 ///
 /// # Errors
 ///

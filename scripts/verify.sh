@@ -135,9 +135,9 @@ f16_bytes=$(wc -c < "$tmp_dir/f16_full_1.state")
 test $((f16_bytes * 4)) -lt $((f32_bytes * 3))
 
 echo "==> export (REXGGUF model files from a checkpoint)"
-# every quant level round-trips through the parser (the unit tests cover
-# payload equality; here we exercise the CLI end-to-end) and q8_0 comes
-# in well under half the f32 file
+# `rexctl export` writes the f32 snapshot at every quant level (parsing
+# and payload equality are covered by the unit tests and the decoder
+# court), and the q8_0 file comes in well under half the f32 one
 for q in f32 f16 q8_0; do
   cargo run --release --offline -p rex-cli --bin rexctl -- \
     export --from "$tmp_dir/f32_ref.state" --out "$tmp_dir/model_$q.rexgguf" --quant "$q" >/dev/null
