@@ -36,8 +36,7 @@ impl<'a> ByteReader<'a> {
         self.pos
     }
 
-    /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 

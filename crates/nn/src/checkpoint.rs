@@ -91,9 +91,9 @@ fn push_entries<const W: usize>(
 /// Panics if `dtype` is not trainable (`q8_0` has no training codec).
 pub fn decode_entries_dtype(bytes: &[u8], dtype: DType) -> io::Result<Vec<(String, Tensor)>> {
     let from_le: fn(&[u8]) -> f32 = match dtype {
-        DType::F32 => |c| f32::from_le_bytes(c.try_into().unwrap()),
-        DType::F16 => |c| f16_bits_to_f32(u16::from_le_bytes(c.try_into().unwrap())),
-        DType::Bf16 => |c| bf16_bits_to_f32(u16::from_le_bytes(c.try_into().unwrap())),
+        DType::F32 => |c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+        DType::F16 => |c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])),
+        DType::Bf16 => |c| bf16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])),
         DType::Q80 => panic!("{dtype} is not a trainable dtype"),
     };
     let elem = dtype.nbytes(1);
@@ -115,18 +115,20 @@ pub fn decode_entries_dtype(bytes: &[u8], dtype: DType) -> io::Result<Vec<(Strin
         let shape = (0..ndim)
             .map(|_| r.len_u64())
             .collect::<io::Result<Vec<_>>>()?;
-        // overflow-checked element count: adversarial dims must error, not
-        // wrap (release) or panic (debug)
+        // overflow-checked sizes: adversarial dims must error, not wrap
+        // (release) or panic (debug)
+        let overflow = || invalid("checkpoint tensor size overflows");
         let n = shape
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or_else(|| invalid("checkpoint tensor size overflows"))?;
+            .ok_or_else(overflow)?;
         if n > MAX_ELEMENTS {
             return Err(invalid(format!(
                 "implausible tensor size {n} in checkpoint"
             )));
         }
-        let data = r.take(n * elem)?.chunks_exact(elem).map(from_le).collect();
+        let payload = r.take(n.checked_mul(elem).ok_or_else(overflow)?)?;
+        let data = payload.chunks_exact(elem).map(from_le).collect();
         let tensor = Tensor::from_vec(data, &shape).map_err(|e| invalid(e.to_string()))?;
         out.push((name, tensor));
     }
@@ -212,17 +214,17 @@ pub fn decode_state(bytes: &[u8]) -> io::Result<Vec<(String, Vec<u8>)>> {
         ));
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    if !body.starts_with(STATE_MAGIC) {
+    let mut r = ByteReader::new(body);
+    if r.take(STATE_MAGIC.len())? != STATE_MAGIC {
         return Err(invalid("not a REXSTATE1 snapshot"));
     }
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
+    let stored = ByteReader::new(trailer).u64()?;
     let actual = fnv1a64(body);
     if stored != actual {
         return Err(invalid(format!(
             "REXSTATE1 checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
         )));
     }
-    let mut r = ByteReader::new(&body[STATE_MAGIC.len()..]);
     let count = r.u32()? as usize;
     if count > MAX_SECTIONS {
         return Err(invalid(format!("implausible section count {count}")));

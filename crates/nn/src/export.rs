@@ -262,11 +262,10 @@ impl ExportFile {
                 nbytes,
             });
         }
-        let data_start = align_up(r.position() as u64) as usize;
-        let data = bytes
-            .get(data_start..)
-            .ok_or_else(|| invalid("file truncated before the data section"))?
-            .to_vec();
+        let pad = align_up(r.position() as u64) as usize - r.position();
+        r.take(pad)
+            .map_err(|_| invalid("file truncated before the data section"))?;
+        let data = r.rest().to_vec();
         for e in &tensors {
             if e.offset % ALIGN as u64 != 0 {
                 return Err(invalid(format!("misaligned payload for {:?}", e.name)));
