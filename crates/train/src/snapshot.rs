@@ -160,8 +160,10 @@ impl TrainState {
     ///
     /// # Errors
     ///
-    /// `UnexpectedEof` on truncation; `InvalidData` on any other damage,
-    /// including a missing section.
+    /// `UnexpectedEof` when the bytes are too short to hold a container
+    /// or a section ends early; `InvalidData` on any other damage,
+    /// including a checksum mismatch (which a cut-short file usually
+    /// shows) or a missing section.
     pub fn decode(bytes: &[u8]) -> io::Result<TrainState> {
         let sections = checkpoint::decode_state(bytes)?;
         let section = |name: &str| {
