@@ -4,8 +4,8 @@
 //! on them, and REXGGUF ([`export`](crate::export)).
 //!
 //! Every read checks the bytes it needs against the bytes that remain,
-//! so no declared length or count can drive an allocation larger than
-//! the input itself. Truncation is `UnexpectedEof`; bad structure (an
+//! so no declared length or count can drive an allocation beyond a small
+//! multiple of the input's own size. Truncation is `UnexpectedEof`; bad structure (an
 //! over-long or non-UTF-8 string, trailing bytes) is `InvalidData`.
 //! Checkpoint lineage tells a `truncated` generation from a `corrupt`
 //! one by that kind.
