@@ -45,6 +45,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use rex_bench::{quantiles, r3};
 use rex_faults::{ChaosKind, ChaosPlan, KILL_EXIT_CODE};
 use rex_serve::client::request;
 use rex_telemetry::json::{fmt_f64, parse_object, Value};
@@ -392,26 +393,6 @@ fn twin_trace(scratch: &Path, seed: u64) -> Vec<u8> {
     let _ = std::fs::remove_file(&trace_path);
     let _ = std::fs::remove_file(&ckpt_path);
     bytes
-}
-
-/// Inclusive nearest-rank percentile over a sorted slice.
-fn percentile(sorted: &[f64], p: usize) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (p * (sorted.len() - 1) + 50) / 100;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn quantiles(mut samples: Vec<f64>) -> (f64, f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    let max = samples.last().copied().unwrap_or(0.0);
-    (percentile(&samples, 50), percentile(&samples, 99), max)
-}
-
-/// Rounds to 3 decimal places for the committed artifact.
-fn r3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
 }
 
 struct Report {

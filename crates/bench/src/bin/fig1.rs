@@ -2,13 +2,14 @@
 //! into the paper's headline figure — for each optimizer, the average rank
 //! (1 = best) of every schedule at each budget percentage.
 //!
-//! Run the per-setting binaries first; this binary only reads their CSVs.
+//! Run the grids first (`grid table4` … `grid table9`); this binary only
+//! reads their CSVs.
 
 use std::collections::BTreeMap;
 
-use rex_bench::Args;
+use rex_bench::{read_results, Args};
 use rex_eval::ranking::average_rank_by_budget;
-use rex_eval::store::{read_csv, to_setting_results, Record};
+use rex_eval::store::to_setting_results;
 use rex_eval::table;
 
 const INPUTS: &[&str] = &[
@@ -22,21 +23,7 @@ const INPUTS: &[&str] = &[
 
 fn main() {
     let args = Args::parse();
-    let mut records: Vec<Record> = Vec::new();
-    for name in INPUTS {
-        let path = args.out.join(name);
-        match read_csv(&path) {
-            Ok(mut r) => records.append(&mut r),
-            Err(e) => eprintln!("skipping {}: {e}", path.display()),
-        }
-    }
-    if records.is_empty() {
-        eprintln!(
-            "no results found in {} — run the per-table binaries first",
-            args.out.display()
-        );
-        std::process::exit(1);
-    }
+    let records = read_results(&args.out, INPUTS);
     let cells = to_setting_results(&records);
 
     let mut csv = String::from("optimizer,budget_pct,schedule,avg_rank\n");

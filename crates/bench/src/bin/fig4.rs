@@ -46,6 +46,7 @@ fn main() {
                             data,
                             TrainConfig {
                                 lr,
+                                dtype: args.dtype,
                                 ..TrainConfig::new(
                                     budget.epochs(),
                                     optimizer,

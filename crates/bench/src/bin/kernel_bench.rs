@@ -63,7 +63,7 @@
 
 use std::time::Instant;
 
-use rex_bench::{run_schedule_grid, Cell};
+use rex_bench::{json_escape, run_schedule_grid, Cell, GridRun, ScaleKind};
 use rex_core::ScheduleSpec;
 use rex_data::images::synth_cifar10;
 use rex_telemetry::Recorder;
@@ -71,7 +71,7 @@ use rex_tensor::backend::{self, with_backend, BackendKind};
 use rex_tensor::conv::{conv2d_backward, conv2d_forward, Window};
 use rex_tensor::ops::{batch_slice, matmul3};
 use rex_tensor::reference;
-use rex_tensor::{kernels, Prng};
+use rex_tensor::{kernels, DType, Prng};
 use rex_train::tasks::ImageModel;
 use rex_train::{Budget, OptimizerKind, TrainConfig};
 
@@ -779,16 +779,22 @@ fn bench_grid(cfg: &Config) -> GridBench {
     let trials = 2;
     let cells = schedules.len() * budgets.len() * trials;
     let run = || {
+        let grid = GridRun {
+            grid: "kernel-bench",
+            setting: "GRID-BENCH",
+            scale: ScaleKind::Smoke,
+            seed: 0xBE7C,
+            dtype: DType::F32,
+            optimizer: OptimizerKind::sgdm(),
+            trace: None,
+            resume: None,
+        };
         run_schedule_grid(
-            "GRID-BENCH",
-            OptimizerKind::sgdm(),
+            &grid,
             &schedules,
             &budgets,
             trials,
-            0xBE7C,
             true,
-            None,
-            None,
             |cell: &Cell, _rec| {
                 ImageModel::MicroResNet20
                     .train(
@@ -819,10 +825,6 @@ fn bench_grid(cfg: &Config) -> GridBench {
         serial_ms: rex_pool::with_pool_size(1, time_once),
         parallel_ms: rex_pool::with_pool_size(GRID_THREADS, time_once),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[allow(clippy::too_many_arguments)]

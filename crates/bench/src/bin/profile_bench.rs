@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 
+use rex_bench::json_escape;
 use rex_core::ScheduleSpec;
 use rex_telemetry::span::{self, Detail};
 use rex_telemetry::Recorder;
@@ -105,10 +106,6 @@ fn run_cell() -> u64 {
         )
         .expect("train digits-mlp");
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn fmt_ms(ns: u64) -> String {

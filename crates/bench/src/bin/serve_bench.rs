@@ -41,6 +41,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rex_bench::{quantiles, r3};
 use rex_serve::client::request;
 use rex_serve::{ServeConfig, Server};
 use rex_telemetry::json::{fmt_f64, parse_object, Value};
@@ -127,15 +128,6 @@ fn parse_args() -> Config {
     cfg
 }
 
-/// Inclusive nearest-rank percentile over a sorted slice.
-fn percentile(sorted: &[f64], p: usize) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (p * (sorted.len() - 1) + 50) / 100;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 struct Submitted {
     id: String,
     started: Instant,
@@ -216,17 +208,6 @@ fn await_terminal(addr: SocketAddr, sub: &Submitted) -> (String, f64) {
         }
         std::thread::sleep(POLL_PAUSE);
     }
-}
-
-fn quantiles(mut samples: Vec<f64>) -> (f64, f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    let max = samples.last().copied().unwrap_or(0.0);
-    (percentile(&samples, 50), percentile(&samples, 99), max)
-}
-
-/// Rounds to 3 decimal places for the committed artifact.
-fn r3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
 }
 
 /// Histogram bucket labels: jobs grouped by how many 429 rejections each

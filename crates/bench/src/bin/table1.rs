@@ -3,13 +3,13 @@
 //! of experiments where each schedule finished first (Top-1) or in the top
 //! three (Top-3), split into low (< 25 %) and high (≥ 25 %) budgets.
 //!
-//! Run the per-setting binaries first (`table4` … `table10_11`); this
-//! binary only reads their CSVs. As in the paper, Decay-on-Plateau results
+//! Run the grids (`grid table4` … `grid table9`) and `table10_11` first;
+//! this binary only reads their CSVs. As in the paper, Decay-on-Plateau results
 //! are folded into the Step Schedule row (best of the two per cell).
 
-use rex_bench::Args;
+use rex_bench::{read_results, Args};
 use rex_eval::ranking::{is_low_budget, top_shares, SettingResult};
-use rex_eval::store::{read_csv, to_setting_results, Record};
+use rex_eval::store::to_setting_results;
 use rex_eval::table;
 
 /// CSV files consumed, when present.
@@ -25,25 +25,7 @@ const INPUTS: &[&str] = &[
 
 fn main() {
     let args = Args::parse();
-    let mut records: Vec<Record> = Vec::new();
-    for name in INPUTS {
-        let path = args.out.join(name);
-        match read_csv(&path) {
-            Ok(mut r) => {
-                eprintln!("loaded {} records from {}", r.len(), path.display());
-                records.append(&mut r);
-            }
-            Err(e) => eprintln!("skipping {}: {e}", path.display()),
-        }
-    }
-    if records.is_empty() {
-        eprintln!(
-            "no results found in {} — run the per-table binaries first",
-            args.out.display()
-        );
-        std::process::exit(1);
-    }
-
+    let records = read_results(&args.out, INPUTS);
     let mut cells = to_setting_results(&records);
     fold_plateau_into_step(&mut cells);
 

@@ -62,6 +62,7 @@ fn main() {
                     batch_size: 8,
                     lr,
                     grad_clip: Some(1.0),
+                    dtype: args.dtype,
                     ..TrainConfig::new(epochs, OptimizerKind::adamw(), sched.clone(), seed)
                 };
                 let acc = Trainer::new(cfg)

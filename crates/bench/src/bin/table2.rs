@@ -47,12 +47,15 @@ fn main() {
                         let err = model
                             .train(
                                 &data,
-                                TrainConfig::new(
-                                    epochs,
-                                    optimizer,
-                                    ScheduleSpec::Sampled(profile, rate.clone()),
-                                    seed,
-                                ),
+                                TrainConfig {
+                                    dtype: args.dtype,
+                                    ..TrainConfig::new(
+                                        epochs,
+                                        optimizer,
+                                        ScheduleSpec::Sampled(profile, rate.clone()),
+                                        seed,
+                                    )
+                                },
                                 &mut Recorder::disabled(),
                             )
                             .expect("training cell failed");

@@ -1,9 +1,12 @@
-//! # rex-bench — experiment harness shared by the per-table binaries
+//! # rex-bench — experiment harness shared by the paper binaries
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the REX
-//! paper (see DESIGN.md §4 for the index). This library holds the pieces
-//! they share: CLI parsing ([`Args`]), experiment scales ([`ScaleKind`]),
-//! the schedule-grid runner ([`run_schedule_grid`]), and the markdown
+//! The `grid <name>` binary regenerates the paper's schedule × budget
+//! grids (Tables 4–9, Figure 3 and the ablations) from the rows of
+//! [`grid::grids`]; `table2`, `fig2`, `fig4` and `table10_11` keep their
+//! own loops, and `table1` and `fig1` aggregate the grids' CSVs (see
+//! DESIGN.md §4 for the index). This library holds the pieces they
+//! share: CLI parsing ([`Args`]), experiment scales ([`ScaleKind`]), the
+//! schedule-grid runner ([`run_schedule_grid`]), and the markdown
 //! emission helpers.
 //!
 //! Binaries accept:
@@ -18,11 +21,13 @@
 //! ```
 //!
 //! `--resume DIR` makes the grid crash-tolerant at cell granularity:
-//! every finished cell writes `<cell>.done` (its score, crash-consistent
-//! via [`rex_faults::atomic_write`]) into DIR, and a rerun pointed at the
-//! same DIR replays those scores instead of retraining. Cells are
-//! deterministic, so the resumed table is identical to an uninterrupted
-//! run's.
+//! every finished cell writes a done-marker (its score, crash-consistent
+//! via [`rex_train::marker`]) into DIR, and a rerun pointed at the same
+//! DIR replays those scores instead of retraining. Markers and traces are
+//! named by the cell's full key — grid, setting, scale, seed, dtype,
+//! optimizer, schedule, budget and trial — so runs that differ in any of
+//! them can share DIR. Cells are deterministic, so the resumed table is
+//! identical to an uninterrupted run's.
 //!
 //! `smoke` finishes in seconds (CI sanity), `fast` reproduces the paper's
 //! qualitative shape on a single CPU core in minutes, and `full` uses the
@@ -33,12 +38,14 @@
 use std::path::{Path, PathBuf};
 
 use rex_core::ScheduleSpec;
-use rex_eval::ranking::SettingResult;
 use rex_eval::stats::Summary;
 use rex_eval::store::Record;
 use rex_eval::table;
 use rex_telemetry::{JsonlSink, Recorder};
+use rex_train::marker::{self, CellKey};
 use rex_train::{Budget, OptimizerKind};
+
+pub mod grid;
 
 /// Experiment size selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +67,11 @@ impl ScaleKind {
             "full" => Some(ScaleKind::Full),
             _ => None,
         }
+    }
+
+    /// The name `parse` accepts.
+    pub fn name(&self) -> &'static str {
+        self.pick("smoke", "fast", "full")
     }
 
     /// Picks one of three values by scale.
@@ -101,124 +113,91 @@ pub struct Args {
     pub dtype: rex_tensor::DType,
 }
 
+const USAGE: &str = "usage: <bin> [--scale smoke|fast|full] [--out DIR] [--trials N] [--seed S] [--trace DIR] [--threads N] [--backend scalar|simd|auto] [--dtype f32|f16|bf16] [--resume DIR]";
+
+/// Prints `msg` and exits with status 2.
+fn exit_with(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 impl Args {
     /// Parses `std::env::args`, exiting with usage on error.
     pub fn parse() -> Args {
-        let mut scale = ScaleKind::Fast;
-        let mut out = PathBuf::from("results");
-        let mut trials = None;
-        let mut seed = 0u64;
-        let mut trace = None;
-        let mut threads = None;
-        let mut resume = None;
-        let mut backend = None;
-        let mut dtype = rex_tensor::DType::F32;
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let need_value = |i: usize| {
-                argv.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("missing value for {}", argv[i]);
-                    std::process::exit(2);
-                })
+        Args::parse_from(std::env::args().skip(1).collect())
+    }
+
+    /// Parses `argv` (the arguments after the program name), exiting with
+    /// usage on error.
+    pub fn parse_from(argv: Vec<String>) -> Args {
+        let mut args = Args {
+            scale: ScaleKind::Fast,
+            out: PathBuf::from("results"),
+            trials: None,
+            seed: 0,
+            trace: None,
+            threads: None,
+            backend: None,
+            resume: None,
+            dtype: rex_tensor::DType::F32,
+        };
+        let mut argv = argv.into_iter();
+        while let Some(flag) = argv.next() {
+            if flag == "--help" || flag == "-h" {
+                eprintln!("{USAGE}");
+                std::process::exit(0);
+            }
+            let mut value = || {
+                argv.next()
+                    .unwrap_or_else(|| exit_with(&format!("missing value for {flag}")))
             };
-            match argv[i].as_str() {
+            match flag.as_str() {
                 "--scale" => {
-                    let v = need_value(i);
-                    scale = ScaleKind::parse(&v).unwrap_or_else(|| {
-                        eprintln!("bad scale {v:?}; expected smoke|fast|full");
-                        std::process::exit(2);
+                    let v = value();
+                    args.scale = ScaleKind::parse(&v).unwrap_or_else(|| {
+                        exit_with(&format!("bad scale {v:?}; expected smoke|fast|full"))
                     });
-                    i += 2;
                 }
-                "--out" => {
-                    out = PathBuf::from(need_value(i));
-                    i += 2;
-                }
+                "--out" => args.out = PathBuf::from(value()),
                 "--trials" => {
-                    trials = Some(need_value(i).parse().unwrap_or_else(|_| {
-                        eprintln!("bad trial count");
-                        std::process::exit(2);
-                    }));
-                    i += 2;
+                    let n = value().parse();
+                    args.trials = Some(n.unwrap_or_else(|_| exit_with("bad trial count")));
                 }
-                "--seed" => {
-                    seed = need_value(i).parse().unwrap_or_else(|_| {
-                        eprintln!("bad seed");
-                        std::process::exit(2);
-                    });
-                    i += 2;
-                }
-                "--trace" => {
-                    trace = Some(PathBuf::from(need_value(i)));
-                    i += 2;
-                }
-                "--resume" => {
-                    resume = Some(PathBuf::from(need_value(i)));
-                    i += 2;
-                }
-                "--threads" => {
-                    let n: usize = need_value(i).parse().unwrap_or(0);
-                    if n == 0 {
-                        eprintln!("bad thread count (want an integer >= 1)");
-                        std::process::exit(2);
-                    }
-                    threads = Some(n);
-                    i += 2;
-                }
+                "--seed" => args.seed = value().parse().unwrap_or_else(|_| exit_with("bad seed")),
+                "--trace" => args.trace = Some(PathBuf::from(value())),
+                "--resume" => args.resume = Some(PathBuf::from(value())),
+                "--threads" => match value().parse() {
+                    Ok(n) if n >= 1 => args.threads = Some(n),
+                    _ => exit_with("bad thread count (want an integer >= 1)"),
+                },
                 "--backend" => {
-                    let v = need_value(i);
-                    backend = Some(rex_tensor::BackendKind::parse(&v).unwrap_or_else(|e| {
-                        eprintln!("--backend {v:?}: {e}");
-                        std::process::exit(2);
-                    }));
-                    i += 2;
+                    let v = value();
+                    let kind = rex_tensor::BackendKind::parse(&v)
+                        .unwrap_or_else(|e| exit_with(&format!("--backend {v:?}: {e}")));
+                    args.backend = Some(kind);
                 }
                 "--dtype" => {
-                    let v = need_value(i);
-                    dtype = rex_tensor::DType::parse(&v)
+                    let v = value();
+                    args.dtype = rex_tensor::DType::parse(&v)
                         .filter(|d| d.trainable())
                         .unwrap_or_else(|| {
-                            eprintln!("bad dtype {v:?}; expected f32|f16|bf16");
-                            std::process::exit(2);
+                            exit_with(&format!("bad dtype {v:?}; expected f32|f16|bf16"))
                         });
-                    i += 2;
                 }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: <bin> [--scale smoke|fast|full] [--out DIR] [--trials N] [--seed S] [--trace DIR] [--threads N] [--backend scalar|simd|auto] [--dtype f32|f16|bf16] [--resume DIR]"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown argument {other:?}");
-                    std::process::exit(2);
-                }
+                other => exit_with(&format!("unknown argument {other:?}")),
             }
         }
-        if let Some(n) = threads {
+        if let Some(n) = args.threads {
             if let Err(e) = rex_pool::set_num_threads(n) {
-                eprintln!("--threads {n}: {e}");
-                std::process::exit(2);
+                exit_with(&format!("--threads {n}: {e}"));
             }
         }
-        if let Some(kind) = backend {
+        if let Some(kind) = args.backend {
             if let Err(e) = rex_tensor::backend::set_backend(kind) {
-                eprintln!("--backend: {e}");
-                std::process::exit(2);
+                exit_with(&format!("--backend: {e}"));
             }
         }
-        Args {
-            scale,
-            out,
-            trials,
-            seed,
-            trace,
-            threads,
-            resume,
-            backend,
-            dtype,
-        }
+        args
     }
 }
 
@@ -245,42 +224,64 @@ pub struct Cell {
     pub seed: u64,
 }
 
-/// Sanitises one component of a trace filename: lowercase, with every
-/// non-alphanumeric run collapsed to a single `-`.
-fn slug(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('-') {
-            out.push('-');
-        }
-    }
-    out.trim_matches('-').to_string()
+/// What every cell of one setting × optimizer grid shares: all fields
+/// but the two directories are part of each cell's [`CellKey`].
+#[derive(Debug, Clone, Copy)]
+pub struct GridRun<'a> {
+    /// Grid name (`table6`).
+    pub grid: &'a str,
+    /// Setting label (`VGG16-CIFAR100`), also the records' `setting`.
+    pub setting: &'a str,
+    /// Experiment scale.
+    pub scale: ScaleKind,
+    /// Base seed; each cell derives its own from it.
+    pub seed: u64,
+    /// Parameter storage precision.
+    pub dtype: rex_tensor::DType,
+    /// Optimizer family.
+    pub optimizer: OptimizerKind,
+    /// `--trace DIR`: one JSONL trace per cell.
+    pub trace: Option<&'a Path>,
+    /// `--resume DIR`: one done-marker per finished cell.
+    pub resume: Option<&'a Path>,
 }
 
-/// The trace filename a grid cell writes under `--trace DIR`:
-/// `<setting>_<optimizer>_<schedule>_b<pct>_t<trial>.jsonl`, each piece
-/// slug-sanitised.
-pub fn cell_trace_name(setting: &str, cell: &Cell) -> String {
-    format!(
-        "{}_{}_{}_b{}_t{}.jsonl",
-        slug(setting),
-        slug(cell.optimizer.name()),
-        slug(&cell.schedule.name()),
-        cell.budget.pct(),
-        cell.trial
-    )
+impl GridRun<'_> {
+    fn key<'c>(&'c self, cell: &'c Cell) -> CellKey<'c> {
+        CellKey {
+            setting: self.setting,
+            grid: self.grid,
+            scale: self.scale.name(),
+            seed: self.seed,
+            dtype: self.dtype,
+            optimizer: cell.optimizer,
+            schedule: &cell.schedule,
+            budget_pct: cell.budget.pct(),
+            trial: cell.trial,
+        }
+    }
+}
+
+/// The trace filename a grid cell writes under `--trace DIR`: its
+/// [`CellKey::file_name`] with a `.jsonl` extension.
+pub fn cell_trace_name(run: &GridRun, cell: &Cell) -> String {
+    run.key(cell).file_name("jsonl")
+}
+
+/// The done-marker filename a finished grid cell leaves under
+/// `--resume DIR`: its [`CellKey::file_name`] with a `.done` extension.
+pub fn cell_done_name(run: &GridRun, cell: &Cell) -> String {
+    run.key(cell).file_name("done")
 }
 
 /// Builds the telemetry recorder for one grid cell: a JSONL writer under
-/// `trace_dir` when tracing is on, otherwise disabled. Falls back to a
+/// `run.trace` when tracing is on, otherwise disabled. Falls back to a
 /// disabled recorder (with a stderr warning) if the file cannot be
 /// created — telemetry must not abort an experiment run.
-pub fn cell_recorder(trace_dir: Option<&Path>, setting: &str, cell: &Cell) -> Recorder {
-    match trace_dir {
+pub fn cell_recorder(run: &GridRun, cell: &Cell) -> Recorder {
+    match run.trace {
         Some(dir) => {
-            let path = dir.join(cell_trace_name(setting, cell));
+            let path = dir.join(cell_trace_name(run, cell));
             match JsonlSink::create(&path) {
                 Ok(sink) => Recorder::new(Box::new(sink)),
                 Err(e) => {
@@ -293,42 +294,17 @@ pub fn cell_recorder(trace_dir: Option<&Path>, setting: &str, cell: &Cell) -> Re
     }
 }
 
-/// The done-marker filename a finished grid cell leaves under
-/// `--resume DIR`: the cell's [`cell_trace_name`] with a `.done` suffix.
-pub fn cell_done_name(setting: &str, cell: &Cell) -> String {
-    let mut name = cell_trace_name(setting, cell);
-    name.truncate(name.len() - ".jsonl".len());
-    name.push_str(".done");
-    name
-}
-
-/// Reads a done-marker back: the cell's score as big-endian `f64` bits in
-/// hex (exact — no decimal round-trip), one line. Returns `None` on any
-/// parse problem so a corrupt marker just re-runs the cell.
-fn read_done_marker(path: &Path) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let bits = u64::from_str_radix(text.trim(), 16).ok()?;
-    Some(f64::from_bits(bits))
-}
-
-fn write_done_marker(path: &Path, score: f64) {
-    let body = format!("{:016x}\n", score.to_bits());
-    if let Err(e) = rex_faults::atomic_write("done", path, body.as_bytes()) {
-        eprintln!("warning: cannot write done marker {}: {e}", path.display());
-    }
-}
-
 /// Runs a full schedule × budget grid for one setting/optimizer pair and
 /// returns flat records. `cell_fn` trains one cell — emitting telemetry
 /// through the supplied recorder — and returns the metric. With
-/// `trace_dir` set, each cell's recorder writes a JSONL trace named by
+/// `run.trace` set, each cell's recorder writes a JSONL trace named by
 /// [`cell_trace_name`]; otherwise the recorder is disabled (zero cost).
 ///
-/// With `resume_dir` set, each finished cell writes a crash-consistent
+/// With `run.resume` set, each finished cell writes a crash-consistent
 /// done-marker there ([`cell_done_name`]; the score as exact `f64` bits)
-/// and a later run with the same `resume_dir` replays marked cells
-/// instead of retraining them — an interrupted grid loses at most the
-/// cells that were in flight.
+/// and a later run with the same directory replays marked cells instead
+/// of retraining them — an interrupted grid loses at most the cells that
+/// were in flight.
 ///
 /// Cells are independent (each derives its own seed, recorder, and
 /// model), so they run concurrently on the [`rex_pool`] worker pool, one
@@ -341,20 +317,16 @@ fn write_done_marker(path: &Path, score: f64) {
 ///
 /// Progress is streamed to stderr so long runs are observable; lines may
 /// interleave across cells when the pool has more than one thread.
-#[allow(clippy::too_many_arguments)]
 pub fn run_schedule_grid(
-    setting: &str,
-    optimizer: OptimizerKind,
+    run: &GridRun,
     schedules: &[ScheduleSpec],
     budgets: &[Budget],
     trials: usize,
-    base_seed: u64,
     lower_is_better: bool,
-    trace_dir: Option<&Path>,
-    resume_dir: Option<&Path>,
     cell_fn: impl Fn(&Cell, &mut Recorder) -> f64 + Sync,
 ) -> Vec<Record> {
-    if let Some(dir) = resume_dir {
+    let setting = run.setting;
+    if let Some(dir) = run.resume {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: cannot create resume dir {}: {e}", dir.display());
         }
@@ -365,10 +337,10 @@ pub fn run_schedule_grid(
             for trial in 0..trials {
                 cells.push(Cell {
                     schedule: schedule.clone(),
-                    optimizer,
+                    optimizer: run.optimizer,
                     budget: *budget,
                     trial,
-                    seed: base_seed
+                    seed: run.seed
                         ^ (trial as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                         ^ ((budget.pct() as u64) << 32),
                 });
@@ -379,34 +351,26 @@ pub fn run_schedule_grid(
     let cells_ref = &cells;
     rex_pool::parallel_for_slices(&mut scores, 1, |idx, _, slot| {
         let cell = &cells_ref[idx];
-        let done_path = resume_dir.map(|d| d.join(cell_done_name(setting, cell)));
-        if let Some(score) = done_path.as_deref().and_then(read_done_marker) {
-            eprintln!(
-                "[{setting}/{}] {} @ {}: trial {} -> {:.2} (resumed)",
-                cell.optimizer.name(),
-                cell.schedule.name(),
-                cell.budget,
-                cell.trial,
-                score,
-            );
-            slot[0] = score;
-            return;
-        }
-        let mut rec = cell_recorder(trace_dir, setting, cell);
+        let done_path = run.resume.map(|d| d.join(cell_done_name(run, cell)));
         let t0 = std::time::Instant::now();
-        let score = cell_fn(cell, &mut rec);
-        rec.flush();
-        if let Some(path) = &done_path {
-            write_done_marker(path, score);
-        }
+        let (score, took) = match done_path.as_deref().and_then(marker::read) {
+            Some(score) => (score, "resumed".to_string()),
+            None => {
+                let mut rec = cell_recorder(run, cell);
+                let score = cell_fn(cell, &mut rec);
+                rec.flush();
+                if let Some(path) = &done_path {
+                    marker::write(path, score);
+                }
+                (score, format!("{:.1?}", t0.elapsed()))
+            }
+        };
         eprintln!(
-            "[{setting}/{}] {} @ {}: trial {} -> {:.2} ({:.1?})",
+            "[{setting}/{}] {} @ {}: trial {} -> {score:.2} ({took})",
             cell.optimizer.name(),
             cell.schedule.name(),
             cell.budget,
             cell.trial,
-            score,
-            t0.elapsed()
         );
         slot[0] = score;
     });
@@ -423,6 +387,31 @@ pub fn run_schedule_grid(
             lower_is_better,
         })
         .collect()
+}
+
+/// Reads the CSVs named in `names` from `dir` for an aggregate binary,
+/// skipping (with a note on stderr) any that cannot be read. Exits with
+/// status 1 when none can.
+pub fn read_results(dir: &Path, names: &[&str]) -> Vec<Record> {
+    let mut records = Vec::new();
+    for name in names {
+        let path = dir.join(name);
+        match rex_eval::store::read_csv(&path) {
+            Ok(mut r) => {
+                eprintln!("loaded {} records from {}", r.len(), path.display());
+                records.append(&mut r);
+            }
+            Err(e) => eprintln!("skipping {}: {e}", path.display()),
+        }
+    }
+    if records.is_empty() {
+        eprintln!(
+            "no results found in {} — run the grids first",
+            dir.display()
+        );
+        std::process::exit(1);
+    }
+    records
 }
 
 /// Prints a paper-style table (rows = schedules, columns = budgets) from
@@ -467,15 +456,46 @@ pub fn print_budget_table(title: &str, records: &[Record], budgets: &[Budget]) {
     }
 }
 
-/// Converts records into per-cell [`SettingResult`]s (convenience for the
-/// aggregate binaries).
-pub fn records_to_cells(records: &[Record]) -> Vec<SettingResult> {
-    rex_eval::store::to_setting_results(records)
+/// Median, 99th percentile (inclusive nearest rank) and maximum of
+/// `samples`; zeros when empty.
+pub fn quantiles(mut samples: Vec<f64>) -> (f64, f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let max = samples.last().copied().unwrap_or(0.0);
+    let rank = |p: usize| match samples.len() {
+        0 => 0.0,
+        n => samples[((p * (n - 1) + 50) / 100).min(n - 1)],
+    };
+    (rank(50), rank(99), max)
+}
+
+/// Rounds to 3 decimal places for a committed benchmark artifact.
+pub fn r3(x: f64) -> f64 {
+    (x * 1e3).round() / 1e3
+}
+
+/// Escapes `\` and `"` for a hand-written JSON string.
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rex_train::marker::read as read_done_marker;
+
+    /// A `TEST` grid run at smoke scale, SGDM, f32, untraced.
+    fn test_run(seed: u64, resume: Option<&Path>) -> GridRun<'_> {
+        GridRun {
+            grid: "test",
+            setting: "TEST",
+            scale: ScaleKind::Smoke,
+            seed,
+            dtype: rex_tensor::DType::F32,
+            optimizer: OptimizerKind::sgdm(),
+            trace: None,
+            resume,
+        }
+    }
 
     #[test]
     fn scale_parse_and_pick() {
@@ -490,15 +510,11 @@ mod tests {
         let budgets = vec![Budget::new(100, 1), Budget::new(100, 100)];
         let schedules = vec![ScheduleSpec::Rex, ScheduleSpec::Linear];
         let records = run_schedule_grid(
-            "TEST",
-            OptimizerKind::sgdm(),
+            &test_run(0, None),
             &schedules,
             &budgets,
             2,
-            0,
             true,
-            None,
-            None,
             |cell, rec| {
                 assert!(!rec.is_enabled(), "no --trace => disabled recorder");
                 cell.budget.pct() as f64 + cell.trial as f64
@@ -524,15 +540,11 @@ mod tests {
         // 1/3 is not exactly representable: a decimal round-trip would drift
         let score = |cell: &Cell| (cell.trial as f64 + 1.0) / 3.0 + cell.seed as f64;
         let first = run_schedule_grid(
-            "TEST",
-            OptimizerKind::sgdm(),
+            &test_run(7, Some(&dir)),
             &schedules,
             &budgets,
             2,
-            7,
             true,
-            None,
-            Some(&dir),
             |cell, _| {
                 runs.fetch_add(1, Ordering::Relaxed);
                 score(cell)
@@ -542,7 +554,7 @@ mod tests {
         // simulate a crash that lost one cell's marker: that cell re-runs,
         // the other three replay their stored scores bit-for-bit
         let lost = dir.join(cell_done_name(
-            "TEST",
+            &test_run(7, Some(&dir)),
             &Cell {
                 schedule: ScheduleSpec::Linear,
                 optimizer: OptimizerKind::sgdm(),
@@ -553,15 +565,11 @@ mod tests {
         ));
         std::fs::remove_file(&lost).expect("marker was written");
         let second = run_schedule_grid(
-            "TEST",
-            OptimizerKind::sgdm(),
+            &test_run(7, Some(&dir)),
             &schedules,
             &budgets,
             2,
-            7,
             true,
-            None,
-            Some(&dir),
             |cell, _| {
                 runs.fetch_add(1, Ordering::Relaxed);
                 score(cell)
@@ -588,18 +596,14 @@ mod tests {
             trial: 0,
             seed: 0,
         };
-        let marker = dir.join(cell_done_name("TEST", &cell));
+        let marker = dir.join(cell_done_name(&test_run(0, Some(&dir)), &cell));
         std::fs::write(&marker, "not-hex\n").unwrap();
         let records = run_schedule_grid(
-            "TEST",
-            OptimizerKind::sgdm(),
+            &test_run(0, Some(&dir)),
             &[ScheduleSpec::Rex],
             &[Budget::new(100, 10)],
             1,
-            0,
             true,
-            None,
-            Some(&dir),
             |_, _| 42.0,
         );
         assert_eq!(records[0].score, 42.0, "corrupt marker must not be trusted");
@@ -620,7 +624,11 @@ mod tests {
             trial: 3,
             seed: 0,
         };
-        let name = cell_trace_name("RN20-CIFAR10", &cell);
+        let run = GridRun {
+            setting: "RN20-CIFAR10",
+            ..test_run(0, None)
+        };
+        let name = cell_trace_name(&run, &cell);
         assert!(name.ends_with("_b10_t3.jsonl"), "{name}");
         assert!(name.starts_with("rn20-cifar10_"), "{name}");
         assert!(
@@ -628,8 +636,33 @@ mod tests {
                 .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c)),
             "{name}"
         );
-        let other = cell_trace_name("RN20-CIFAR10", &Cell { trial: 4, ..cell });
+        let other = cell_trace_name(&run, &Cell { trial: 4, ..cell });
         assert_ne!(name, other);
+    }
+
+    #[test]
+    fn grids_sharing_a_directory_get_distinct_trace_names() {
+        let cell = Cell {
+            schedule: ScheduleSpec::Rex,
+            optimizer: OptimizerKind::sgdm(),
+            budget: Budget::new(3, 100),
+            trial: 0,
+            seed: 0,
+        };
+        let table6 = GridRun {
+            grid: "table6",
+            setting: "VGG16-CIFAR100",
+            ..test_run(0, None)
+        };
+        let fig3 = GridRun {
+            grid: "fig3",
+            ..table6
+        };
+        assert_ne!(
+            cell_trace_name(&table6, &cell),
+            cell_trace_name(&fig3, &cell)
+        );
+        assert_ne!(cell_done_name(&table6, &cell), cell_done_name(&fig3, &cell));
     }
 
     #[test]

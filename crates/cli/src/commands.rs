@@ -3,6 +3,7 @@
 use rex_core::{all_paper_schedules, ScheduleSpec};
 use rex_eval::table;
 use rex_telemetry::{JsonlSink, Recorder};
+use rex_train::marker::{self, CellKey};
 use rex_train::range_test::lr_range_test_traced;
 use rex_train::settings::{load_setting, SettingSpec};
 use rex_train::{Budget, FtConfig, GuardPolicy, TrainState};
@@ -320,51 +321,6 @@ fn train_inner(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Lowercases and dash-collapses one component of a done-marker name.
-fn slug(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('-') {
-            out.push('-');
-        }
-    }
-    out.trim_matches('-').to_string()
-}
-
-/// The done-marker filename one sweep cell leaves under `--resume DIR`.
-fn sweep_done_name(
-    setting: &str,
-    optimizer: &rex_train::OptimizerKind,
-    spec: &ScheduleSpec,
-    budget_pct: u32,
-) -> String {
-    format!(
-        "{}_{}_{}_b{budget_pct}.done",
-        slug(setting),
-        slug(optimizer.name()),
-        slug(&spec.name())
-    )
-}
-
-/// Reads a done-marker (score as exact `f64` bits in hex); `None` on any
-/// problem, so a corrupt marker just re-runs the cell.
-fn read_done_marker(path: &Path) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let bits = u64::from_str_radix(text.trim(), 16).ok()?;
-    Some(f64::from_bits(bits))
-}
-
-/// Writes a done-marker crash-consistently; a marker only ever exists
-/// with its full contents.
-fn write_done_marker(path: &Path, score: f64) {
-    let body = format!("{:016x}\n", score.to_bits());
-    if let Err(e) = rex_faults::atomic_write("done", path, body.as_bytes()) {
-        eprintln!("warning: cannot write done marker {}: {e}", path.display());
-    }
-}
-
 /// `rexctl sweep --setting rn20-cifar10 --budgets 5,25,100`
 /// (`--resume DIR` skips cells whose done-marker is already in DIR)
 pub fn sweep(argv: &[String]) -> i32 {
@@ -425,10 +381,19 @@ fn sweep_inner(argv: &[String]) -> Result<(), String> {
         let mut row = vec![spec.name()];
         for (ci, &pct) in budgets.iter().enumerate() {
             let budget = Budget::new(setting.max_epochs(), pct);
-            let marker = resume_dir
-                .as_ref()
-                .map(|d| d.join(sweep_done_name(name, &optimizer, spec, pct)));
-            let err = match marker.as_deref().and_then(read_done_marker) {
+            let key = CellKey {
+                setting: name,
+                grid: "sweep",
+                scale: "fast",
+                seed,
+                dtype,
+                optimizer,
+                schedule: spec,
+                budget_pct: pct,
+                trial: 0,
+            };
+            let done = resume_dir.as_ref().map(|d| d.join(key.file_name("done")));
+            let err = match done.as_deref().and_then(marker::read) {
                 Some(err) => {
                     eprintln!("{} @ {budget}: {err:.2} (resumed)", spec.name());
                     err
@@ -446,8 +411,8 @@ fn sweep_inner(argv: &[String]) -> Result<(), String> {
                             &mut Recorder::disabled(),
                         )
                         .map_err(|e| e.to_string())?;
-                    if let Some(path) = &marker {
-                        write_done_marker(path, err);
+                    if let Some(path) = &done {
+                        marker::write(path, err);
                     }
                     eprintln!("{} @ {budget}: {err:.2}", spec.name());
                     err

@@ -77,3 +77,42 @@ fn digits_sweep_cell_matches_train() {
         "sweep cell printed {swept}, train printed {line:?}"
     );
 }
+
+/// A resumed sweep with another seed trains its own cell instead of
+/// replaying the first seed's marker; the same seed replays it.
+#[test]
+fn sweep_resume_does_not_replay_another_seed() {
+    let dir = std::env::temp_dir().join(format!("rex_sweep_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let resume = dir.to_str().unwrap();
+    let cell = |seed: &str, resume: Option<&str>| {
+        let mut args = vec![
+            "sweep",
+            "--setting",
+            "digits-mlp",
+            "--budgets",
+            "25",
+            "--schedules",
+            "rex",
+            "--seed",
+            seed,
+        ];
+        args.extend(resume.map(|dir| ["--resume", dir]).into_iter().flatten());
+        let out = rexctl(&args);
+        assert!(out.status.success(), "sweep failed: {}", text(&out.stderr));
+        text(&out.stderr)
+            .lines()
+            .find_map(|l| l.strip_prefix("REX @ 25% (2 ep): "))
+            .unwrap_or_else(|| panic!("no sweep cell line in {:?}", text(&out.stderr)))
+            .to_owned()
+    };
+    let fresh = cell("2", None);
+    cell("1", Some(resume));
+    assert_eq!(
+        cell("2", Some(resume)),
+        fresh,
+        "seed 2 must train, not resume"
+    );
+    assert_eq!(cell("2", Some(resume)), format!("{fresh} (resumed)"));
+    let _ = std::fs::remove_dir_all(&dir);
+}

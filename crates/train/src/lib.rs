@@ -12,8 +12,8 @@
 //! * the LR (and momentum, for OneCycle) is updated **every iteration**
 //!   from the schedule;
 //! * decay-on-plateau receives per-epoch validation losses;
-//! * results are averaged over independent trials
-//!   ([`trial::run_trials`]), each with its own seed.
+//! * results are averaged over independent trials, each with its own
+//!   seed.
 //!
 //! One loop, [`Trainer::run`], implements that protocol for every
 //! setting; what differs between settings — data, loss, evaluation, the
@@ -26,6 +26,7 @@
 mod budget;
 mod error;
 pub mod lineage;
+pub mod marker;
 pub mod range_test;
 pub mod settings;
 pub mod snapshot;
@@ -41,4 +42,3 @@ pub use trainer::{
     classification_loss, evaluate_classifier, EpochStats, FtConfig, GuardPolicy, OptimizerKind,
     Task, TrainConfig, TrainResult, Trainer,
 };
-pub use trial::EarlyStopping;

@@ -39,7 +39,8 @@ pub enum SettingSpec {
         data: ClassificationDataset,
         /// Literature-standard maximum epochs (budgets are % of this).
         max_epochs: usize,
-        /// Multiplier on the optimizer's default LR.
+        /// Multiplier on the optimizer's default LR (VGG's LRs are not a
+        /// uniform scaling and are set in [`SettingSpec::default_lr`]).
         lr_scale: f32,
     },
     /// The VAE-MNIST analogue.
@@ -99,7 +100,7 @@ pub fn load_setting(name: &str, seed: u64) -> Result<SettingSpec, String> {
             model: ImageModel::MicroVgg(12),
             data: synth_cifar100(20, 30, 10, seed ^ 0xC1F100),
             max_epochs: 40,
-            lr_scale: 0.1,
+            lr_scale: 1.0,
         },
         "vae-mnist" => SettingSpec::Vae { max_epochs: 200 },
         "digits-mlp" | "digits" => SettingSpec::Digits { max_epochs: 8 },
@@ -135,9 +136,19 @@ impl SettingSpec {
         }
     }
 
-    /// The default initial LR for this setting under `optimizer`.
+    /// The default initial LR for this setting under `optimizer`: DESIGN.md
+    /// §6's "LR (SGDM / Adam)" column, which `grid table4`…`table9` use.
     pub fn default_lr(&self, optimizer: &OptimizerKind) -> f32 {
         match self {
+            // VGG has no batch norm: both LRs sit below the
+            // plateau-locking range
+            SettingSpec::Image {
+                model: ImageModel::MicroVgg(_),
+                ..
+            } => match optimizer {
+                OptimizerKind::Sgdm { .. } => 0.01,
+                _ => 3e-3,
+            },
             SettingSpec::Image { lr_scale, .. } => optimizer.default_lr() * lr_scale,
             SettingSpec::Vae { .. } => 1e-2,
             SettingSpec::Digits { .. } => 0.1,
@@ -225,6 +236,33 @@ mod tests {
             assert!(!spec.name().is_empty());
         }
         assert!(load_setting("warp-drive", 7).is_err());
+    }
+
+    /// DESIGN.md §6's "LR (SGDM / Adam)" column. `rn38-cifar10` takes
+    /// RN20's row and `digits-mlp` (not a paper setting) 0.1 for both.
+    #[test]
+    fn default_lrs_match_design_table() {
+        let table: [(&str, f32, f32); 6] = [
+            ("rn20-cifar10", 0.1, 1e-2),
+            ("rn38-cifar10", 0.1, 1e-2),
+            ("wrn-stl10", 0.1, 1e-2),
+            ("vgg16-cifar100", 0.01, 3e-3),
+            // the one deferred exception: §6 gives SGDM 3e-3, the
+            // catalogue keeps 1e-2 because perfbench's reference pins
+            // the VAE's SGDM cell at it
+            ("vae-mnist", 1e-2, 1e-2),
+            ("digits-mlp", 0.1, 0.1),
+        ];
+        assert_eq!(
+            table.map(|(name, ..)| name),
+            SETTING_NAMES,
+            "every catalogued setting, in catalogue order"
+        );
+        for (name, sgdm, adam) in table {
+            let spec = load_setting(name, 0).unwrap();
+            assert_eq!(spec.default_lr(&OptimizerKind::sgdm()), sgdm, "{name} SGDM");
+            assert_eq!(spec.default_lr(&OptimizerKind::adam()), adam, "{name} Adam");
+        }
     }
 
     #[test]

@@ -1,11 +1,4 @@
-//! Multi-trial execution and learning-rate tuning.
-
-/// Runs `n` independent trials, seeding each as `base_seed + index`, and
-/// returns the metric values. (Single-threaded: the reproduction targets a
-/// one-core budget; the closure owns all per-trial state.)
-pub fn run_trials(n: usize, base_seed: u64, mut run: impl FnMut(u64) -> f64) -> Vec<f64> {
-    (0..n).map(|i| run(base_seed + i as u64)).collect()
-}
+//! Learning-rate tuning.
 
 /// The paper's LR grid: the base LR times multiples of 3
 /// (`…, 1/9, 1/3, 1, 3, 9, …` — here two steps each way).
@@ -19,49 +12,9 @@ pub fn lr_grid(base_lr: f32) -> Vec<f32> {
     ]
 }
 
-/// Evaluates `run` at every LR in `grid` and returns the best
-/// `(lr, metric)` pair.
-///
-/// # Panics
-///
-/// Panics if `grid` is empty or a metric is NaN.
-pub fn tune_lr(grid: &[f32], lower_is_better: bool, mut run: impl FnMut(f32) -> f64) -> (f32, f64) {
-    assert!(!grid.is_empty(), "LR grid must be non-empty");
-    let mut best: Option<(f32, f64)> = None;
-    for &lr in grid {
-        let metric = run(lr);
-        assert!(!metric.is_nan(), "metric is NaN at lr {lr}");
-        let better = match best {
-            None => true,
-            Some((_, b)) => {
-                if lower_is_better {
-                    metric < b
-                } else {
-                    metric > b
-                }
-            }
-        };
-        if better {
-            best = Some((lr, metric));
-        }
-    }
-    best.expect("non-empty grid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trials_use_distinct_seeds() {
-        let mut seeds = Vec::new();
-        let out = run_trials(3, 100, |s| {
-            seeds.push(s);
-            s as f64
-        });
-        assert_eq!(seeds, vec![100, 101, 102]);
-        assert_eq!(out, vec![100.0, 101.0, 102.0]);
-    }
 
     #[test]
     fn lr_grid_spans_two_multiples_of_three_each_way() {
@@ -69,124 +22,5 @@ mod tests {
         assert_eq!(g.len(), 5);
         assert!((g[0] - 0.1).abs() < 1e-6);
         assert!((g[4] - 8.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tune_lr_picks_minimum() {
-        // quadratic with minimum at lr = 0.3
-        let (lr, m) = tune_lr(&lr_grid(0.3), true, |lr| ((lr - 0.3) as f64).powi(2));
-        assert!((lr - 0.3).abs() < 1e-6);
-        assert!(m.abs() < 1e-12);
-    }
-
-    #[test]
-    fn tune_lr_maximizes_when_flagged() {
-        let (lr, _) = tune_lr(&[0.1, 0.2, 0.3], false, |lr| lr as f64);
-        assert!((lr - 0.3).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_grid_panics() {
-        let _ = tune_lr(&[], true, |_| 0.0);
-    }
-}
-
-/// Early stopping on a validation metric: signals stop after `patience`
-/// consecutive reports without improvement of at least `min_delta`.
-///
-/// This is an *extension* utility — the paper's protocol always trains for
-/// the full budget (stopping early would change the budget semantics) —
-/// but downstream users combining REX with early stopping need it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EarlyStopping {
-    patience: u32,
-    min_delta: f64,
-    lower_is_better: bool,
-    best: Option<f64>,
-    stale: u32,
-}
-
-impl EarlyStopping {
-    /// New monitor; `lower_is_better` selects the improvement direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `patience == 0`.
-    pub fn new(patience: u32, min_delta: f64, lower_is_better: bool) -> Self {
-        assert!(patience > 0, "patience must be positive");
-        EarlyStopping {
-            patience,
-            min_delta,
-            lower_is_better,
-            best: None,
-            stale: 0,
-        }
-    }
-
-    /// Reports a new metric value; returns `true` when training should
-    /// stop.
-    pub fn should_stop(&mut self, metric: f64) -> bool {
-        let improved = match self.best {
-            None => true,
-            Some(best) => {
-                if self.lower_is_better {
-                    metric < best - self.min_delta
-                } else {
-                    metric > best + self.min_delta
-                }
-            }
-        };
-        if improved {
-            self.best = Some(metric);
-            self.stale = 0;
-        } else {
-            self.stale += 1;
-        }
-        self.stale >= self.patience
-    }
-
-    /// Best metric seen so far.
-    pub fn best(&self) -> Option<f64> {
-        self.best
-    }
-}
-
-#[cfg(test)]
-mod early_stop_tests {
-    use super::*;
-
-    #[test]
-    fn stops_after_patience_without_improvement() {
-        let mut es = EarlyStopping::new(2, 0.0, true);
-        assert!(!es.should_stop(1.0));
-        assert!(!es.should_stop(1.0)); // stale 1
-        assert!(es.should_stop(1.0)); // stale 2 -> stop
-    }
-
-    #[test]
-    fn improvement_resets_counter() {
-        let mut es = EarlyStopping::new(2, 0.0, true);
-        assert!(!es.should_stop(1.0));
-        assert!(!es.should_stop(1.0));
-        assert!(!es.should_stop(0.5)); // improvement
-        assert!(!es.should_stop(0.5));
-        assert!(es.should_stop(0.5));
-        assert_eq!(es.best(), Some(0.5));
-    }
-
-    #[test]
-    fn higher_is_better_direction() {
-        let mut es = EarlyStopping::new(1, 0.0, false);
-        assert!(!es.should_stop(50.0));
-        assert!(!es.should_stop(60.0));
-        assert!(es.should_stop(55.0));
-    }
-
-    #[test]
-    fn min_delta_requires_meaningful_improvement() {
-        let mut es = EarlyStopping::new(1, 0.1, true);
-        assert!(!es.should_stop(1.0));
-        assert!(es.should_stop(0.95), "0.05 improvement is below min_delta");
     }
 }

@@ -11,12 +11,15 @@ SCALE="${1:-fast}"
 OUT="${2:-results}"
 mkdir -p "$OUT"
 failed=0
-for bin in table2 table4 table5 table6 table7 table8 table9 table10_11 \
-           fig2 fig3 fig4 ablations; do
-    echo "=== $bin ($SCALE) ==="
-    if ! ./target/release/$bin --scale "$SCALE" --out "$OUT" \
-        > "$OUT/$bin.md" 2> "$OUT/$bin.log"; then
-        echo "FAILED: $bin (see $OUT/$bin.log)"
+# the schedule x budget grids run as `grid <name>`; the rest are binaries
+for exp in table2 "grid table4" "grid table5" "grid table6" "grid table7" \
+           "grid table8" "grid table9" table10_11 fig2 "grid fig3" fig4 \
+           "grid ablations"; do
+    name="${exp#grid }"
+    echo "=== $name ($SCALE) ==="
+    if ! ./target/release/$exp --scale "$SCALE" --out "$OUT" \
+        > "$OUT/$name.md" 2> "$OUT/$name.log"; then
+        echo "FAILED: $name (see $OUT/$name.log)"
         failed=$((failed + 1))
     fi
 done

@@ -27,6 +27,12 @@ echo "==> multi-thread determinism (REX_NUM_THREADS=4)"
 REX_NUM_THREADS=4 cargo test --workspace --offline -q
 REX_NUM_THREADS=4 cargo test --release --offline --test golden_traces -q
 
+echo "==> paper grids (every grid row at --scale smoke vs its pinned CSV)"
+# each row of `grid <name>` (Tables 4-9, Figure 3, the ablations) must
+# write the CSV bytes pinned in crates/bench/tests/grid.rs; tier-1 runs
+# only the two cheapest rows
+cargo test --release --offline -q -p rex-bench --test grid -- --include-ignored
+
 echo "==> kernel-bench --smoke"
 # smoke numbers go to a scratch file so the committed BENCH_kernels.json
 # (generated at full reps) is never clobbered by a verification run
