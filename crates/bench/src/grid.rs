@@ -8,10 +8,9 @@
 //! one row by name.
 
 use rex_core::ScheduleSpec;
-use rex_data::digits::{synth_digits, DigitDataset};
+use rex_data::digits::synth_digits;
 use rex_data::images::{synth_cifar10, synth_cifar100, synth_imagenet, synth_stl10};
-use rex_data::scenes::{synth_scenes, SceneDataset};
-use rex_data::ClassificationDataset;
+use rex_data::scenes::synth_scenes;
 use rex_eval::store::write_csv;
 use rex_telemetry::Recorder;
 use rex_train::tasks::{DetectionTask, ImageModel, VaeTask};
@@ -72,13 +71,9 @@ enum Images {
     ImageNet,
 }
 
-/// Synthetic data, built once per block.
-enum Data {
-    Images(ClassificationDataset),
-    Digits(DigitDataset, DigitDataset),
-    /// Boxed: a scene set is several times larger than the others.
-    Scenes(Box<[SceneDataset; 2]>),
-}
+/// Trains one cell of a block from its configuration, on data the
+/// closure owns, and returns the score.
+type CellTrainer = dyn Fn(TrainConfig, &mut Recorder) -> Result<f64, TrainError> + Sync;
 
 /// `OptimizerKind::default_lr` for SGDM and Adam.
 const DEFAULT_LR: [f32; 2] = [0.1, 1e-2];
@@ -249,7 +244,7 @@ impl Grid {
             .collect();
         let mut records = Vec::new();
         for block in &self.blocks {
-            let data = self.data(block.net, args);
+            let train = self.trainer(block.net, args);
             let mut block_records = Vec::new();
             for &optimizer in &self.optimizers {
                 let run = GridRun {
@@ -263,8 +258,7 @@ impl Grid {
                     resume: args.resume.as_deref(),
                 };
                 let cell_fn = |cell: &Cell, rec: &mut Recorder| {
-                    self.train(block, args, &data, cell, rec)
-                        .expect("training cell failed")
+                    train(self.config(block, args, cell), rec).expect("training cell failed")
                 };
                 block_records.extend(run_schedule_grid(
                     &run,
@@ -291,39 +285,46 @@ impl Grid {
         args.scale.pick(smoke, fast, full)
     }
 
-    /// Synthesizes the data `net` trains on at `args`' scale and seed.
-    fn data(&self, net: Net, args: &Args) -> Data {
+    /// Synthesizes the data `net` trains on at `args`' scale and seed,
+    /// and returns what trains one cell on it.
+    fn trainer(&self, net: Net, args: &Args) -> Box<CellTrainer> {
         let [_, classes, train, test, _] = self.sizes_at(args);
         let (seed, test_seed) = (args.seed ^ self.salt, args.seed ^ (self.salt + 1));
         match net {
-            Net::Image(_, images) => Data::Images(match images {
-                Images::Cifar10 => synth_cifar10(train, test, seed),
-                Images::Stl10 => synth_stl10(train, test, seed),
-                Images::Cifar100 => synth_cifar100(classes, train, test, seed),
-                Images::ImageNet => synth_imagenet(classes, train, test, seed),
-            }),
-            Net::Vae => Data::Digits(
-                synth_digits(train, 12, seed),
-                synth_digits(test, 12, test_seed),
-            ),
-            Net::Detection { .. } => Data::Scenes(Box::new([
-                synth_scenes(train, 24, seed),
-                synth_scenes(test, 24, test_seed),
-            ])),
+            Net::Image([smoke, fast, full], images) => {
+                let data = match images {
+                    Images::Cifar10 => synth_cifar10(train, test, seed),
+                    Images::Stl10 => synth_stl10(train, test, seed),
+                    Images::Cifar100 => synth_cifar100(classes, train, test, seed),
+                    Images::ImageNet => synth_imagenet(classes, train, test, seed),
+                };
+                let model = args.scale.pick(smoke, fast, full);
+                Box::new(move |cfg, rec| model.train(&data, cfg, rec))
+            }
+            Net::Vae => {
+                let train = synth_digits(train, 12, seed);
+                let test = synth_digits(test, 12, test_seed);
+                Box::new(move |cfg, rec| {
+                    let task = VaeTask::new(&train, &test, cfg.seed);
+                    Ok(Trainer::new(cfg).run(&task, rec)?.final_metric)
+                })
+            }
+            Net::Detection { warmup } => {
+                let train = synth_scenes(train, 24, seed);
+                let test = synth_scenes(test, 24, test_seed);
+                Box::new(move |cfg, rec| {
+                    let task = DetectionTask::new(&train, &test, cfg.seed);
+                    let cfg = task.with_warmup(cfg, warmup);
+                    Ok(Trainer::new(cfg).run(&task, rec)?.final_metric)
+                })
+            }
         }
     }
 
-    /// Trains one cell of `block` and returns its score.
-    fn train(
-        &self,
-        block: &Block,
-        args: &Args,
-        data: &Data,
-        cell: &Cell,
-        rec: &mut Recorder,
-    ) -> Result<f64, TrainError> {
+    /// One cell's training configuration.
+    fn config(&self, block: &Block, args: &Args, cell: &Cell) -> TrainConfig {
         let [sgdm_lr, adam_lr] = block.lr;
-        let cfg = TrainConfig {
+        TrainConfig {
             batch_size: self.batch_size,
             lr: match cell.optimizer {
                 OptimizerKind::Sgdm { .. } => sgdm_lr,
@@ -336,22 +337,6 @@ impl Grid {
                 cell.schedule.clone(),
                 cell.seed,
             )
-        };
-        match (block.net, data) {
-            (Net::Image([smoke, fast, full], _), Data::Images(data)) => {
-                args.scale.pick(smoke, fast, full).train(data, cfg, rec)
-            }
-            (Net::Vae, Data::Digits(train, test)) => {
-                let task = VaeTask::new(train, test, cell.seed);
-                Ok(Trainer::new(cfg).run(&task, rec)?.final_metric)
-            }
-            (Net::Detection { warmup }, Data::Scenes(scenes)) => {
-                let [train, test] = &**scenes;
-                let task = DetectionTask::new(train, test, cell.seed);
-                let cfg = task.with_warmup(cfg, warmup);
-                Ok(Trainer::new(cfg).run(&task, rec)?.final_metric)
-            }
-            _ => unreachable!("Grid::data builds the data its net trains on"),
         }
     }
 }
