@@ -11,7 +11,7 @@
 //! resume every unfinished job from its last durable `REXSTATE1`
 //! snapshot. A trailing fault-free round lets the workload drain.
 //!
-//! The soak then asserts the recovery invariants the server advertises:
+//! The soak then checks the recovery invariants the server advertises:
 //!
 //! * **no job lost** — every acknowledged submission finishes `done`;
 //! * **no job duplicated** — every id handed out exactly once;
@@ -23,11 +23,13 @@
 //!   retry budget.
 //!
 //! It writes `BENCH_chaos.json` at the repository root (schema
-//! `rex-chaos-bench/v1`) recording the fault mix, observed kills and
-//! recoveries, restart-recovery latency quantiles (daemon spawn to the
-//! `rexd listening` line, ledger scan included), retry totals, and the
-//! invariant counters. `scripts/bench_guard.sh --chaos-only` re-checks
-//! the committed artifact. Any invariant violation exits non-zero.
+//! `rex-chaos-bench/v2`, one flat object) recording the fault mix,
+//! observed kills and recoveries, restart-recovery latency quantiles
+//! (daemon spawn to the `rexd listening` line, ledger scan included),
+//! retry totals, and the invariant counters. The chaos floors of
+//! [`rex_bench::floors`] hold those invariants: any broken floor exits
+//! non-zero (keeping the data dir for debugging), and `bench-guard`
+//! re-checks the committed artifact.
 //!
 //! ```text
 //! cargo run --release -p rex-bench --bin chaos-bench [-- --smoke]
@@ -45,12 +47,13 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use rex_bench::{quantiles, r3};
+use rex_bench::floors::Kind;
+use rex_bench::measure::{quantiles, Artifact, Sampling};
 use rex_faults::{ChaosKind, ChaosPlan, KILL_EXIT_CODE};
 use rex_serve::client::request;
-use rex_telemetry::json::{fmt_f64, parse_object, Value};
+use rex_telemetry::json::{parse_object, Value};
 use rex_telemetry::{JsonlSink, Recorder};
-use rex_tensor::{backend, DType};
+use rex_tensor::DType;
 use rex_train::settings::load_setting;
 use rex_train::{FtConfig, GuardPolicy, OptimizerKind};
 
@@ -395,86 +398,6 @@ fn twin_trace(scratch: &Path, seed: u64) -> Vec<u8> {
     bytes
 }
 
-struct Report {
-    rounds: usize,
-    faults_kill: usize,
-    faults_io_err: usize,
-    faults_corrupt: usize,
-    faults_slow_io: usize,
-    kills_observed: usize,
-    recoveries: usize,
-    recovery_ms: (f64, f64, f64),
-    completed: usize,
-    failed: usize,
-    lost: usize,
-    duplicated: usize,
-    orphans: usize,
-    retries_total: u64,
-    max_retries_seen: u64,
-    resumes_total: u64,
-    quarantined: usize,
-    traces_checked: usize,
-    traces_identical: bool,
-    wall_s: f64,
-}
-
-fn write_json(path: &str, cfg: &Config, report: &Report) -> std::io::Result<()> {
-    let be = backend::active();
-    let total_faults =
-        report.faults_kill + report.faults_io_err + report.faults_corrupt + report.faults_slow_io;
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str("  \"schema\": \"rex-chaos-bench/v1\",\n");
-    body.push_str(&format!("  \"backend\": \"{}\",\n", be.name()));
-    body.push_str(&format!("  \"simd_level\": \"{}\",\n", be.simd_level()));
-    body.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    body.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
-    body.push_str(&format!("  \"jobs\": {},\n", cfg.jobs));
-    body.push_str(&format!("  \"workers\": {},\n", cfg.workers));
-    body.push_str(&format!("  \"storm_rounds\": {},\n", cfg.storm_rounds));
-    body.push_str(&format!("  \"rounds\": {},\n", report.rounds));
-    body.push_str(&format!(
-        "  \"faults\": {{\"kill\": {}, \"io_err\": {}, \"corrupt\": {}, \"slow_io\": {}, \
-         \"total\": {total_faults}}},\n",
-        report.faults_kill, report.faults_io_err, report.faults_corrupt, report.faults_slow_io
-    ));
-    body.push_str(&format!(
-        "  \"kills_observed\": {},\n",
-        report.kills_observed
-    ));
-    body.push_str(&format!("  \"recoveries\": {},\n", report.recoveries));
-    body.push_str(&format!(
-        "  \"recovery_ms\": {{\"p50\": {}, \"p99\": {}, \"max\": {}}},\n",
-        fmt_f64(r3(report.recovery_ms.0)),
-        fmt_f64(r3(report.recovery_ms.1)),
-        fmt_f64(r3(report.recovery_ms.2))
-    ));
-    body.push_str(&format!("  \"completed\": {},\n", report.completed));
-    body.push_str(&format!("  \"failed\": {},\n", report.failed));
-    body.push_str(&format!("  \"lost\": {},\n", report.lost));
-    body.push_str(&format!("  \"duplicated\": {},\n", report.duplicated));
-    body.push_str(&format!("  \"orphans\": {},\n", report.orphans));
-    body.push_str(&format!("  \"retries_total\": {},\n", report.retries_total));
-    body.push_str(&format!(
-        "  \"max_retries_seen\": {},\n",
-        report.max_retries_seen
-    ));
-    body.push_str(&format!("  \"retry_budget\": {MAX_RETRIES},\n"));
-    body.push_str(&format!("  \"resumes_total\": {},\n", report.resumes_total));
-    body.push_str(&format!("  \"quarantined\": {},\n", report.quarantined));
-    body.push_str(&format!(
-        "  \"traces_checked\": {},\n",
-        report.traces_checked
-    ));
-    body.push_str(&format!(
-        "  \"traces_identical\": {},\n",
-        report.traces_identical
-    ));
-    body.push_str(&format!("  \"wall_s\": {}\n", fmt_f64(r3(report.wall_s))));
-    body.push_str("}\n");
-    std::fs::write(path, body)
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let cfg = parse_args();
@@ -654,36 +577,14 @@ fn main() {
     }
     let wall_s = wall_start.elapsed().as_secs_f64();
 
-    let report = Report {
-        rounds: plan.rounds.len(),
-        faults_kill: plan.count(ChaosKind::Kill),
-        faults_io_err: plan.count(ChaosKind::IoErr),
-        faults_corrupt: plan.count(ChaosKind::Corrupt),
-        faults_slow_io: plan.count(ChaosKind::SlowIo),
-        kills_observed,
-        recoveries: recovery_ms.len(),
-        recovery_ms: quantiles(recovery_ms.clone()),
-        completed,
-        failed,
-        lost,
-        duplicated,
-        orphans,
-        retries_total,
-        max_retries_seen,
-        resumes_total,
-        quarantined,
-        traces_checked,
-        traces_identical: mismatches == 0,
-        wall_s,
-    };
-
+    let recoveries = recovery_ms.len();
+    let recovery = quantiles(recovery_ms);
     println!(
-        "kills {} / {} scheduled   recoveries {}   recovery p50 {:.1} ms p99 {:.1} ms",
-        kills_observed,
-        report.faults_kill,
-        report.recoveries,
-        report.recovery_ms.0,
-        report.recovery_ms.1
+        "kills {kills_observed} / {} scheduled   recoveries {recoveries}   \
+         recovery p50 {:.1} ms p99 {:.1} ms",
+        plan.count(ChaosKind::Kill),
+        recovery.0,
+        recovery.1
     );
     println!(
         "jobs done {completed} failed {failed} lost {lost} duplicated {duplicated} \
@@ -696,53 +597,50 @@ fn main() {
         wall_s
     );
 
+    let mut art = Artifact::new(Kind::Chaos, &Sampling::once(cfg.smoke));
+    art.count("seed", cfg.seed as usize);
+    art.count("jobs", cfg.jobs);
+    art.count("workers", cfg.workers);
+    art.count("storm_rounds", cfg.storm_rounds);
+    art.count("rounds", plan.rounds.len());
+    let kinds = [
+        ("kill", ChaosKind::Kill),
+        ("io_err", ChaosKind::IoErr),
+        ("corrupt", ChaosKind::Corrupt),
+        ("slow_io", ChaosKind::SlowIo),
+    ];
+    for (name, kind) in kinds {
+        art.count(format!("faults.{name}"), plan.count(kind));
+    }
+    art.count("faults.total", plan.total_faults());
+    art.count("kills_observed", kills_observed);
+    art.count("recoveries", recoveries);
+    art.num("recovery_ms.p50", recovery.0);
+    art.num("recovery_ms.p99", recovery.1);
+    art.num("recovery_ms.max", recovery.2);
+    art.flag("drained", drained);
+    art.count("completed", completed);
+    art.count("failed", failed);
+    art.count("lost", lost);
+    art.count("duplicated", duplicated);
+    art.count("orphans", orphans);
+    art.count("retries_total", retries_total as usize);
+    art.count("max_retries_seen", max_retries_seen as usize);
+    art.count("retry_budget", MAX_RETRIES as usize);
+    art.count("resumes_total", resumes_total as usize);
+    art.count("quarantined", quarantined);
+    art.count("traces_checked", traces_checked);
+    art.flag("traces_identical", mismatches == 0);
+    art.num("wall_s", wall_s);
+
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
     let out = cfg.out.as_deref().unwrap_or(default_out);
-    write_json(out, &cfg, &report).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
+    let held = (art.write_checked(out)).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
     println!("wrote {out}");
-
-    // hard invariants; keep the data dir around for debugging on failure
-    let mut violations = Vec::new();
-    if !drained {
-        violations.push("workload did not drain in the clean round".to_owned());
-    }
-    if lost > 0 {
-        violations.push(format!("{lost} acknowledged job(s) not done"));
-    }
-    if duplicated > 0 {
-        violations.push(format!("{duplicated} duplicated id(s)"));
-    }
-    if failed > 0 {
-        violations.push(format!("{failed} ledger job(s) not done"));
-    }
-    if mismatches > 0 {
-        violations.push(format!(
-            "{mismatches} trace(s) differ from fault-free twins"
-        ));
-    }
-    if max_retries_seen > MAX_RETRIES {
-        violations.push(format!(
-            "a job recorded {max_retries_seen} retries, over the budget of {MAX_RETRIES}"
-        ));
-    }
-    if !cfg.smoke {
-        if cfg.jobs < 50 {
-            violations.push(format!("full run needs >= 50 jobs, got {}", cfg.jobs));
-        }
-        if plan.total_faults() < 20 {
-            violations.push(format!(
-                "full run needs >= 20 scheduled faults, got {}",
-                plan.total_faults()
-            ));
-        }
-    }
-    if violations.is_empty() {
+    if held {
         let _ = std::fs::remove_dir_all(&data_dir);
         println!("chaos-bench: all recovery invariants held");
     } else {
-        for v in &violations {
-            eprintln!("chaos-bench: INVARIANT VIOLATED: {v}");
-        }
         eprintln!("chaos-bench: state kept at {}", data_dir.display());
         std::process::exit(1);
     }

@@ -6,7 +6,7 @@
 //! threads (each request a fresh `Connection: close` socket, exactly how
 //! an external client would arrive), and polls every job to a terminal
 //! state. It then writes `BENCH_serve.json` at the repository root
-//! (schema `rex-serve-bench/v2`) recording:
+//! (schema `rex-serve-bench/v3`, one flat object) recording:
 //!
 //! * **accept latency** — first submit attempt to the `202 Accepted`
 //!   response, p50/p99/max. Includes any 429-backpressure retries, so
@@ -22,9 +22,9 @@
 //! * **provenance** — the active compute `backend` and `simd_level`, so
 //!   a committed artifact records which numerics produced it.
 //! * **integrity** — `dropped` (submitted ids the ledger never finished)
-//!   and `duplicated` (ids handed out twice) must both be 0; the process
-//!   exits non-zero otherwise. `scripts/bench_guard.sh` re-checks the
-//!   committed artifact.
+//!   and `duplicated` (ids handed out twice) must both be 0. The process
+//!   exits non-zero when any serve floor of [`rex_bench::floors`] breaks;
+//!   `bench-guard` re-checks the committed artifact.
 //!
 //! ```text
 //! cargo run --release -p rex-bench --bin serve-bench [-- --smoke]
@@ -41,11 +41,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rex_bench::{quantiles, r3};
+use rex_bench::floors::Kind;
+use rex_bench::measure::{quantiles, Artifact, Sampling};
 use rex_serve::client::request;
 use rex_serve::{ServeConfig, Server};
-use rex_telemetry::json::{fmt_f64, parse_object, Value};
-use rex_tensor::{backend, Prng};
+use rex_telemetry::json::{parse_object, Value};
+use rex_tensor::Prng;
 
 /// Per-request client timeout; generous because a saturated queue can
 /// stall accepts behind running jobs.
@@ -223,64 +224,6 @@ fn hist_bucket(retries: u64) -> usize {
     }
 }
 
-fn write_json(path: &str, cfg: &Config, report: &Report) -> std::io::Result<()> {
-    let be = backend::active();
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str("  \"schema\": \"rex-serve-bench/v2\",\n");
-    body.push_str(&format!("  \"backend\": \"{}\",\n", be.name()));
-    body.push_str(&format!("  \"simd_level\": \"{}\",\n", be.simd_level()));
-    body.push_str(&format!("  \"jobs\": {},\n", cfg.jobs));
-    body.push_str(&format!("  \"clients\": {},\n", cfg.clients));
-    body.push_str(&format!("  \"workers\": {},\n", cfg.workers));
-    body.push_str(&format!("  \"queue_depth\": {},\n", cfg.queue_depth));
-    body.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
-    body.push_str(&format!("  \"done\": {},\n", report.done));
-    body.push_str(&format!("  \"failed\": {},\n", report.failed));
-    body.push_str(&format!("  \"dropped\": {},\n", report.dropped));
-    body.push_str(&format!("  \"duplicated\": {},\n", report.duplicated));
-    body.push_str(&format!("  \"retries_429\": {},\n", report.retries));
-    let hist = HIST_BUCKETS
-        .iter()
-        .zip(report.retries_hist)
-        .map(|(label, count)| format!("\"{label}\": {count}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    body.push_str(&format!("  \"retries_histogram\": {{{hist}}},\n"));
-    body.push_str(&format!(
-        "  \"accept_ms\": {{\"p50\": {}, \"p99\": {}, \"max\": {}}},\n",
-        fmt_f64(r3(report.accept.0)),
-        fmt_f64(r3(report.accept.1)),
-        fmt_f64(r3(report.accept.2))
-    ));
-    body.push_str(&format!(
-        "  \"complete_ms\": {{\"p50\": {}, \"p99\": {}, \"max\": {}}},\n",
-        fmt_f64(r3(report.complete.0)),
-        fmt_f64(r3(report.complete.1)),
-        fmt_f64(r3(report.complete.2))
-    ));
-    body.push_str(&format!("  \"wall_s\": {},\n", fmt_f64(r3(report.wall_s))));
-    body.push_str(&format!(
-        "  \"throughput_jobs_per_s\": {}\n",
-        fmt_f64(r3(report.throughput))
-    ));
-    body.push_str("}\n");
-    std::fs::write(path, body)
-}
-
-struct Report {
-    done: usize,
-    failed: usize,
-    dropped: usize,
-    duplicated: usize,
-    retries: u64,
-    retries_hist: [usize; 6],
-    accept: (f64, f64, f64),
-    complete: (f64, f64, f64),
-    wall_s: f64,
-    throughput: f64,
-}
-
 fn main() {
     let cfg = parse_args();
     let data_dir = std::env::temp_dir().join(format!("rex-serve-bench-{}", std::process::id()));
@@ -381,18 +324,7 @@ fn main() {
 
     let accept = quantiles(submitted.iter().map(|(s, _, _)| s.accept_ms).collect());
     let complete = quantiles(submitted.iter().map(|(_, _, ms)| *ms).collect());
-    let report = Report {
-        done,
-        failed,
-        dropped,
-        duplicated,
-        retries,
-        retries_hist,
-        accept,
-        complete,
-        wall_s,
-        throughput: total as f64 / wall_s.max(1e-9),
-    };
+    let throughput = total as f64 / wall_s.max(1e-9);
 
     println!(
         "accept   p50 {:>8.2} ms   p99 {:>8.2} ms   max {:>8.2} ms   (429 retries: {retries})",
@@ -411,21 +343,34 @@ fn main() {
     );
     println!(
         "{done}/{total} done, {failed} failed, {dropped} dropped, {duplicated} duplicated, \
-         {:.1} jobs/s over {wall_s:.1} s",
-        report.throughput
+         {throughput:.1} jobs/s over {wall_s:.1} s"
     );
 
+    let mut art = Artifact::new(Kind::Serve, &Sampling::once(cfg.smoke));
+    art.count("jobs", cfg.jobs);
+    art.count("clients", cfg.clients);
+    art.count("workers", cfg.workers);
+    art.count("queue_depth", cfg.queue_depth);
+    art.count("done", done);
+    art.count("failed", failed);
+    art.count("dropped", dropped);
+    art.count("duplicated", duplicated);
+    art.count("retries_429", retries as usize);
+    for (label, count) in HIST_BUCKETS.iter().zip(retries_hist) {
+        art.count(format!("retries_histogram.{label}"), count);
+    }
+    for (name, (p50, p99, max)) in [("accept_ms", accept), ("complete_ms", complete)] {
+        art.num(format!("{name}.p50"), p50);
+        art.num(format!("{name}.p99"), p99);
+        art.num(format!("{name}.max"), max);
+    }
+    art.num("wall_s", wall_s);
+    art.num("throughput_jobs_per_s", throughput);
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     let path = cfg.out.as_deref().unwrap_or(default_path);
-    match write_json(path, &cfg, &report) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("serve-bench: failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if done != total || dropped != 0 || duplicated != 0 {
-        eprintln!("serve-bench: INTEGRITY FAILURE (see counts above)");
+    let held = (art.write_checked(path)).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+    println!("wrote {path}");
+    if !held {
         std::process::exit(1);
     }
 }

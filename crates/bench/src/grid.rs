@@ -11,7 +11,7 @@ use rex_core::ScheduleSpec;
 use rex_data::digits::synth_digits;
 use rex_data::images::{synth_cifar10, synth_cifar100, synth_imagenet, synth_stl10};
 use rex_data::scenes::synth_scenes;
-use rex_eval::store::write_csv;
+use rex_eval::store::{write_csv, Record};
 use rex_telemetry::Recorder;
 use rex_train::tasks::{DetectionTask, ImageModel, VaeTask};
 use rex_train::{Budget, OptimizerKind, TrainConfig, TrainError, Trainer};
@@ -233,6 +233,11 @@ impl Grid {
     /// Trains every cell, prints one markdown table per block on stdout
     /// and writes the records to `args.out`/[`Grid::csv`].
     ///
+    /// A setting label names one net, data set and LR pair within a grid
+    /// (the resume markers rely on it too), so a schedule that an earlier
+    /// block of the same setting trained is not trained again: its
+    /// records are reused, as the ablations' three REX rows are.
+    ///
     /// # Errors
     ///
     /// The CSV write's I/O error.
@@ -242,10 +247,17 @@ impl Grid {
         let budgets: Vec<Budget> = (args.scale.pick(smoke_pcts, pcts, pcts).iter())
             .map(|&pct| Budget::new(epochs, pct))
             .collect();
+        let mut trained: Vec<Record> = Vec::new();
         let mut records = Vec::new();
-        for block in &self.blocks {
+        for (i, block) in self.blocks.iter().enumerate() {
+            let earlier = &self.blocks[..i];
+            let fresh: Vec<ScheduleSpec> = (block.schedules.iter())
+                .filter(|s| {
+                    !(earlier.iter()).any(|b| b.setting == block.setting && b.schedules.contains(s))
+                })
+                .cloned()
+                .collect();
             let train = self.trainer(block.net, args);
-            let mut block_records = Vec::new();
             for &optimizer in &self.optimizers {
                 let run = GridRun {
                     grid: self.name,
@@ -260,15 +272,26 @@ impl Grid {
                 let cell_fn = |cell: &Cell, rec: &mut Recorder| {
                     train(self.config(block, args, cell), rec).expect("training cell failed")
                 };
-                block_records.extend(run_schedule_grid(
+                trained.extend(run_schedule_grid(
                     &run,
-                    &block.schedules,
+                    &fresh,
                     &budgets,
                     args.trials.unwrap_or(trials),
                     self.lower_is_better,
                     cell_fn,
                 ));
             }
+            let block_records = (self.optimizers.iter())
+                .flat_map(|o| block.schedules.iter().map(move |s| (o.name(), s.name())))
+                .flat_map(|(optimizer, schedule)| {
+                    trained.iter().filter(move |r| {
+                        r.setting == block.setting
+                            && r.optimizer == optimizer
+                            && r.schedule == schedule
+                    })
+                })
+                .cloned()
+                .collect::<Vec<_>>();
             records.push(block_records);
         }
         for (block, records) in self.blocks.iter().zip(&records) {

@@ -9,6 +9,12 @@
 //! schedule-grid runner ([`run_schedule_grid`]), and the markdown
 //! emission helpers.
 //!
+//! It also holds the measurement layer behind every committed
+//! `BENCH_*.json`: [`measure`] (timing, provenance, the flat-object
+//! writer), [`floors`] (the one table of floors), and the measured
+//! workloads [`kernel_matrix`] and [`profile_overhead`], which the
+//! producers and `bench-guard` share.
+//!
 //! Binaries accept:
 //!
 //! ```text
@@ -45,7 +51,11 @@ use rex_telemetry::{JsonlSink, Recorder};
 use rex_train::marker::{self, CellKey};
 use rex_train::{Budget, OptimizerKind};
 
+pub mod floors;
 pub mod grid;
+pub mod kernel_matrix;
+pub mod measure;
+pub mod profile_overhead;
 
 /// Experiment size selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -454,28 +464,6 @@ pub fn print_budget_table(title: &str, records: &[Record], budgets: &[Budget]) {
         }
         println!("{}", table::markdown(&headers, &rows));
     }
-}
-
-/// Median, 99th percentile (inclusive nearest rank) and maximum of
-/// `samples`; zeros when empty.
-pub fn quantiles(mut samples: Vec<f64>) -> (f64, f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    let max = samples.last().copied().unwrap_or(0.0);
-    let rank = |p: usize| match samples.len() {
-        0 => 0.0,
-        n => samples[((p * (n - 1) + 50) / 100).min(n - 1)],
-    };
-    (rank(50), rank(99), max)
-}
-
-/// Rounds to 3 decimal places for a committed benchmark artifact.
-pub fn r3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
-
-/// Escapes `\` and `"` for a hand-written JSON string.
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

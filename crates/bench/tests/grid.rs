@@ -94,6 +94,23 @@ fn fig3_does_not_replay_table6_markers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The ablations' three blocks all list REX under one setting: each REX
+/// cell trains once and fills all three rows (one budget and one trial at
+/// smoke scale).
+#[test]
+fn ablations_train_each_rex_cell_once() {
+    let dir = scratch("ablations_rex");
+    let (csv, stderr) = grid("ablations", &dir, &[]);
+    let trained = stderr.lines().filter(|l| l.contains("] REX @ ")).count();
+    assert_eq!(trained, 1, "{stderr}");
+    let rows = String::from_utf8_lossy(&csv)
+        .lines()
+        .filter(|l| l.contains(",REX,"))
+        .count();
+    assert_eq!(rows, 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A rerun with another seed trains its own cells; the same seed replays
 /// all of them.
 #[test]

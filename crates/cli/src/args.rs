@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 
 use rex_core::ScheduleSpec;
-use rex_train::OptimizerKind;
 
 /// Parsed `--key value` flags.
 #[derive(Debug, Default)]
@@ -57,16 +56,6 @@ pub fn parse_schedule(name: &str) -> Result<ScheduleSpec, String> {
         .map_err(|e: rex_core::ParseScheduleError| e.to_string())
 }
 
-/// Parses an optimizer family name.
-pub fn parse_optimizer(name: &str) -> Result<OptimizerKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "sgdm" | "sgd" => Ok(OptimizerKind::sgdm()),
-        "adam" => Ok(OptimizerKind::adam()),
-        "adamw" => Ok(OptimizerKind::adamw()),
-        other => Err(format!("unknown optimizer {other:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,12 +93,5 @@ mod tests {
             ScheduleSpec::Delayed(_, d) if (d - 0.5).abs() < 1e-12
         ));
         assert!(parse_schedule("warp-drive").is_err());
-    }
-
-    #[test]
-    fn optimizer_vocabulary() {
-        assert_eq!(parse_optimizer("sgdm").unwrap().name(), "SGDM");
-        assert_eq!(parse_optimizer("ADAM").unwrap().name(), "Adam");
-        assert!(parse_optimizer("lion").is_err());
     }
 }

@@ -6,10 +6,10 @@ use rex_telemetry::{JsonlSink, Recorder};
 use rex_train::marker::{self, CellKey};
 use rex_train::range_test::lr_range_test_traced;
 use rex_train::settings::{load_setting, SettingSpec};
-use rex_train::{Budget, FtConfig, GuardPolicy, TrainState};
+use rex_train::{Budget, FtConfig, GuardPolicy, OptimizerKind, TrainState};
 use std::path::{Path, PathBuf};
 
-use crate::args::{parse_optimizer, parse_schedule, Flags};
+use crate::args::{parse_schedule, Flags};
 
 /// Applies the optional `--threads <n>` flag to the worker pool. The flag
 /// overrides `REX_NUM_THREADS`; it must come before the pool first runs a
@@ -279,7 +279,7 @@ fn train_inner(argv: &[String]) -> Result<(), String> {
         ));
     }
     let spec = parse_schedule(flags.get("schedule").unwrap_or("rex"))?;
-    let optimizer = parse_optimizer(flags.get("optimizer").unwrap_or("sgdm"))?;
+    let optimizer = OptimizerKind::parse(flags.get("optimizer").unwrap_or("sgdm"))?;
     let dtype = dtype_from_flags(&flags)?;
     let mut ft = ft_from_flags(&flags)?;
     resolve_resume(&mut ft)?;
@@ -339,7 +339,7 @@ fn sweep_inner(argv: &[String]) -> Result<(), String> {
     backend_from_flags(&flags)?;
     let seed: u64 = flags.get_or("seed", 0u64)?;
     let setting = load_setting(flags.require("setting")?, seed)?;
-    let optimizer = parse_optimizer(flags.get("optimizer").unwrap_or("sgdm"))?;
+    let optimizer = OptimizerKind::parse(flags.get("optimizer").unwrap_or("sgdm"))?;
     let dtype = dtype_from_flags(&flags)?;
     let budgets: Vec<u32> = flags
         .get("budgets")
@@ -527,7 +527,7 @@ fn range_test_inner(argv: &[String]) -> Result<(), String> {
     backend_from_flags(&flags)?;
     let seed: u64 = flags.get_or("seed", 0u64)?;
     let setting = load_setting(flags.require("setting")?, seed)?;
-    let optimizer = parse_optimizer(flags.get("optimizer").unwrap_or("sgdm"))?;
+    let optimizer = OptimizerKind::parse(flags.get("optimizer").unwrap_or("sgdm"))?;
     let SettingSpec::Image {
         name, model, data, ..
     } = setting

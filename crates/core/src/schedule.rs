@@ -150,12 +150,6 @@ impl StepSchedule {
     pub fn fifty_seventy_five() -> Self {
         StepSchedule::new(&[0.5, 0.75], 0.1)
     }
-
-    /// The ImageNet-style 30-60-90 recipe expressed fractionally
-    /// (drops at 1/3 and 2/3 of the budget).
-    pub fn thirty_sixty_ninety() -> Self {
-        StepSchedule::new(&[1.0 / 3.0, 2.0 / 3.0], 0.1)
-    }
 }
 
 impl Schedule for StepSchedule {

@@ -377,13 +377,6 @@ pub fn poison_grad(step: u64) -> Option<usize> {
     Some(param)
 }
 
-/// Resets all injection counters (per-label write ordinals and NaN fire
-/// counts). Only needed by tests that drive the env-configured plan
-/// through several runs in one process.
-pub fn reset_counters() {
-    lock().counters = Counters::default();
-}
-
 fn bump_write(label: &str) -> u64 {
     let mut reg = lock();
     let n = reg.counters.writes.entry(label.to_owned()).or_insert(0);

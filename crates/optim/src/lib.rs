@@ -457,13 +457,6 @@ impl Adam {
         self
     }
 
-    /// Overrides β₂ and ε.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t

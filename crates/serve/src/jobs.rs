@@ -25,20 +25,6 @@ use rex_train::{FtConfig, GuardPolicy, OptimizerKind, TrainError, TrainState};
 /// manifests written before the field existed).
 pub const DEFAULT_MAX_RETRIES: u64 = 3;
 
-/// Parses an optimizer family name (the `rexctl` vocabulary).
-///
-/// # Errors
-///
-/// Names the unknown optimizer.
-pub fn parse_optimizer(name: &str) -> Result<OptimizerKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "sgdm" | "sgd" => Ok(OptimizerKind::sgdm()),
-        "adam" => Ok(OptimizerKind::adam()),
-        "adamw" => Ok(OptimizerKind::adamw()),
-        other => Err(format!("unknown optimizer {other:?}")),
-    }
-}
-
 /// A validated training-job specification, as submitted over HTTP.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -157,7 +143,7 @@ impl JobSpec {
     pub fn validate(&self) -> Result<(), String> {
         load_setting(&self.setting, 0)?;
         self.parsed_schedule()?;
-        parse_optimizer(&self.optimizer)?;
+        OptimizerKind::parse(&self.optimizer)?;
         if self.budget == 0 || self.budget > 100 {
             return Err(format!("budget must be in 1..=100, got {}", self.budget));
         }
@@ -763,7 +749,7 @@ pub fn run_job(
 
     let outcome = (|| -> Result<f64, TrainError> {
         let setting = load_setting(&spec.setting, spec.seed).map_err(TrainError::Config)?;
-        let optimizer = parse_optimizer(&spec.optimizer).map_err(TrainError::Config)?;
+        let optimizer = OptimizerKind::parse(&spec.optimizer).map_err(TrainError::Config)?;
         let schedule = spec.parsed_schedule().map_err(TrainError::Config)?;
         let lr = spec.lr.unwrap_or_else(|| setting.default_lr(&optimizer));
         let dtype = spec.parsed_dtype().map_err(TrainError::Config)?;

@@ -3,7 +3,8 @@
 //!
 //! Supported: one-level objects whose values are strings, finite numbers,
 //! booleans, or `null`. That is exactly the shape of every telemetry event
-//! line; nested containers are intentionally rejected.
+//! line and every committed `BENCH_*.json` artifact; nested containers are
+//! intentionally rejected.
 
 use std::collections::BTreeMap;
 
@@ -63,6 +64,16 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The value as JSON text.
+    pub fn to_json(&self) -> String {
+        match self {
+            Value::Str(s) => format!("\"{}\"", escape(s)),
+            Value::Num(n) => fmt_f64(*n),
+            Value::Bool(b) => b.to_string(),
+            Value::Null => "null".to_owned(),
+        }
+    }
 }
 
 /// Escapes `s` as the contents of a JSON string literal (quotes excluded).
@@ -92,6 +103,15 @@ pub fn fmt_f64(v: f64) -> String {
     } else {
         "null".to_owned()
     }
+}
+
+/// Writes `fields` as a one-level JSON object, one key per line in the
+/// given order; [`parse_object`] reads it back.
+pub fn write_object(fields: &[(String, Value)]) -> String {
+    let lines: Vec<String> = (fields.iter())
+        .map(|(key, value)| format!("  \"{}\": {}", escape(key), value.to_json()))
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
 /// Parses a one-level JSON object into a key → [`Value`] map.
@@ -307,6 +327,24 @@ mod tests {
         }
         assert_eq!(fmt_f64(f64::NAN), "null");
         assert_eq!(fmt_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn written_objects_parse_back() {
+        let fields = vec![
+            ("a.b".to_owned(), Value::Str("x\"y".to_owned())),
+            ("n".to_owned(), Value::Num(0.25)),
+            ("ok".to_owned(), Value::Bool(false)),
+            ("gone".to_owned(), Value::Null),
+        ];
+        let text = write_object(&fields);
+        assert!(text.starts_with("{\n  \"a.b\": \"x\\\"y\",\n"), "{text}");
+        let m = parse_object(&text).unwrap();
+        assert_eq!(m.len(), 4);
+        assert_eq!(m["a.b"].as_str(), Some("x\"y"));
+        assert_eq!(m["n"].as_f64(), Some(0.25));
+        assert_eq!(m["ok"].as_bool(), Some(false));
+        assert_eq!(m["gone"], Value::Null);
     }
 
     #[test]

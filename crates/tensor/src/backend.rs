@@ -163,19 +163,6 @@ pub trait ComputeBackend: Sync {
     /// Minimum element (`+inf` for an empty slice).
     fn min(&self, x: &[f32]) -> f32;
 
-    // -- Precision conversions -------------------------------------------
-
-    /// `dst[i] = f16_bits(src[i])`, round-to-nearest-even. Conversions are
-    /// pure per-element bit functions, so every backend produces identical
-    /// bits (unlike reductions, which only agree within a backend).
-    fn f32_to_f16_slice(&self, src: &[f32], dst: &mut [u16]);
-    /// `dst[i] = f32(src[i])` from IEEE binary16 bits (exact).
-    fn f16_to_f32_slice(&self, src: &[u16], dst: &mut [f32]);
-    /// `dst[i] = bf16_bits(src[i])`, round-to-nearest-even.
-    fn f32_to_bf16_slice(&self, src: &[f32], dst: &mut [u16]);
-    /// `dst[i] = f32(src[i])` from bfloat16 bits (exact).
-    fn bf16_to_f32_slice(&self, src: &[u16], dst: &mut [f32]);
-
     // -- Quantized GEMM --------------------------------------------------
 
     /// `C[rows, n] = A[rows, k] · Bq[n, k]ᵀ` over a contiguous row range of
@@ -339,30 +326,6 @@ impl ComputeBackend for ScalarBackend {
 
     fn min(&self, x: &[f32]) -> f32 {
         x.iter().fold(f32::INFINITY, |m, &v| m.min(v))
-    }
-
-    fn f32_to_f16_slice(&self, src: &[f32], dst: &mut [u16]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = crate::dtype::f32_to_f16_bits(s);
-        }
-    }
-
-    fn f16_to_f32_slice(&self, src: &[u16], dst: &mut [f32]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = crate::dtype::f16_bits_to_f32(s);
-        }
-    }
-
-    fn f32_to_bf16_slice(&self, src: &[f32], dst: &mut [u16]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = crate::dtype::f32_to_bf16_bits(s);
-        }
-    }
-
-    fn bf16_to_f32_slice(&self, src: &[u16], dst: &mut [f32]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = crate::dtype::bf16_bits_to_f32(s);
-        }
     }
 
     fn qgemm_nt_rows(
@@ -548,22 +511,6 @@ impl ComputeBackend for SimdBackend {
 
     fn min(&self, x: &[f32]) -> f32 {
         simd::min(x)
-    }
-
-    fn f32_to_f16_slice(&self, src: &[f32], dst: &mut [u16]) {
-        simd::f32_to_f16_slice(src, dst);
-    }
-
-    fn f16_to_f32_slice(&self, src: &[u16], dst: &mut [f32]) {
-        simd::f16_to_f32_slice(src, dst);
-    }
-
-    fn f32_to_bf16_slice(&self, src: &[f32], dst: &mut [u16]) {
-        simd::f32_to_bf16_slice(src, dst);
-    }
-
-    fn bf16_to_f32_slice(&self, src: &[u16], dst: &mut [f32]) {
-        simd::bf16_to_f32_slice(src, dst);
     }
 
     fn qgemm_nt_rows(

@@ -389,15 +389,6 @@ pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     matmul3(a, b)
 }
 
-/// Batched `g × bᵀ` (alias of [`matmul3_nt`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::MatmulMismatch`] on incompatible shapes.
-pub fn batch_matmul_nt(g: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    matmul3_nt(g, b)
-}
-
 /// Batched `aᵀ × g` (alias of [`matmul3_tn`]).
 ///
 /// # Errors

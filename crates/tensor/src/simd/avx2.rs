@@ -253,14 +253,6 @@ recompiled! {
     fn log_softmax_row(row: &[f32], out: &mut [f32]);
     /// AVX2-compiled [`portable::mean_var_row`].
     fn mean_var_row(row: &[f32]) -> (f32, f32);
-    /// AVX2-compiled [`portable::f32_to_f16_slice`].
-    fn f32_to_f16_slice(src: &[f32], dst: &mut [u16]);
-    /// AVX2-compiled [`portable::f16_to_f32_slice`].
-    fn f16_to_f32_slice(src: &[u16], dst: &mut [f32]);
-    /// AVX2-compiled [`portable::f32_to_bf16_slice`].
-    fn f32_to_bf16_slice(src: &[f32], dst: &mut [u16]);
-    /// AVX2-compiled [`portable::bf16_to_f32_slice`].
-    fn bf16_to_f32_slice(src: &[u16], dst: &mut [f32]);
     /// AVX2-compiled [`portable::qgemm_nt_rows`].
     fn qgemm_nt_rows(
         k: usize,

@@ -313,14 +313,6 @@ dispatch! {
     fn log_softmax_row(row: &[f32], out: &mut [f32]);
     /// `(mean, biased variance)` of one row.
     fn mean_var_row(row: &[f32]) -> (f32, f32);
-    /// f32 → IEEE binary16 bits, round-to-nearest-even.
-    fn f32_to_f16_slice(src: &[f32], dst: &mut [u16]);
-    /// IEEE binary16 bits → f32 (exact).
-    fn f16_to_f32_slice(src: &[u16], dst: &mut [f32]);
-    /// f32 → bfloat16 bits, round-to-nearest-even.
-    fn f32_to_bf16_slice(src: &[f32], dst: &mut [u16]);
-    /// bfloat16 bits → f32 (exact).
-    fn bf16_to_f32_slice(src: &[u16], dst: &mut [f32]);
     /// Q8_0 NT GEMM over a contiguous row range of `C` (serial; caller shards rows).
     fn qgemm_nt_rows(
         k: usize,

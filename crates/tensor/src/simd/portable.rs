@@ -88,38 +88,6 @@ pub(crate) fn relu(src: &[f32], out: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Precision conversions (pure elementwise — bitwise identical on any path)
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-pub(crate) fn f32_to_f16_slice(src: &[f32], dst: &mut [u16]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = crate::dtype::f32_to_f16_bits(s);
-    }
-}
-
-#[inline(always)]
-pub(crate) fn f16_to_f32_slice(src: &[u16], dst: &mut [f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = crate::dtype::f16_bits_to_f32(s);
-    }
-}
-
-#[inline(always)]
-pub(crate) fn f32_to_bf16_slice(src: &[f32], dst: &mut [u16]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = crate::dtype::f32_to_bf16_bits(s);
-    }
-}
-
-#[inline(always)]
-pub(crate) fn bf16_to_f32_slice(src: &[u16], dst: &mut [f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = crate::dtype::bf16_bits_to_f32(s);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Quantized GEMM (Q8_0 NT)
 // ---------------------------------------------------------------------------
 

@@ -492,13 +492,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Combines two same-shaped tensors elementwise with `f`.
     ///
     /// # Errors
@@ -773,16 +766,6 @@ impl Tensor {
         let mut shape: Vec<usize> = self.shape.clone();
         shape.remove(axis);
         Ok(Tensor { data: out, shape })
-    }
-
-    /// Means along `axis`, removing it from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= ndim`.
-    pub fn mean_axis(&self, axis: usize) -> Result<Tensor, TensorError> {
-        let n = self.shape.get(axis).copied().unwrap_or(0).max(1) as f32;
-        Ok(self.sum_axis(axis)?.scale(1.0 / n))
     }
 
     /// Reduces `grad` (shaped like a broadcast output) back to `target`

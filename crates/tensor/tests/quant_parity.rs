@@ -1,5 +1,4 @@
-//! Parity suite for the quantized GEMM dispatch and the f16/bf16
-//! conversion kernels.
+//! Parity suite for the quantized GEMM dispatch.
 //!
 //! Two contracts are enforced:
 //!
@@ -11,8 +10,7 @@
 //!   identical at pool sizes 1/2/3/7 (both shard grids depend only on
 //!   the shape). Across backends the usual contract applies: scalar's
 //!   serial fold and SIMD's lane-grouped fold associate differently, so
-//!   they agree to rounding; the pure-bit *conversions*, by contrast,
-//!   must agree bitwise everywhere.
+//!   they agree to rounding.
 //!
 //! The shape grid deliberately hits all three `qgemm_nt` dispatch arms:
 //! serial (below `PAR_FLOPS`), column-sharded GEMV (`m ≤ 64`, large
@@ -21,7 +19,7 @@
 //! 64-column chunk.
 
 use rex_tensor::backend::{self, BackendKind};
-use rex_tensor::dtype::{dequantize_q8_0, f16_bits_to_f32, quantize_q8_0, QK};
+use rex_tensor::dtype::{dequantize_q8_0, quantize_q8_0, QK};
 use rex_tensor::{kernels, Prng};
 
 /// Pool sizes for the bitwise-identity court: serial, even split, and
@@ -118,83 +116,5 @@ fn qgemm_matches_dequant_oracle_and_is_invariant() {
                 "{ctx} scalar-vs-simd: index {i}: {x} vs {y}"
             );
         }
-    }
-}
-
-/// Conversion fuzz input: normals at several magnitudes plus every
-/// special shape a float can take (signed zero, ±inf, NaN, f32
-/// subnormals, values inside the f16-subnormal window, and exact
-/// rounding ties).
-fn conversion_fixture() -> Vec<f32> {
-    let mut rng = Prng::new(0xC0417);
-    let mut xs: Vec<f32> = Vec::new();
-    for &mag in &[1.0f32, 1e-4, 6e-8, 1e-40, 1e4, 1e38] {
-        xs.extend((0..997).map(|_| rng.normal() * mag));
-    }
-    xs.extend([
-        0.0,
-        -0.0,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::NAN,
-        f32::MIN_POSITIVE,           // smallest f32 normal
-        f32::from_bits(0x0000_0001), // smallest f32 subnormal
-        f32::from_bits(0x3300_0000), // f16 tie-to-zero midpoint (2^-25)
-        f32::from_bits(0x3f80_8000), // bf16 tie below an even target
-        f32::from_bits(0x3f81_8000), // bf16 tie above an odd target
-        65504.0,                     // f16 max
-        65520.0,                     // f16 overflow midpoint
-    ]);
-    xs
-}
-
-#[test]
-fn conversions_bitwise_identical_across_backends() {
-    let xs = conversion_fixture();
-    let scalar = backend::for_kind(BackendKind::Scalar);
-    let simd = backend::for_kind(BackendKind::Simd);
-
-    // narrow: f32 → f16/bf16 bits must agree exactly
-    let mut h_s = vec![0u16; xs.len()];
-    let mut h_v = vec![0u16; xs.len()];
-    scalar.f32_to_f16_slice(&xs, &mut h_s);
-    simd.f32_to_f16_slice(&xs, &mut h_v);
-    assert_eq!(h_s, h_v, "f32→f16 bits diverge across backends");
-
-    let mut b_s = vec![0u16; xs.len()];
-    let mut b_v = vec![0u16; xs.len()];
-    scalar.f32_to_bf16_slice(&xs, &mut b_s);
-    simd.f32_to_bf16_slice(&xs, &mut b_v);
-    assert_eq!(b_s, b_v, "f32→bf16 bits diverge across backends");
-
-    // widen: every 16-bit pattern (finite and special) must agree bitwise
-    let all16: Vec<u16> = (0..=u16::MAX).collect();
-    let mut w_s = vec![0.0f32; all16.len()];
-    let mut w_v = vec![0.0f32; all16.len()];
-    scalar.f16_to_f32_slice(&all16, &mut w_s);
-    simd.f16_to_f32_slice(&all16, &mut w_v);
-    for (i, (x, y)) in w_s.iter().zip(&w_v).enumerate() {
-        assert!(
-            x.to_bits() == y.to_bits(),
-            "f16→f32 bits {i:#06x}: {x:?} vs {y:?}"
-        );
-    }
-    // and match the reference bit function
-    for (i, &h) in all16.iter().enumerate() {
-        let r = f16_bits_to_f32(h);
-        assert!(
-            r.to_bits() == w_s[i].to_bits() || (r.is_nan() && w_s[i].is_nan()),
-            "f16→f32 {h:#06x}: slice {:?} vs scalar fn {r:?}",
-            w_s[i]
-        );
-    }
-
-    scalar.bf16_to_f32_slice(&all16, &mut w_s);
-    simd.bf16_to_f32_slice(&all16, &mut w_v);
-    for (i, (x, y)) in w_s.iter().zip(&w_v).enumerate() {
-        assert!(
-            x.to_bits() == y.to_bits(),
-            "bf16→f32 bits {i:#06x}: {x:?} vs {y:?}"
-        );
     }
 }

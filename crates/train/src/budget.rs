@@ -47,14 +47,6 @@ impl Budget {
     pub fn max_epochs(&self) -> usize {
         self.max_epochs
     }
-
-    /// The paper's six budget levels for a given maximum epoch count.
-    pub fn paper_levels(max_epochs: usize) -> Vec<Budget> {
-        [1, 5, 10, 25, 50, 100]
-            .into_iter()
-            .map(|pct| Budget::new(max_epochs, pct))
-            .collect()
-    }
 }
 
 impl std::fmt::Display for Budget {
@@ -78,14 +70,6 @@ mod tests {
     #[test]
     fn full_budget_is_max() {
         assert_eq!(Budget::new(90, 100).epochs(), 90);
-    }
-
-    #[test]
-    fn paper_levels_are_six() {
-        let levels = Budget::paper_levels(300);
-        assert_eq!(levels.len(), 6);
-        let epochs: Vec<usize> = levels.iter().map(Budget::epochs).collect();
-        assert_eq!(epochs, vec![3, 15, 30, 75, 150, 300]);
     }
 
     #[test]

@@ -39,9 +39,6 @@ pub enum SettingSpec {
         data: ClassificationDataset,
         /// Literature-standard maximum epochs (budgets are % of this).
         max_epochs: usize,
-        /// Multiplier on the optimizer's default LR (VGG's LRs are not a
-        /// uniform scaling and are set in [`SettingSpec::default_lr`]).
-        lr_scale: f32,
     },
     /// The VAE-MNIST analogue.
     Vae {
@@ -79,28 +76,24 @@ pub fn load_setting(name: &str, seed: u64) -> Result<SettingSpec, String> {
             model: ImageModel::MicroResNet20,
             data: synth_cifar10(40, 15, seed ^ 0x7AB4),
             max_epochs: 24,
-            lr_scale: 1.0,
         },
         "rn38-cifar10" => SettingSpec::Image {
             name: "RN38-CIFAR10",
             model: ImageModel::MicroResNet38,
             data: synth_cifar10(40, 15, seed ^ 0x7AB4),
             max_epochs: 24,
-            lr_scale: 1.0,
         },
         "wrn-stl10" => SettingSpec::Image {
             name: "WRN-STL10",
             model: ImageModel::MicroWide(2),
             data: synth_stl10(25, 10, seed ^ 0x57110),
             max_epochs: 20,
-            lr_scale: 1.0,
         },
         "vgg16-cifar100" => SettingSpec::Image {
             name: "VGG16-CIFAR100",
             model: ImageModel::MicroVgg(12),
             data: synth_cifar100(20, 30, 10, seed ^ 0xC1F100),
             max_epochs: 40,
-            lr_scale: 1.0,
         },
         "vae-mnist" => SettingSpec::Vae { max_epochs: 200 },
         "digits-mlp" | "digits" => SettingSpec::Digits { max_epochs: 8 },
@@ -149,7 +142,7 @@ impl SettingSpec {
                 OptimizerKind::Sgdm { .. } => 0.01,
                 _ => 3e-3,
             },
-            SettingSpec::Image { lr_scale, .. } => optimizer.default_lr() * lr_scale,
+            SettingSpec::Image { .. } => optimizer.default_lr(),
             SettingSpec::Vae { .. } => 1e-2,
             SettingSpec::Digits { .. } => 0.1,
         }

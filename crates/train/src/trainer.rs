@@ -55,6 +55,22 @@ impl OptimizerKind {
         OptimizerKind::AdamW { weight_decay: 0.01 }
     }
 
+    /// Parses an optimizer family name, in any case: `sgdm` (or `sgd`),
+    /// `adam`, `adamw`. This is the vocabulary of `rexctl --optimizer`
+    /// and of rexd job specs.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown optimizer.
+    pub fn parse(name: &str) -> Result<OptimizerKind, String> {
+        match name.to_ascii_lowercase().as_str() {
+            "sgdm" | "sgd" => Ok(OptimizerKind::sgdm()),
+            "adam" => Ok(OptimizerKind::adam()),
+            "adamw" => Ok(OptimizerKind::adamw()),
+            other => Err(format!("unknown optimizer {other:?}")),
+        }
+    }
+
     /// Display name matching the paper's table headers.
     pub fn name(&self) -> &'static str {
         match self {
@@ -1235,5 +1251,12 @@ mod tests {
         assert_eq!(OptimizerKind::adam().name(), "Adam");
         assert_eq!(OptimizerKind::adamw().name(), "AdamW");
         assert!(OptimizerKind::sgdm().default_lr() > OptimizerKind::adam().default_lr());
+    }
+
+    #[test]
+    fn optimizer_vocabulary() {
+        assert_eq!(OptimizerKind::parse("sgdm").unwrap().name(), "SGDM");
+        assert_eq!(OptimizerKind::parse("ADAM").unwrap().name(), "Adam");
+        assert!(OptimizerKind::parse("lion").is_err());
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification gate: format, lint, build, test, and a smoke run of the
-# kernel benchmark. Everything runs with --offline — the workspace has no
+# Repo verification gate: format, lint, build, test, smoke runs of the
+# benchmark producers, and bench-guard over the committed benchmark
+# artifacts. Everything runs with --offline — the workspace has no
 # external dependencies, so a cold cargo registry must never fail it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,11 +36,10 @@ cargo test --release --offline -q -p rex-bench --test grid -- --include-ignored
 
 echo "==> kernel-bench --smoke"
 # smoke numbers go to a scratch file so the committed BENCH_kernels.json
-# (generated at full reps) is never clobbered by a verification run
+# (generated at full reps) is never clobbered by a verification run; the
+# kernel rows cover every backend at 1, 2 and 4 pool threads
 cargo run --release --offline -p rex-bench --bin kernel-bench -- \
   --smoke --out "$tmp_dir/bench_smoke.json"
-cargo run --release --offline -p rex-bench --bin kernel-bench -- \
-  --smoke --threads 4 --out "$tmp_dir/bench_smoke_t4.json"
 
 echo "==> backend matrix (forced scalar / simd dispatch)"
 # the parity and golden suites again under each forced backend: the env
@@ -57,9 +57,6 @@ cargo run --release --offline -p rex-cli --bin rexctl -- \
   train --setting rn20-cifar10 --budget 5 --schedule rex --seed 7 \
   --backend scalar --threads 4 --trace "$tmp_dir/run_scalar.jsonl" >/dev/null
 grep -q '"ev":"step"' "$tmp_dir/run_scalar.jsonl"
-
-echo "==> bench-guard (GEMM + quantized-matmul floors vs committed BENCH_kernels.json)"
-scripts/bench_guard.sh
 
 echo "==> trace-check (golden telemetry traces + CLI --trace)"
 # the golden suite in release mode: committed traces must match the
@@ -172,9 +169,6 @@ echo "==> serve-bench --smoke"
 cargo run --release --offline -q -p rex-bench --bin serve-bench -- \
   --smoke --out "$tmp_dir/serve_smoke.json"
 
-echo "==> bench-guard (GEMM floor + BENCH_serve.json integrity)"
-scripts/bench_guard.sh --serve-only
-
 echo "==> profile (span profiler + rexctl trace tooling)"
 # a profiled run must leave the JSONL trace byte-identical to an
 # unprofiled one (spans never pass through the Recorder), and must write
@@ -236,12 +230,14 @@ echo "==> chaos-bench --smoke"
 cargo run --release --offline -q -p rex-bench --bin chaos-bench -- \
   --smoke --out "$tmp_dir/chaos_smoke.json"
 
-echo "==> bench-guard (BENCH_chaos.json integrity)"
-scripts/bench_guard.sh --chaos-only
-# profiler overhead: smoke numbers to scratch, then the 3 % floor on the
-# committed BENCH_profile.json plus a fresh run
+echo "==> profile-bench --smoke"
 cargo run --release --offline -q -p rex-bench --bin profile-bench -- \
   --smoke --out "$tmp_dir/profile_smoke.json" >/dev/null
-scripts/bench_guard.sh --profile-only
+
+echo "==> bench-guard (every committed BENCH_*.json against its floors)"
+# each committed artifact is held to the floor table in
+# crates/bench/src/floors.rs; the kernel and profiler floors are
+# re-measured in-process at the committed artifact's reps
+cargo run --release --offline -q -p rex-bench --bin bench-guard
 
 echo "verify: OK"
