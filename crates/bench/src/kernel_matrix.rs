@@ -8,20 +8,13 @@
 //! | `conv2d_fwd_32x3x32x32_k3` (16 filters, stride 1, pad 1) | the direct six-loop convolution |
 //! | `conv2d_bwd_32x3x32x32_k3` | the direct six-loop gradient scatter |
 //! | `matmul3_16x64x64x64` | `batch_slice` copies and the seed matmul per slice |
-//! | `qgemm_nt_1x1024x{1024,4096}` (Q8_0 weights in place) | dequantize the whole weight matrix, then dense `gemm_nt` |
-//!
-//! The quantized rows are the GEMV shapes quantized inference exists
-//! for. Past a handful of rows both sides do the same FLOPs and the
-//! baseline's one dequantization amortizes away, so Q8_0 pays for weight
-//! bytes (3.76× fewer) and batch-1 latency, not for throughput.
 
 use std::hint::black_box;
 
 use rex_tensor::backend::{self, with_backend, BackendKind};
 use rex_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSaved, Window};
-use rex_tensor::dtype::{dequantize_q8_0, quantize_q8_0, QK};
 use rex_tensor::ops::{batch_slice, matmul3};
-use rex_tensor::{kernels, reference, Prng, Tensor};
+use rex_tensor::{reference, Prng, Tensor};
 
 use crate::measure::{ratio, time_arms, Artifact, Sampling, Timing};
 
@@ -32,12 +25,6 @@ const WIN: Window = Window {
     padding: 1,
 };
 
-/// The quantized rows: name, m, k, n.
-const QUANT: [(&str, usize, usize, usize); 2] = [
-    ("qgemm_nt_1x1024x1024", 1, 1024, 1024),
-    ("qgemm_nt_1x1024x4096", 1, 1024, 4096),
-];
-
 /// Runs a kernel once and returns its outputs.
 type Run<'a> = Box<dyn Fn() -> Vec<Vec<f32>> + 'a>;
 
@@ -45,17 +32,6 @@ struct Kernel<'a> {
     name: &'static str,
     optimized: Run<'a>,
     naive: Run<'a>,
-}
-
-/// A Q8_0 weight matrix `[n, k]` and an activation row block `[m, k]`.
-struct Quant {
-    name: &'static str,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: Vec<f32>,
-    scales: Vec<u16>,
-    quants: Vec<i8>,
 }
 
 /// Every kernel's inputs, built once from fixed seeds.
@@ -69,7 +45,6 @@ struct Fixtures {
     d_out: Tensor,
     a3: Tensor,
     b3: Tensor,
-    quant: Vec<Quant>,
 }
 
 impl Fixtures {
@@ -86,25 +61,6 @@ impl Fixtures {
         let mut rng = Prng::new(17);
         let a3 = rng.normal_tensor(&[16, 64, 64], 0.0, 1.0);
         let b3 = rng.normal_tensor(&[16, 64, 64], 0.0, 1.0);
-        let mut rng = Prng::new(0x5108);
-        let quant = (QUANT.iter())
-            .map(|&(name, m, k, n)| {
-                let w: Vec<f32> = (0..n * k).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
-                let mut scales = vec![0u16; n * k / QK];
-                let mut quants = vec![0i8; n * k];
-                quantize_q8_0(&w, &mut scales, &mut quants);
-                let a = (0..m * k).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
-                Quant {
-                    name,
-                    m,
-                    k,
-                    n,
-                    a,
-                    scales,
-                    quants,
-                }
-            })
-            .collect();
         Fixtures {
             a,
             b,
@@ -115,12 +71,11 @@ impl Fixtures {
             d_out,
             a3,
             b3,
-            quant,
         }
     }
 
     fn kernels(&self) -> Vec<Kernel<'_>> {
-        let mut all = vec![
+        vec![
             Kernel {
                 name: "matmul_256x256x256",
                 optimized: Box::new(|| vec![self.a.matmul(&self.b).unwrap().into_vec()]),
@@ -178,26 +133,7 @@ impl Fixtures {
                     vec![out]
                 }),
             },
-        ];
-        for q in &self.quant {
-            let Quant { m, k, n, .. } = *q;
-            all.push(Kernel {
-                name: q.name,
-                optimized: Box::new(move || {
-                    let mut c = vec![0f32; m * n];
-                    kernels::qgemm_nt(m, k, n, &q.a, &q.scales, &q.quants, &mut c);
-                    vec![c]
-                }),
-                naive: Box::new(move || {
-                    let mut dense = vec![0f32; n * k];
-                    dequantize_q8_0(&q.scales, &q.quants, &mut dense);
-                    let mut c = vec![0f32; m * n];
-                    kernels::gemm_nt(m, k, n, &q.a, &dense, &mut c);
-                    vec![c]
-                }),
-            });
-        }
-        all
+        ]
     }
 }
 

@@ -188,11 +188,9 @@ impl Args {
                 }
                 "--dtype" => {
                     let v = value();
-                    args.dtype = rex_tensor::DType::parse(&v)
-                        .filter(|d| d.trainable())
-                        .unwrap_or_else(|| {
-                            exit_with(&format!("bad dtype {v:?}; expected f32|f16|bf16"))
-                        });
+                    args.dtype = rex_tensor::DType::parse(&v).unwrap_or_else(|| {
+                        exit_with(&format!("bad dtype {v:?}; expected f32|f16|bf16"))
+                    });
                 }
                 other => exit_with(&format!("unknown argument {other:?}")),
             }

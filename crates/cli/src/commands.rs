@@ -42,13 +42,8 @@ fn backend_from_flags(flags: &Flags) -> Result<(), String> {
 fn dtype_from_flags(flags: &Flags) -> Result<rex_tensor::DType, String> {
     match flags.get("dtype") {
         None => Ok(rex_tensor::DType::F32),
-        Some(v) => match rex_tensor::DType::parse(v) {
-            Some(d) if d.trainable() => Ok(d),
-            Some(d) => Err(format!(
-                "--dtype: {d} is not a trainable dtype (expected f32 | f16 | bf16)"
-            )),
-            None => Err(format!("--dtype {v:?}: expected f32 | f16 | bf16")),
-        },
+        Some(v) => rex_tensor::DType::parse(v)
+            .ok_or_else(|| format!("--dtype {v:?}: expected f32 | f16 | bf16")),
     }
 }
 
@@ -435,70 +430,6 @@ fn sweep_inner(argv: &[String]) -> Result<(), String> {
 
 /// `rexctl serve --data-dir DIR [--addr HOST:PORT] ...` — the HTTP job
 /// server, implemented in `rex-serve` (shared with the `rexd` binary).
-/// `rexctl export`: convert a training snapshot into a REXGGUF model
-/// file.
-pub fn export(argv: &[String]) -> i32 {
-    match export_inner(argv) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn export_inner(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv)?;
-    let from = PathBuf::from(flags.require("from")?);
-    let out = PathBuf::from(flags.require("out")?);
-    let v = flags.get("quant").unwrap_or("f16");
-    let quant = rex_tensor::DType::parse(v)
-        .ok_or_else(|| format!("--quant {v:?}: expected q8_0 | f16 | f32"))?;
-    if quant == rex_tensor::DType::Bf16 {
-        return Err("--quant bf16 is not an export format (use q8_0 | f16 | f32)".into());
-    }
-
-    let state = TrainState::load(&from)
-        .map_err(|e| format!("cannot load checkpoint {}: {e}", from.display()))?;
-    // Export parameters and the inference-critical buffers (batch-norm
-    // running statistics); optimizer state stays behind.
-    let mut entries = state.model.clone();
-    entries.extend(state.buffers.iter().cloned());
-    let f32_bytes: usize = entries
-        .iter()
-        .map(|(_, t)| std::mem::size_of_val(t.data()))
-        .sum();
-    let meta = vec![
-        ("source".to_owned(), from.display().to_string()),
-        ("run".to_owned(), state.run.clone()),
-        ("quant".to_owned(), quant.name().to_owned()),
-        ("train.dtype".to_owned(), state.dtype.name().to_owned()),
-        ("train.step".to_owned(), state.step.to_string()),
-        (
-            "backend".to_owned(),
-            rex_tensor::backend::kind().to_string(),
-        ),
-        (
-            "simd_level".to_owned(),
-            rex_tensor::backend::active().simd_level().to_owned(),
-        ),
-    ];
-    let size = rex_nn::export::export_to_path(&out, &entries, quant, &meta)
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!(
-        "exported {} tensors ({} params) as {} to {}",
-        entries.len(),
-        entries.iter().map(|(_, t)| t.data().len()).sum::<usize>(),
-        quant,
-        out.display()
-    );
-    println!(
-        "{size} bytes on disk vs {f32_bytes} bytes of f32 payload ({:.2}x)",
-        f32_bytes as f64 / size.max(1) as f64
-    );
-    Ok(())
-}
-
 pub fn serve(argv: &[String]) -> i32 {
     match rex_serve::cli::serve_cmd(argv) {
         Ok(()) => 0,

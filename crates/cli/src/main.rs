@@ -21,7 +21,6 @@ fn main() {
         Some("sweep") => commands::sweep(&argv[1..]),
         Some("range-test") => commands::range_test(&argv[1..]),
         Some("serve") => commands::serve(&argv[1..]),
-        Some("export") => commands::export(&argv[1..]),
         Some("trace") => trace_cmd::trace(&argv[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
@@ -86,14 +85,6 @@ USAGE:
   rexctl range-test --setting <SETTING> [--optimizer sgdm|adam] [--trace FILE]
                [--threads N] [--backend scalar|simd|auto]
       Run an LR range test and print the suggested initial LR.
-
-  rexctl export --from CKPT --out FILE [--quant q8_0|f16|f32]
-      Convert a REXSTATE1 training checkpoint into a REXGGUF model file:
-      a single mmap-friendly image holding the model tensors (parameters
-      plus batch-norm statistics), every payload 32-byte aligned. --quant
-      picks the storage format (default f16); q8_0 block-quantizes 2-D+
-      tensors (32-element blocks, one f16 scale each) and keeps biases
-      and norm parameters f32.
 
   rexctl serve --data-dir DIR [--addr HOST:PORT] [--queue-depth N]
                [--workers N] [--checkpoint-every STEPS]

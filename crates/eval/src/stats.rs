@@ -121,94 +121,3 @@ mod tests {
         let _ = error_rate(&[0], &[0, 1]);
     }
 }
-
-/// A confusion matrix over `k` classes: `counts[true][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the matrix from parallel prediction/label slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or any index is ≥ `num_classes`.
-    pub fn new(predictions: &[usize], labels: &[usize], num_classes: usize) -> Self {
-        assert_eq!(predictions.len(), labels.len(), "length mismatch");
-        let mut counts = vec![vec![0usize; num_classes]; num_classes];
-        for (&p, &l) in predictions.iter().zip(labels) {
-            assert!(
-                p < num_classes && l < num_classes,
-                "class index out of range"
-            );
-            counts[l][p] += 1;
-        }
-        ConfusionMatrix { counts }
-    }
-
-    /// Count of samples with true class `t` predicted as `p`.
-    pub fn count(&self, t: usize, p: usize) -> usize {
-        self.counts[t][p]
-    }
-
-    /// Per-class recall (%) — diagonal over row sums; `None` for classes
-    /// absent from the labels.
-    pub fn per_class_recall(&self) -> Vec<Option<f64>> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let total: usize = row.iter().sum();
-                if total == 0 {
-                    None
-                } else {
-                    Some(100.0 * self.counts[i][i] as f64 / total as f64)
-                }
-            })
-            .collect()
-    }
-
-    /// Overall accuracy (%).
-    pub fn accuracy(&self) -> f64 {
-        let correct: usize = (0..self.counts.len()).map(|i| self.counts[i][i]).sum();
-        let total: usize = self.counts.iter().flatten().sum();
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * correct as f64 / total as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod confusion_tests {
-    use super::*;
-
-    #[test]
-    fn confusion_counts_and_accuracy() {
-        let pred = [0usize, 1, 1, 2, 0];
-        let gold = [0usize, 1, 2, 2, 1];
-        let cm = ConfusionMatrix::new(&pred, &gold, 3);
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(2, 1), 1); // true 2 predicted 1
-        assert_eq!(cm.count(1, 0), 1); // true 1 predicted 0
-        assert!((cm.accuracy() - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_class_recall_handles_absent_classes() {
-        let pred = [0usize, 0];
-        let gold = [0usize, 0];
-        let cm = ConfusionMatrix::new(&pred, &gold, 2);
-        let recall = cm.per_class_recall();
-        assert_eq!(recall[0], Some(100.0));
-        assert_eq!(recall[1], None);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_out_of_range_class() {
-        let _ = ConfusionMatrix::new(&[5], &[0], 3);
-    }
-}

@@ -1,7 +1,7 @@
 //! [`ByteReader`]: the one bounded cursor every binary decoder reads
 //! through — the `REXSTATE1` container and its tensor entries
-//! ([`checkpoint`](crate::checkpoint)), the `TrainState` sections built
-//! on them, and REXGGUF ([`export`](crate::export)).
+//! ([`checkpoint`](crate::checkpoint)) and the `TrainState` sections
+//! built on them.
 //!
 //! Every read checks the bytes it needs against the bytes that remain,
 //! so no declared length or count can drive an allocation beyond a small

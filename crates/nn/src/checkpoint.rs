@@ -44,10 +44,6 @@ const MAX_SECTIONS: usize = 64;
 /// element — half the payload. Values are expected to already be rounded
 /// to `dtype` (the optimizer's storage-rounding step guarantees this), so
 /// the narrowing here is lossless for live training state.
-///
-/// # Panics
-///
-/// Panics if `dtype` is not trainable (`q8_0` has no training codec).
 pub fn encode_entries_dtype(entries: &[(String, Tensor)], dtype: DType) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
@@ -55,7 +51,6 @@ pub fn encode_entries_dtype(entries: &[(String, Tensor)], dtype: DType) -> Vec<u
         DType::F32 => push_entries(&mut buf, entries, f32::to_le_bytes),
         DType::F16 => push_entries(&mut buf, entries, |v| f32_to_f16_bits(v).to_le_bytes()),
         DType::Bf16 => push_entries(&mut buf, entries, |v| f32_to_bf16_bits(v).to_le_bytes()),
-        DType::Q80 => panic!("{dtype} is not a trainable dtype"),
     }
     buf
 }
@@ -85,16 +80,11 @@ fn push_entries<const W: usize>(
 ///
 /// `UnexpectedEof` on truncation; `InvalidData` on bad structure,
 /// including trailing garbage after the last entry.
-///
-/// # Panics
-///
-/// Panics if `dtype` is not trainable (`q8_0` has no training codec).
 pub fn decode_entries_dtype(bytes: &[u8], dtype: DType) -> io::Result<Vec<(String, Tensor)>> {
     let from_le: fn(&[u8]) -> f32 = match dtype {
         DType::F32 => |c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]),
         DType::F16 => |c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])),
         DType::Bf16 => |c| bf16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])),
-        DType::Q80 => panic!("{dtype} is not a trainable dtype"),
     };
     let elem = dtype.nbytes(1);
     let mut r = ByteReader::new(bytes);

@@ -25,7 +25,6 @@
 mod attention;
 pub mod bytes;
 pub mod checkpoint;
-pub mod export;
 mod layers;
 pub mod losses;
 mod models;

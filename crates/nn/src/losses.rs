@@ -43,27 +43,6 @@ pub fn gaussian_kl(g: &mut Graph, mu: NodeId, logvar: NodeId) -> Result<NodeId, 
     Ok(g.scale(summed, -0.5 / n))
 }
 
-/// L2 regularisation term: `0.5 · coef · Σ ‖p‖²` over the given nodes
-/// (typically parameter leaves). Used by the ablation benches; the
-/// optimizers implement weight decay directly for the main experiments.
-///
-/// # Errors
-///
-/// Propagates shape errors from the underlying ops (none in practice).
-pub fn l2_penalty(g: &mut Graph, params: &[NodeId], coef: f32) -> Result<NodeId, TensorError> {
-    let mut acc: Option<NodeId> = None;
-    for &p in params {
-        let sq = g.mul(p, p)?;
-        let s = g.sum_all(sq)?;
-        acc = Some(match acc {
-            Some(a) => g.add(a, s)?,
-            None => s,
-        });
-    }
-    let total = acc.unwrap_or_else(|| g.constant(Tensor::scalar(0.0)));
-    Ok(g.scale(total, 0.5 * coef))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,14 +72,5 @@ mod tests {
         let logvar = g.constant(Tensor::full(&[2, 2], 0.5));
         let kl = gaussian_kl(&mut g, mu, logvar).unwrap();
         assert!(g.value(kl).item() > 0.0);
-    }
-
-    #[test]
-    fn l2_penalty_sums_squares() {
-        let mut g = Graph::new(true);
-        let a = g.constant(Tensor::from_vec(vec![3.0], &[1]).unwrap());
-        let b = g.constant(Tensor::from_vec(vec![4.0], &[1]).unwrap());
-        let pen = l2_penalty(&mut g, &[a, b], 2.0).unwrap();
-        assert!((g.value(pen).item() - 25.0).abs() < 1e-6);
     }
 }

@@ -82,11 +82,6 @@ pub trait Optimizer {
     /// kill→resume→finish bit-identical under f16/bf16 storage. `F32` (the
     /// default) skips rounding entirely, keeping the legacy path
     /// byte-identical. The default trait impl ignores the call.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when `dtype` is not a trainable storage
-    /// format (see [`DType::trainable`]).
     fn set_param_dtype(&mut self, _dtype: DType) {}
 
     /// The parameter storage dtype last set via
@@ -356,7 +351,6 @@ impl Optimizer for Sgd {
     }
 
     fn set_param_dtype(&mut self, dtype: DType) {
-        assert!(dtype.trainable(), "{dtype} is not a trainable dtype");
         self.dtype = dtype;
     }
 
@@ -584,7 +578,6 @@ impl Optimizer for Adam {
     }
 
     fn set_param_dtype(&mut self, dtype: DType) {
-        assert!(dtype.trainable(), "{dtype} is not a trainable dtype");
         self.dtype = dtype;
     }
 

@@ -151,20 +151,14 @@ impl JobSpec {
         Ok(())
     }
 
-    /// The storage dtype, parsed and restricted to trainable precisions.
+    /// The storage dtype, parsed.
     ///
     /// # Errors
     ///
     /// A message naming the invalid value.
     pub fn parsed_dtype(&self) -> Result<DType, String> {
-        match DType::parse(&self.dtype) {
-            Some(d) if d.trainable() => Ok(d),
-            Some(d) => Err(format!("dtype {d} is not trainable (use f32 | f16 | bf16)")),
-            None => Err(format!(
-                "unknown dtype {:?} (expected f32 | f16 | bf16)",
-                self.dtype
-            )),
-        }
+        DType::parse(&self.dtype)
+            .ok_or_else(|| format!("unknown dtype {:?} (expected f32 | f16 | bf16)", self.dtype))
     }
 
     /// The schedule, parsed.

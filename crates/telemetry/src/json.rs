@@ -41,14 +41,6 @@ impl Value {
         }
     }
 
-    /// The number as a signed integer, if losslessly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Some(*n as i64),
-            _ => None,
-        }
-    }
-
     /// The string, if this is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -122,26 +114,30 @@ pub fn write_object(fields: &[(String, Value)]) -> String {
 /// containers.
 pub fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, String> {
     let mut p = Parser {
-        bytes: line.trim().as_bytes(),
+        text: line.trim(),
         pos: 0,
     };
     let map = p.object()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(map)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_whitespace())
         {
@@ -151,7 +147,7 @@ impl Parser<'_> {
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
+        if self.bytes().get(self.pos) == Some(&b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -159,7 +155,7 @@ impl Parser<'_> {
                 "expected {:?} at byte {}, got {:?}",
                 b as char,
                 self.pos,
-                self.bytes.get(self.pos).map(|&c| c as char)
+                self.bytes().get(self.pos).map(|&c| c as char)
             ))
         }
     }
@@ -168,7 +164,7 @@ impl Parser<'_> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
+        if self.bytes().get(self.pos) == Some(&b'}') {
             self.pos += 1;
             return Ok(map);
         }
@@ -179,7 +175,7 @@ impl Parser<'_> {
             let value = self.value()?;
             map.insert(key, value);
             self.skip_ws();
-            match self.bytes.get(self.pos) {
+            match self.bytes().get(self.pos) {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
@@ -198,7 +194,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
-        match self.bytes.get(self.pos) {
+        match self.bytes().get(self.pos) {
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -213,7 +209,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -224,13 +220,13 @@ impl Parser<'_> {
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos])
             .map_err(|_| "non-utf8 number".to_owned())?;
         text.parse::<f64>()
             .map(Value::Num)
@@ -241,48 +237,41 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged)
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_owned())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // copy the run up to the next quote or backslash as one slice:
+            // neither byte occurs inside a multi-byte UTF-8 sequence, so
+            // both ends of the run are char boundaries
+            let rest = &self.bytes()[self.pos..];
+            let run = (rest.iter())
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
             }
+            match self.bytes().get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes()
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                        16,
+                    )
+                    .map_err(|_| "bad \\u escape")?;
+                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                    self.pos += 4;
+                }
+                other => return Err(format!("bad escape {other:?}")),
+            }
+            self.pos += 1;
         }
     }
 }
@@ -298,7 +287,7 @@ mod tests {
         assert_eq!(m["lr"].as_f64(), Some(0.125));
         assert_eq!(m["ok"].as_bool(), Some(true));
         assert!(m["x"].as_f64().unwrap().is_nan());
-        assert_eq!(m["n"].as_i64(), Some(-3));
+        assert_eq!(m["n"].as_f64(), Some(-3.0));
     }
 
     #[test]
@@ -307,6 +296,19 @@ mod tests {
         let line = format!("{{\"k\":\"{}\"}}", escape(s));
         let m = parse_object(&line).unwrap();
         assert_eq!(m["k"].as_str(), Some(s));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // a parse whose cost grows with the square of the string's
+        // length takes seconds at this size
+        let s = format!("é{}\"\n", "a".repeat(512 << 10));
+        let line = format!("{{\"k\":\"{}\"}}", escape(&s));
+        let start = std::time::Instant::now();
+        let m = parse_object(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(m["k"].as_str(), Some(s.as_str()));
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     #[test]

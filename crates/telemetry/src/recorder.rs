@@ -165,14 +165,6 @@ impl Recorder {
             sink.flush();
         }
     }
-
-    /// Consumes the recorder, flushing and returning the sink (if any).
-    pub fn into_sink(mut self) -> Option<Box<dyn Sink>> {
-        if let Some(sink) = &mut self.sink {
-            sink.flush();
-        }
-        self.sink.take()
-    }
 }
 
 /// Handle for a scoped wall-clock timer; see [`Recorder::start_timer`].
@@ -197,7 +189,6 @@ mod tests {
         assert_eq!(rec.counter_value("c"), 0);
         let ran = rec.time("t", || 42);
         assert_eq!(ran, 42);
-        assert!(rec.into_sink().is_none());
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl MetricsRegistry {
         self.lock().gauges.insert(name.to_owned(), value);
     }
 
-    /// Adds `delta` (possibly negative) to the named gauge.
-    pub fn gauge_add(&self, name: &str, delta: f64) {
-        *self.lock().gauges.entry(name.to_owned()).or_insert(0.0) += delta;
-    }
-
     /// Current value of a gauge (0 if never set).
     pub fn gauge(&self, name: &str) -> f64 {
         self.lock().gauges.get(name).copied().unwrap_or(0.0)
@@ -117,11 +112,6 @@ impl MetricsRegistry {
     /// Summary of a timer series, if it has any observations.
     pub fn timer(&self, name: &str) -> Option<TimerStat> {
         self.lock().timers.get(name).map(Histogram::stat)
-    }
-
-    /// Full histogram of a timer series, if it has any observations.
-    pub fn timer_histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().timers.get(name).cloned()
     }
 
     /// Estimated `q`-quantile of a timer series, in seconds.
@@ -302,8 +292,7 @@ mod tests {
         assert_eq!(reg.counter("missing"), 0);
 
         reg.gauge_set("rex_queue_depth", 4.0);
-        reg.gauge_add("rex_queue_depth", -1.0);
-        assert_eq!(reg.gauge("rex_queue_depth"), 3.0);
+        assert_eq!(reg.gauge("rex_queue_depth"), 4.0);
 
         reg.timer_observe_ns("rex_job_duration", 100);
         reg.timer_observe_ns("rex_job_duration", 40);
@@ -358,7 +347,6 @@ mod tests {
         let p99 = reg.timer_quantile_seconds("lat", 0.99).unwrap();
         assert!(p50 < 0.001, "p50 = {p50}");
         assert!(p99 > 0.1, "p99 = {p99}");
-        assert!(reg.timer_histogram("lat").unwrap().count() == 10);
     }
 
     #[test]

@@ -163,25 +163,6 @@ pub trait ComputeBackend: Sync {
     /// Minimum element (`+inf` for an empty slice).
     fn min(&self, x: &[f32]) -> f32;
 
-    // -- Quantized GEMM --------------------------------------------------
-
-    /// `C[rows, n] = A[rows, k] · Bq[n, k]ᵀ` over a contiguous row range of
-    /// the output, where `Bq` is Q8_0-quantized along `k`
-    /// ([`crate::dtype::quantize_q8_0`] layout: `b_quants` is `n × k`
-    /// quants, `b_scales` is `n × k.div_ceil(QK)` f16 scale bits). Serial:
-    /// the caller owns row sharding, and per-element accumulation order
-    /// must depend only on `k` so any row partition is bitwise identical.
-    /// Computes on the blocks directly — no dense f32 copy of `B`.
-    fn qgemm_nt_rows(
-        &self,
-        k: usize,
-        n: usize,
-        a_rows: &[f32],
-        b_scales: &[u16],
-        b_quants: &[i8],
-        c_rows: &mut [f32],
-    );
-
     // -- Fused row kernels -----------------------------------------------
 
     /// Numerically-stable softmax of one row into `out`.
@@ -326,40 +307,6 @@ impl ComputeBackend for ScalarBackend {
 
     fn min(&self, x: &[f32]) -> f32 {
         x.iter().fold(f32::INFINITY, |m, &v| m.min(v))
-    }
-
-    fn qgemm_nt_rows(
-        &self,
-        k: usize,
-        n: usize,
-        a_rows: &[f32],
-        b_scales: &[u16],
-        b_quants: &[i8],
-        c_rows: &mut [f32],
-    ) {
-        // serial fold: one running f32 sum per k-block, scaled and added
-        // in block order — the scalar sibling of the lane-grouped SIMD body
-        use crate::dtype::{f16_bits_to_f32, QK};
-        let rows = c_rows.len().checked_div(n).unwrap_or(0);
-        let bpr = k.div_ceil(QK);
-        for i in 0..rows {
-            let a = &a_rows[i * k..(i + 1) * k];
-            for j in 0..n {
-                let qrow = &b_quants[j * k..(j + 1) * k];
-                let srow = &b_scales[j * bpr..(j + 1) * bpr];
-                let mut acc = 0.0f32;
-                for (bi, &sbits) in srow.iter().enumerate() {
-                    let k0 = bi * QK;
-                    let k1 = (k0 + QK).min(k);
-                    let mut block = 0.0f32;
-                    for t in k0..k1 {
-                        block += a[t] * f32::from(qrow[t]);
-                    }
-                    acc += block * f16_bits_to_f32(sbits);
-                }
-                c_rows[i * n + j] = acc;
-            }
-        }
     }
 
     fn softmax_row(&self, row: &[f32], out: &mut [f32]) {
@@ -511,18 +458,6 @@ impl ComputeBackend for SimdBackend {
 
     fn min(&self, x: &[f32]) -> f32 {
         simd::min(x)
-    }
-
-    fn qgemm_nt_rows(
-        &self,
-        k: usize,
-        n: usize,
-        a_rows: &[f32],
-        b_scales: &[u16],
-        b_quants: &[i8],
-        c_rows: &mut [f32],
-    ) {
-        simd::qgemm_nt_rows(k, n, a_rows, b_scales, b_quants, c_rows);
     }
 
     fn softmax_row(&self, row: &[f32], out: &mut [f32]) {

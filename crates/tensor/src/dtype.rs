@@ -7,21 +7,15 @@
 //! * [`DType::F16`] — IEEE 754 binary16, converted with round-to-nearest-even
 //!   including gradual underflow (subnormals), signed zeros, ±inf and NaN.
 //! * [`DType::Bf16`] — bfloat16 (truncated-exponent f32), round-to-nearest-even.
-//! * [`DType::Q80`] — "Q8_0" block quantization: groups of [`QK`] values share
-//!   one f16 scale and store one signed byte each, the layout used by
-//!   GGUF-family inference formats.
 //!
-//! Every conversion here is a pure elementwise (or pure per-block) function of
-//! its input bits, so any backend — scalar fold, portable SIMD body, or a
+//! Every conversion here is a pure elementwise function of its input bits,
+//! so any backend — scalar fold, portable SIMD body, or a
 //! `#[target_feature]` recompilation of the portable body — produces bitwise
 //! identical results at any thread count. That property is what lets the
 //! mixed-precision training path keep the repo's determinism contract.
 //!
 //! The half-precision conversions are software implementations (no `f16`
 //! language type, no intrinsics) so they behave identically on every host.
-
-/// Number of elements per Q8_0 quantization block.
-pub const QK: usize = 32;
 
 /// A tensor element storage format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,76 +26,53 @@ pub enum DType {
     F16,
     /// bfloat16: f32 with the low 16 mantissa bits rounded away.
     Bf16,
-    /// Q8_0 block quantization: [`QK`]-element blocks, one f16 scale plus
-    /// one `i8` quant per element. Storage/export only — not a training
-    /// dtype.
-    Q80,
 }
 
 impl DType {
-    /// Canonical lower-case name (`"f32"`, `"f16"`, `"bf16"`, `"q8_0"`).
+    /// Canonical lower-case name (`"f32"`, `"f16"`, `"bf16"`).
     pub fn name(self) -> &'static str {
         match self {
             DType::F32 => "f32",
             DType::F16 => "f16",
             DType::Bf16 => "bf16",
-            DType::Q80 => "q8_0",
         }
     }
 
-    /// Parses a dtype name (case-insensitive). Accepts `q8_0`/`q80`.
+    /// Parses a dtype name (case-insensitive).
     pub fn parse(s: &str) -> Option<DType> {
         Some(match s.to_ascii_lowercase().as_str() {
             "f32" => DType::F32,
             "f16" => DType::F16,
             "bf16" => DType::Bf16,
-            "q8_0" | "q80" => DType::Q80,
             _ => None?,
         })
-    }
-
-    /// Whether parameters may be *stored* in this dtype during training.
-    /// Q8_0 is export-only: its per-block scales make in-place rounding of a
-    /// live parameter tensor ill-defined.
-    pub fn trainable(self) -> bool {
-        !matches!(self, DType::Q80)
     }
 
     /// Exact serialized payload size, in bytes, of `n` elements.
     ///
     /// # Panics
     ///
-    /// Panics if the size overflows `usize`; decoders of untrusted
-    /// counts use [`checked_nbytes`](Self::checked_nbytes).
+    /// Panics if the size overflows `usize`.
     pub fn nbytes(self, n: usize) -> usize {
-        self.checked_nbytes(n)
-            .expect("payload size overflows usize")
-    }
-
-    /// [`nbytes`](Self::nbytes), or `None` when the size overflows.
-    pub fn checked_nbytes(self, n: usize) -> Option<usize> {
-        match self {
-            DType::F32 => n.checked_mul(4),
-            DType::F16 | DType::Bf16 => n.checked_mul(2),
-            // per block: one u16 scale; per element: one i8 quant
-            DType::Q80 => (n.div_ceil(QK) * 2).checked_add(n),
-        }
+        let width = match self {
+            DType::F32 => 4,
+            DType::F16 | DType::Bf16 => 2,
+        };
+        n.checked_mul(width).expect("payload size overflows usize")
     }
 
     /// Rounds one value through this storage format and back to f32.
-    /// Identity for `F32`. Panics for `Q80` (block formats cannot round a
-    /// single element; see [`quantize_q8_0`]).
+    /// Identity for `F32`.
     pub fn round_val(self, x: f32) -> f32 {
         match self {
             DType::F32 => x,
             DType::F16 => f16_bits_to_f32(f32_to_f16_bits(x)),
             DType::Bf16 => bf16_bits_to_f32(f32_to_bf16_bits(x)),
-            DType::Q80 => panic!("q8_0 is a block format; round_val is undefined"),
         }
     }
 
     /// Rounds every element of `xs` in place through this storage format.
-    /// No-op for `F32`; panics for `Q80` (see [`round_val`](Self::round_val)).
+    /// No-op for `F32`.
     pub fn round_slice(self, xs: &mut [f32]) {
         match self {
             DType::F32 => {}
@@ -115,7 +86,6 @@ impl DType {
                     *x = bf16_bits_to_f32(f32_to_bf16_bits(*x));
                 }
             }
-            DType::Q80 => panic!("q8_0 is a block format; round_slice is undefined"),
         }
     }
 }
@@ -224,84 +194,6 @@ pub fn bf16_bits_to_f32(b: u16) -> f32 {
     f32::from_bits((b as u32) << 16)
 }
 
-/// Smallest positive f16 (the subnormal 2^-24), as bits.
-const F16_SMALLEST_SUB: u16 = 0x0001;
-
-/// The next representable f16 above a non-negative finite f16. On bits this
-/// is a plain increment: it walks the subnormal grid, crosses into the
-/// normals, and widens binades, in value order.
-fn next_f16_up(bits: u16) -> u16 {
-    debug_assert!(bits & 0x8000 == 0 && bits < 0x7c00);
-    bits + 1
-}
-
-/// Quantizes `src` into Q8_0 blocks: for each run of [`QK`] values (the
-/// final block may be shorter), one f16 scale and one `i8` per element.
-///
-/// `scales` must hold `src.len().div_ceil(QK)` elements and `quants` must
-/// hold `src.len()`.
-///
-/// The scale is chosen so that *no* quant saturates: starting from
-/// `amax / 127` rounded to f16, it is bumped to the next representable f16
-/// until `round(amax / scale) ≤ 127`. That guarantees the reconstruction
-/// error bound `|x − q·s| ≤ s/2` for every element — a clamped quant would
-/// break it, and the bump is needed because an f16-rounded scale can land
-/// below the exact `amax / 127` (by up to 33 % when the scale is subnormal).
-///
-/// # Panics
-///
-/// If `scales` or `quants` has the wrong length.
-pub fn quantize_q8_0(src: &[f32], scales: &mut [u16], quants: &mut [i8]) {
-    assert_eq!(scales.len(), src.len().div_ceil(QK), "scale count");
-    assert_eq!(quants.len(), src.len(), "quant count");
-    for (bi, block) in src.chunks(QK).enumerate() {
-        let mut amax = 0.0f32;
-        for &x in block {
-            amax = amax.max(x.abs());
-        }
-        if amax == 0.0 {
-            scales[bi] = 0;
-            for q in &mut quants[bi * QK..bi * QK + block.len()] {
-                *q = 0;
-            }
-            continue;
-        }
-        let mut sbits = f32_to_f16_bits(amax / 127.0);
-        if sbits == 0 {
-            sbits = F16_SMALLEST_SUB;
-        }
-        while (amax / f16_bits_to_f32(sbits)).round() > 127.0 {
-            sbits = next_f16_up(sbits);
-        }
-        let s = f16_bits_to_f32(sbits);
-        scales[bi] = sbits;
-        let inv = 1.0 / s;
-        for (q, &x) in quants[bi * QK..].iter_mut().zip(block) {
-            // round half away from zero; the scale bump above guarantees
-            // the result is already within ±127, but clamp defensively
-            *q = (x * inv).round().clamp(-127.0, 127.0) as i8;
-        }
-    }
-}
-
-/// Dequantizes Q8_0 blocks back to f32: `out[i] = quants[i] × scale(block)`.
-/// Exact f32 arithmetic — the product of an i8 and an f16 value never needs
-/// more than 19 significand bits and never underflows f32.
-///
-/// # Panics
-///
-/// If `scales` or `out`/`quants` lengths disagree.
-pub fn dequantize_q8_0(scales: &[u16], quants: &[i8], out: &mut [f32]) {
-    assert_eq!(out.len(), quants.len(), "element count");
-    assert_eq!(scales.len(), out.len().div_ceil(QK), "scale count");
-    for (bi, chunk) in out.chunks_mut(QK).enumerate() {
-        let s = f16_bits_to_f32(scales[bi]);
-        for (o, &q) in chunk.iter_mut().zip(&quants[bi * QK..]) {
-            *o = q as f32 * s;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,57 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn q8_0_zero_block_and_sizes() {
-        let src = [0.0f32; 40];
-        let mut scales = vec![0u16; 2];
-        let mut quants = vec![0i8; 40];
-        quantize_q8_0(&src, &mut scales, &mut quants);
-        assert_eq!(scales, vec![0, 0]);
-        assert!(quants.iter().all(|&q| q == 0));
-        assert_eq!(DType::Q80.nbytes(40), 2 * 2 + 40);
-        assert_eq!(DType::F16.nbytes(40), 80);
-        assert_eq!(DType::F32.nbytes(40), 160);
-        assert_eq!(DType::F32.checked_nbytes(usize::MAX / 2), None);
-        assert_eq!(DType::Q80.checked_nbytes(usize::MAX), None);
-    }
-
-    #[test]
-    fn q8_0_error_bound_including_tiny_scales() {
-        // the subnormal-scale regime is exactly where a naive f16 scale
-        // would saturate quants and break the bound
-        let mut rng = crate::Prng::new(0xD7E0);
-        for &mag in &[1.0f32, 1e-3, 3e-6, 1e-7, 6e-8, 1e4] {
-            let src: Vec<f32> = (0..QK * 3 + 7)
-                .map(|_| rng.uniform_in(-1.0, 1.0) * mag)
-                .collect();
-            let mut scales = vec![0u16; src.len().div_ceil(QK)];
-            let mut quants = vec![0i8; src.len()];
-            quantize_q8_0(&src, &mut scales, &mut quants);
-            let mut out = vec![0.0f32; src.len()];
-            dequantize_q8_0(&scales, &quants, &mut out);
-            for (bi, block) in src.chunks(QK).enumerate() {
-                let s = f16_bits_to_f32(scales[bi]);
-                for (i, &x) in block.iter().enumerate() {
-                    let err = (x - out[bi * QK + i]).abs();
-                    assert!(
-                        err <= s / 2.0 + f32::EPSILON * x.abs(),
-                        "mag {mag}: block {bi} elem {i}: |{x} - {}| = {err} > s/2 = {}",
-                        out[bi * QK + i],
-                        s / 2.0
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dtype_parse_and_round() {
         assert_eq!(DType::parse("F16"), Some(DType::F16));
-        assert_eq!(DType::parse("q8_0"), Some(DType::Q80));
-        assert_eq!(DType::parse("q80"), Some(DType::Q80));
         assert_eq!(DType::parse("f64"), None);
-        assert!(DType::F32.trainable());
-        assert!(!DType::Q80.trainable());
+        assert_eq!(DType::F16.nbytes(40), 80);
+        assert_eq!(DType::F32.nbytes(40), 160);
         assert_eq!(DType::F32.round_val(0.1), 0.1);
         let r = DType::F16.round_val(0.1);
         assert!(r != 0.1 && (r - 0.1).abs() < 1e-4);
@@ -419,5 +265,11 @@ mod tests {
         DType::Bf16.round_slice(&mut xs);
         assert_eq!(xs[0], 1.0);
         assert_eq!(xs[2], -3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload size overflows usize")]
+    fn nbytes_panics_on_overflow() {
+        let _ = DType::F32.nbytes(usize::MAX / 2);
     }
 }

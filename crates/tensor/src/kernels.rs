@@ -97,107 +97,6 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     gemm_driver(Layout::Nt, m, k, n, a, b, c);
 }
 
-/// `C[m,n] = A[m,k] · Bq[n,k]ᵀ` where `Bq` is Q8_0-quantized along `k`
-/// ([`crate::dtype::quantize_q8_0`] layout: `b_quants` is `n × k` quants,
-/// `b_scales` is `n × k.div_ceil(QK)` f16 scale bits). Computes on the
-/// quantized blocks directly — the dense f32 `B` is never materialized.
-/// Shards output rows across threads when `m` is tall, output *columns*
-/// when the product is GEMV-shaped (`m ≤ 64`); per-element accumulation
-/// order depends only on `k`, so results are bitwise identical at any
-/// thread count within a backend.
-///
-/// Note this *assigns* `C` (the per-block scale application makes a
-/// fused accumulate-into-C awkward); the dense GEMM entry points
-/// accumulate.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions.
-pub fn qgemm_nt(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b_scales: &[u16],
-    b_quants: &[i8],
-    c: &mut [f32],
-) {
-    use crate::dtype::QK;
-    assert_eq!(a.len(), m * k, "qgemm: A length {} != {m}x{k}", a.len());
-    assert_eq!(b_quants.len(), n * k, "qgemm: quant length != {n}x{k}");
-    assert_eq!(
-        b_scales.len(),
-        n * k.div_ceil(QK),
-        "qgemm: scale length != {n}x ceil({k}/{QK})"
-    );
-    assert_eq!(c.len(), m * n, "qgemm: C length {} != {m}x{n}", c.len());
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.fill(0.0);
-        return;
-    }
-    let _sp = rex_telemetry::span::kernel_span("qgemm");
-    let be = crate::backend::active();
-    let threads = num_threads();
-    if threads > 1 && m > 64 && m * k * n >= PAR_FLOPS {
-        // tall products: 8-row chunks. The grid depends only on m, and
-        // each C element is a row-local fixed-order fold, so any
-        // partition is bitwise identical to the serial pass
-        rex_pool::parallel_for_slices(c, 8 * n, |_, offset, rows| {
-            let row0 = offset / n;
-            let nrows = rows.len() / n;
-            be.qgemm_nt_rows(
-                k,
-                n,
-                &a[row0 * k..(row0 + nrows) * k],
-                b_scales,
-                b_quants,
-                rows,
-            );
-        });
-    } else if threads > 1 && m * k * n >= PAR_FLOPS {
-        // GEMV-shaped products (the common quantized-inference case):
-        // row sharding is useless at m ≤ 64, so shard the *columns* of C
-        // instead — each chunk covers COL_CHUNK rows of Bq, widened
-        // exactly once across all chunks. Chunks land in a column-block
-        // temp (each chunk's m × jcount output is contiguous there) and
-        // a trivial serial scatter (m·n floats) rebuilds row-major C.
-        // The chunk grid depends only on (m, n) and per-element
-        // accumulation stays row-local, so results remain bitwise
-        // identical at any thread count.
-        use crate::dtype::QK;
-        const COL_CHUNK: usize = 64;
-        let bpr = k.div_ceil(QK);
-        let mut tmp = vec![0.0f32; m * n];
-        rex_pool::parallel_for_slices(&mut tmp, m * COL_CHUNK, |_, offset, out| {
-            let j0 = offset / m;
-            let jcount = out.len() / m;
-            be.qgemm_nt_rows(
-                k,
-                jcount,
-                a,
-                &b_scales[j0 * bpr..(j0 + jcount) * bpr],
-                &b_quants[j0 * k..(j0 + jcount) * k],
-                out,
-            );
-        });
-        let mut j0 = 0;
-        while j0 < n {
-            let jcount = COL_CHUNK.min(n - j0);
-            let off = j0 * m;
-            for r in 0..m {
-                c[r * n + j0..r * n + j0 + jcount]
-                    .copy_from_slice(&tmp[off + r * jcount..off + (r + 1) * jcount]);
-            }
-            j0 += jcount;
-        }
-    } else {
-        be.qgemm_nt_rows(k, n, a, b_scales, b_quants, c);
-    }
-}
-
 /// Batched `C[s] += A[s] · B[s]` over `batch` independent `[m,k]×[k,n]`
 /// products stored contiguously. Shards the batch axis across threads.
 ///

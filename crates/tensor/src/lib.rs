@@ -54,7 +54,6 @@ pub mod rng;
 pub mod scratch;
 mod shape;
 mod simd;
-pub mod storage;
 mod tensor;
 
 pub use backend::{BackendKind, ComputeBackend};
@@ -62,5 +61,4 @@ pub use dtype::DType;
 pub use error::TensorError;
 pub use rng::Prng;
 pub use shape::{broadcast_shapes, strides_for};
-pub use storage::Storage;
 pub use tensor::Tensor;

@@ -253,13 +253,4 @@ recompiled! {
     fn log_softmax_row(row: &[f32], out: &mut [f32]);
     /// AVX2-compiled [`portable::mean_var_row`].
     fn mean_var_row(row: &[f32]) -> (f32, f32);
-    /// AVX2-compiled [`portable::qgemm_nt_rows`].
-    fn qgemm_nt_rows(
-        k: usize,
-        n: usize,
-        a_rows: &[f32],
-        b_scales: &[u16],
-        b_quants: &[i8],
-        c_rows: &mut [f32]
-    );
 }

@@ -313,15 +313,6 @@ dispatch! {
     fn log_softmax_row(row: &[f32], out: &mut [f32]);
     /// `(mean, biased variance)` of one row.
     fn mean_var_row(row: &[f32]) -> (f32, f32);
-    /// Q8_0 NT GEMM over a contiguous row range of `C` (serial; caller shards rows).
-    fn qgemm_nt_rows(
-        k: usize,
-        n: usize,
-        a_rows: &[f32],
-        b_scales: &[u16],
-        b_quants: &[i8],
-        c_rows: &mut [f32]
-    );
 }
 
 // ---------------------------------------------------------------------------

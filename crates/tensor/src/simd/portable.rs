@@ -88,94 +88,6 @@ pub(crate) fn relu(src: &[f32], out: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized GEMM (Q8_0 NT)
-// ---------------------------------------------------------------------------
-
-/// `C[rows, n] = A[rows, k] · Bq[n, k]ᵀ` where `Bq` is Q8_0-quantized along
-/// `k` (see [`crate::dtype::quantize_q8_0`]): `b_quants` holds `n` rows of
-/// `k` signed quants and `b_scales` holds `n` rows of `k.div_ceil(QK)` f16
-/// scale bits. `c_rows` holds the `rows` output rows starting at global row
-/// `row0` of the full product (the offset only selects which `A` rows are
-/// read — `a_rows` is the matching `rows × k` slice of `A`).
-///
-/// Each output element accumulates one fixed-order f32 partial sum per
-/// k-block (lane-grouped inside full blocks, scalar on a partial tail
-/// block), scaled and added serially over blocks — the per-element order
-/// never depends on the row partition, so sharding rows over threads keeps
-/// results bitwise identical at any thread count. The dense `B` row is never
-/// materialized: the kernel streams ~1 byte per weight instead of 4.
-///
-/// Rows are processed in register blocks of [`QROWS`]: the block's quants
-/// are widened to f32 once into a stack buffer and reused for every row of
-/// the group, so the int→float conversion cost — the dominant term of a
-/// GEMV — amortizes over the group. Each output element's accumulation
-/// order is unchanged by the grouping (every `C[i,j]` still folds its own
-/// lanes per block, scales, and adds serially over blocks), so the result
-/// is bitwise identical to row-at-a-time execution.
-#[inline(always)]
-pub(crate) fn qgemm_nt_rows(
-    k: usize,
-    n: usize,
-    a_rows: &[f32],
-    b_scales: &[u16],
-    b_quants: &[i8],
-    c_rows: &mut [f32],
-) {
-    use crate::dtype::{f16_bits_to_f32, QK};
-    /// A-row register block: one quant widening feeds this many rows.
-    const QROWS: usize = 4;
-    let rows = c_rows.len().checked_div(n).unwrap_or(0);
-    let bpr = k.div_ceil(QK); // scale blocks per B row
-    let mut i = 0;
-    while i < rows {
-        let rb = QROWS.min(rows - i);
-        for j in 0..n {
-            let qrow = &b_quants[j * k..(j + 1) * k];
-            let srow = &b_scales[j * bpr..(j + 1) * bpr];
-            let mut acc = [0.0f32; QROWS];
-            let mut qf = [0.0f32; QK];
-            for (bi, &sbits) in srow.iter().enumerate() {
-                let k0 = bi * QK;
-                let k1 = (k0 + QK).min(k);
-                let scale = f16_bits_to_f32(sbits);
-                if k1 - k0 == QK {
-                    // widen the block once for the whole row group
-                    let qb = &qrow[k0..k0 + QK];
-                    for (d, &q) in qf.iter_mut().zip(qb) {
-                        *d = f32::from(q);
-                    }
-                    for (r, a) in acc.iter_mut().enumerate().take(rb) {
-                        // full block: 4 passes of 8 lanes, fixed pairwise fold
-                        let off = (i + r) * k + k0;
-                        let ab = &a_rows[off..off + QK];
-                        let mut lanes = [0.0f32; LANES];
-                        for c in 0..QK / LANES {
-                            for (l, lane) in lanes.iter_mut().enumerate() {
-                                *lane += ab[c * LANES + l] * qf[c * LANES + l];
-                            }
-                        }
-                        *a += fold_lanes(lanes, |a, b| a + b) * scale;
-                    }
-                } else {
-                    for (r, a) in acc.iter_mut().enumerate().take(rb) {
-                        let arow = &a_rows[(i + r) * k..(i + r + 1) * k];
-                        let mut block = 0.0;
-                        for t in k0..k1 {
-                            block += arow[t] * f32::from(qrow[t]);
-                        }
-                        *a += block * scale;
-                    }
-                }
-            }
-            for (r, &a) in acc.iter().enumerate().take(rb) {
-                c_rows[(i + r) * n + j] = a;
-            }
-        }
-        i += rb;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Reductions (fixed 8-lane grouping)
 // ---------------------------------------------------------------------------
 

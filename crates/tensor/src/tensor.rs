@@ -132,15 +132,6 @@ impl Tensor {
         Tensor::zeros(other.shape())
     }
 
-    /// The identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Evenly spaced values: `start, start+step, ...` for `n` elements.
     pub fn arange(start: f32, step: f32, n: usize) -> Self {
         let data = (0..n).map(|i| start + step * i as f32).collect();
@@ -944,14 +935,6 @@ mod tests {
         let s = Tensor::scalar(2.5);
         assert_eq!(s.ndim(), 0);
         assert_eq!(s.item(), 2.5);
-    }
-
-    #[test]
-    fn eye_diag() {
-        let e = Tensor::eye(3);
-        assert_eq!(e.at(&[0, 0]), 1.0);
-        assert_eq!(e.at(&[1, 0]), 0.0);
-        assert_eq!(e.sum(), 3.0);
     }
 
     #[test]

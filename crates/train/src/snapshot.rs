@@ -182,11 +182,6 @@ impl TrainState {
         let dtype_name = r.string(MAX_STR)?;
         let dtype = DType::parse(&dtype_name)
             .ok_or_else(|| invalid(format!("snapshot has unknown dtype {dtype_name:?}")))?;
-        if !dtype.trainable() {
-            return Err(invalid(format!(
-                "snapshot dtype {dtype} is not a training dtype"
-            )));
-        }
         let (backend, simd_level) = (r.string(MAX_STR)?, r.string(MAX_STR)?);
         r.finish()?;
 

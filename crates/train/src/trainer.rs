@@ -404,12 +404,6 @@ impl Trainer {
         let cfg = self.config.clone();
         let ft = &cfg.ft;
         self.validate_ft(ft)?;
-        if !cfg.dtype.trainable() {
-            return Err(TrainError::Config(format!(
-                "{} is not a trainable dtype (expected f32 | f16 | bf16)",
-                cfg.dtype
-            )));
-        }
         let mut opt = cfg.optimizer.build(task.params(), cfg.lr);
         opt.set_param_dtype(cfg.dtype);
         if cfg.dtype != DType::F32 {

@@ -1,6 +1,6 @@
-//! Mutation court for every binary decoder: the `REXSTATE1` container,
-//! the tensor-entry codec at f32, f16 and bf16, `TrainState` sections
-//! and REXGGUF at f32 and q8_0.
+//! Mutation court for the decoders of on-disk bytes: the `REXSTATE1`
+//! container, the tensor-entry codec at f32, f16 and bf16, `TrainState`
+//! sections, and JSONL telemetry traces.
 //!
 //! Each format gets a few thousand Prng-seeded mutants of a valid file:
 //! bit flips, truncations, splices, and length or count fields
@@ -12,12 +12,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io::ErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rex_nn::bytes::ByteReader;
 use rex_nn::checkpoint::{self, decode_entries_dtype, encode_entries_dtype};
-use rex_nn::export::{write_export, ExportFile};
 use rex_optim::OptimizerState;
 use rex_tensor::{DType, Prng, Tensor};
 use rex_train::{EpochStats, TrainState};
@@ -324,107 +322,20 @@ fn train_state_section_mutants_never_panic() {
     );
 }
 
-/// `(offset, width)` of the count, length, rank, dim, offset and size
-/// fields of a REXGGUF header.
-fn rexgguf_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
-    let mut r = ByteReader::new(bytes);
-    r.take(12).unwrap();
-    let mut fields = vec![(12, 4), (16, 4)];
-    let (n_tensors, n_meta) = (r.u32().unwrap(), r.u32().unwrap());
-    for _ in 0..2 * n_meta {
-        fields.push((r.position(), 4));
-        r.string(usize::MAX).unwrap();
-    }
-    for _ in 0..n_tensors {
-        fields.push((r.position(), 4));
-        r.string(usize::MAX).unwrap();
-        r.u8().unwrap();
-        fields.push((r.position(), 4));
-        for _ in 0..r.u32().unwrap() + 2 {
-            fields.push((r.position(), 8));
-            r.u64().unwrap();
-        }
-    }
-    fields
-}
-
 #[test]
-fn rexgguf_mutants_never_panic() {
-    let entries = vec![
-        (
-            "w".to_owned(),
-            Prng::new(9).normal_tensor(&[5, 40], 0.0, 1.0),
-        ),
-        (
-            "b".to_owned(),
-            Tensor::from_vec(vec![0.5; 5], &[5]).unwrap(),
-        ),
-    ];
-    let meta = vec![("source".to_owned(), "court".to_owned())];
-    for (seed, quant) in [(6, DType::F32), (7, DType::Q80)] {
-        let mut template = Vec::new();
-        write_export(&mut template, &entries, quant, &meta).unwrap();
-        let fields = rexgguf_fields(&template);
-        court(
-            &format!("REXGGUF/{quant}"),
-            seed,
-            |rng| mutate(&template, &fields, rng),
-            |bytes| match ExportFile::parse(bytes) {
-                // an accepted index must also decode every tensor
-                Ok(file) => match file
-                    .tensors
-                    .iter()
-                    .try_for_each(|e| file.tensor(e).map(drop))
-                {
-                    Ok(()) => Verdict::Accepted,
-                    Err(_) => Verdict::Rejected,
-                },
-                Err(_) => Verdict::Rejected,
-            },
-        );
-    }
-}
-
-/// A REXGGUF header: magic, version and the two counts, nothing more.
-fn rexgguf_header(n_tensors: u32, n_meta: u32) -> Vec<u8> {
-    let mut bytes = b"REXGGUF\0".to_vec();
-    for v in [1, n_tensors, n_meta] {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    bytes
-}
-
-#[test]
-fn rexgguf_huge_tensor_count_does_not_preallocate() {
-    let bytes = rexgguf_header(1 << 20, 0);
-    assert_eq!(bytes.len(), 20);
-    let (result, peak) = peak_alloc(|| ExportFile::parse(&bytes));
-    assert_eq!(result.unwrap_err().kind(), ErrorKind::UnexpectedEof);
-    assert!(peak <= MAX_ALLOC, "a {peak}-byte allocation");
-}
-
-#[test]
-fn rexgguf_huge_meta_count_does_not_preallocate() {
-    let (result, peak) = peak_alloc(|| ExportFile::parse(&rexgguf_header(0, 1 << 20)));
-    assert_eq!(result.unwrap_err().kind(), ErrorKind::UnexpectedEof);
-    assert!(peak <= MAX_ALLOC, "a {peak}-byte allocation");
-}
-
-#[test]
-fn rexgguf_overflowing_dims_are_invalid_data() {
-    // one f32 tensor whose dims [2^32, 2^32] multiply past usize::MAX,
-    // with nbytes 0: a wrapped element count would make it "fit"
-    let mut bytes = Vec::new();
-    let one = Tensor::from_vec(vec![1.0], &[1, 1]).unwrap();
-    write_export(&mut bytes, &[("w".to_owned(), one)], DType::F32, &[]).unwrap();
-    assert_eq!(bytes.len(), 96);
-    // index: u32 name length, "w", tag, u32 ndim, two u64 dims, u64
-    // offset, u64 nbytes
-    let dims = 20 + 4 + 1 + 1 + 4;
-    for d in 0..2 {
-        bytes[dims + 8 * d..dims + 8 * d + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
-    }
-    bytes[dims + 24..dims + 32].copy_from_slice(&0u64.to_le_bytes());
-    let err = ExportFile::parse(&bytes).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+fn jsonl_trace_mutants_never_panic() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/tasks/vae_rex.jsonl"
+    );
+    let template = std::fs::read(path).unwrap();
+    court(
+        "JSONL",
+        6,
+        |rng| mutate(&template, &[], rng),
+        |bytes| match std::str::from_utf8(bytes).map(rex_telemetry::parse_trace) {
+            Ok(Ok(_)) => Verdict::Accepted,
+            _ => Verdict::Rejected,
+        },
+    );
 }

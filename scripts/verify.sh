@@ -137,18 +137,6 @@ f32_bytes=$(wc -c < "$tmp_dir/f32_ref.state")
 f16_bytes=$(wc -c < "$tmp_dir/f16_full_1.state")
 test $((f16_bytes * 4)) -lt $((f32_bytes * 3))
 
-echo "==> export (REXGGUF model files from a checkpoint)"
-# `rexctl export` writes the f32 snapshot at every quant level (parsing
-# and payload equality are covered by the unit tests and the decoder
-# court), and the q8_0 file comes in well under half the f32 one
-for q in f32 f16 q8_0; do
-  cargo run --release --offline -p rex-cli --bin rexctl -- \
-    export --from "$tmp_dir/f32_ref.state" --out "$tmp_dir/model_$q.rexgguf" --quant "$q" >/dev/null
-done
-gguf_f32=$(wc -c < "$tmp_dir/model_f32.rexgguf")
-gguf_q8=$(wc -c < "$tmp_dir/model_q8_0.rexgguf")
-test $((gguf_q8 * 2)) -lt "$gguf_f32"
-
 echo "==> serve (HTTP job server: codec, queue, black-box e2e)"
 # the serve crate's own suites (codec + queue invariants + subprocess
 # e2e), then the root-level black-box harness in release mode — the same
