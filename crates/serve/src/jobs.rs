@@ -2,12 +2,14 @@
 //!
 //! A job is one budgeted training cell — the same cell `rexctl train`
 //! runs, specified as a flat JSON object and executed through
-//! [`rex_train::settings::SettingSpec::run_ft`]. The ledger keeps every
-//! job's record in memory and mirrors it to `jobs/<id>/job.json`
-//! (crash-consistently, via `rex_faults::atomic_write`), so a restarted
-//! server can rebuild its world from disk: terminal jobs stay queryable,
-//! non-terminal jobs re-enter the queue and resume from their last
-//! `REXSTATE1` checkpoint.
+//! [`rex_train::settings::SettingSpec::run_ft`]. Every job has a
+//! manifest, `jobs/<id>/job.json`, written crash-consistently via
+//! `rex_faults::atomic_write`. The ledger keeps a queued or running job's
+//! record in memory and mirrors each change to the manifest; a finished
+//! job lives only in its manifest, so the daemon's memory does not grow
+//! with the jobs it has run. A restarted server rebuilds its world from
+//! disk: terminal jobs stay queryable, non-terminal jobs re-enter the
+//! queue and resume from their last `REXSTATE1` checkpoint.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -305,11 +307,13 @@ impl JobRecord {
         };
         let spec = JobSpec {
             setting: get_str("setting")?,
+            // a budget outside 1..=100 would panic the worker that runs it
             budget: obj
                 .get("budget")
                 .and_then(Value::as_u64)
                 .and_then(|v| u32::try_from(v).ok())
-                .ok_or("job record missing budget")?,
+                .filter(|b| (1..=100).contains(b))
+                .ok_or("job record budget missing or out of range")?,
             schedule: get_str("schedule")?,
             optimizer: get_str("optimizer")?,
             seed: obj
@@ -366,33 +370,60 @@ impl JobRecord {
     }
 }
 
-/// Per-state job counts, for `/metrics` and tests.
+/// Live job counts, for `/healthz` and `/metrics`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct JobCounts {
     /// Jobs in `Queued`.
     pub queued: u64,
     /// Jobs in `Running`.
     pub running: u64,
-    /// Jobs in `Done`.
-    pub done: u64,
-    /// Jobs in `Failed`.
-    pub failed: u64,
-    /// Jobs in `Canceled`.
-    pub canceled: u64,
 }
 
-/// The durable job ledger: in-memory records mirrored to
-/// `<data_dir>/jobs/<id>/job.json`.
+/// The number in a job id of the form `job-<digits>`.
+fn job_number(id: &str) -> Option<u64> {
+    let digits = id.strip_prefix("job-")?;
+    // parse alone would also take a leading sign
+    digits
+        .bytes()
+        .all(|b| b.is_ascii_digit())
+        .then(|| digits.parse().ok())?
+}
+
+/// Reads and decodes `dir/job.json`, which must name the job `dir` is
+/// named after.
+fn read_manifest(dir: &Path) -> std::io::Result<JobRecord> {
+    let path = dir.join("job.json");
+    let text = std::fs::read_to_string(&path)?;
+    JobRecord::from_json(&text)
+        .and_then(|record| match dir.file_name() {
+            Some(name) if *name == *record.id => Ok(record),
+            _ => Err(format!("manifest names job {:?}", record.id)),
+        })
+        .map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("corrupt job manifest {}: {e}", path.display()),
+            )
+        })
+}
+
+/// The durable job ledger. A queued or running job's record lives in
+/// memory and is mirrored to `<data_dir>/jobs/<id>/job.json`; a finished
+/// job lives only in that manifest.
 pub struct Ledger {
-    jobs: Mutex<BTreeMap<String, JobRecord>>,
+    /// Queued and running jobs.
+    live: Mutex<BTreeMap<String, JobRecord>>,
+    /// The number of the newest job id handed out.
+    last_id: AtomicU64,
     data_dir: PathBuf,
 }
 
 impl Ledger {
-    /// Opens (or creates) the ledger under `data_dir`, loading every job
-    /// record found on disk. Jobs recorded as `Running` by a previous
-    /// server life are flipped back to `Queued` (their next run resumes
-    /// from the checkpoint).
+    /// Opens (or creates) the ledger under `data_dir`, decoding every job
+    /// manifest found on disk and keeping the queued and running jobs in
+    /// memory. Jobs recorded as `Running` by a previous server life are
+    /// flipped back to `Queued` (their next run resumes from the
+    /// checkpoint).
     ///
     /// # Errors
     ///
@@ -402,28 +433,26 @@ impl Ledger {
     pub fn open(data_dir: &Path) -> std::io::Result<Ledger> {
         let jobs_root = data_dir.join("jobs");
         std::fs::create_dir_all(&jobs_root)?;
-        let mut jobs = BTreeMap::new();
+        let (mut live, mut last_id) = (BTreeMap::new(), 0);
         for entry in std::fs::read_dir(&jobs_root)? {
             let dir = entry?.path();
-            let manifest = dir.join("job.json");
-            if !manifest.is_file() {
+            if !dir.join("job.json").is_file() {
                 continue;
             }
-            let text = std::fs::read_to_string(&manifest)?;
-            let mut record = JobRecord::from_json(&text).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("corrupt job manifest {}: {e}", manifest.display()),
-                )
-            })?;
+            let mut record = read_manifest(&dir)?;
+            last_id = last_id.max(job_number(&record.id).unwrap_or(0));
+            if record.state.is_terminal() {
+                continue;
+            }
             if record.state == JobState::Running {
                 record.state = JobState::Queued;
                 record.resumes += 1;
             }
-            jobs.insert(record.id.clone(), record);
+            live.insert(record.id.clone(), record);
         }
         Ok(Ledger {
-            jobs: Mutex::new(jobs),
+            live: Mutex::new(live),
+            last_id: AtomicU64::new(last_id),
             data_dir: data_dir.to_owned(),
         })
     }
@@ -435,15 +464,11 @@ impl Ledger {
     ///
     /// Propagates manifest-write errors.
     pub fn recoverable(&self) -> std::io::Result<Vec<String>> {
-        let jobs = self.jobs.lock().unwrap();
-        let mut ids = Vec::new();
-        for (id, record) in jobs.iter() {
-            if !record.state.is_terminal() {
-                self.persist(record)?;
-                ids.push(id.clone());
-            }
+        let live = self.live.lock().unwrap();
+        for record in live.values() {
+            self.persist(record)?;
         }
-        Ok(ids)
+        Ok(live.keys().cloned().collect())
     }
 
     /// Allocates the next job id and registers `spec` as `Queued`,
@@ -451,15 +476,9 @@ impl Ledger {
     /// [`Ledger::discard`]). `request_id` ties the manifest back to the
     /// submitting HTTP request, when there was one.
     pub fn create(&self, spec: JobSpec, request_id: Option<String>) -> JobRecord {
-        let mut jobs = self.jobs.lock().unwrap();
-        let next = jobs
-            .keys()
-            .filter_map(|id| id.strip_prefix("job-")?.parse::<u64>().ok())
-            .max()
-            .unwrap_or(0)
-            + 1;
+        let number = self.last_id.fetch_add(1, Ordering::Relaxed) + 1;
         let record = JobRecord {
-            id: format!("job-{next:06}"),
+            id: format!("job-{number:06}"),
             spec,
             state: JobState::Queued,
             metric: None,
@@ -472,7 +491,8 @@ impl Ledger {
             user_cancel: Arc::new(AtomicBool::new(false)),
             watchdog_fired: Arc::new(AtomicBool::new(false)),
         };
-        jobs.insert(record.id.clone(), record.clone());
+        let copy = record.clone();
+        self.live.lock().unwrap().insert(record.id.clone(), copy);
         record
     }
 
@@ -487,45 +507,58 @@ impl Ledger {
     }
 
     /// Forgets a record that never made it into the queue (admission
-    /// rejected): the id is not reused, the map entry and any stray dir
-    /// are dropped.
+    /// rejected): the map entry and any stray dir are dropped. The id is
+    /// not handed out again while this ledger is open.
     pub fn discard(&self, id: &str) {
-        self.jobs.lock().unwrap().remove(id);
+        self.live.lock().unwrap().remove(id);
         let _ = std::fs::remove_dir_all(self.job_dir(id));
     }
 
-    /// A point-in-time copy of one record.
+    /// A point-in-time copy of one record: from memory while the job is
+    /// live, else from its manifest. Only ids of the form `job-<digits>`
+    /// are looked up on disk.
     pub fn get(&self, id: &str) -> Option<JobRecord> {
-        self.jobs.lock().unwrap().get(id).cloned()
+        if let Some(record) = self.live.lock().unwrap().get(id) {
+            return Some(record.clone());
+        }
+        job_number(id)?;
+        read_manifest(&self.job_dir(id)).ok()
     }
 
-    /// Point-in-time copies of every record, id order.
+    /// Point-in-time copies of every record, id order: the live ones from
+    /// memory, the finished ones from their manifests.
     pub fn list(&self) -> Vec<JobRecord> {
-        self.jobs.lock().unwrap().values().cloned().collect()
+        let mut all = self.live.lock().unwrap().clone();
+        let entries = std::fs::read_dir(self.data_dir.join("jobs"));
+        for entry in entries.into_iter().flatten().flatten() {
+            if let Some(record) = entry.file_name().to_str().and_then(|id| self.get(id)) {
+                all.entry(record.id.clone()).or_insert(record);
+            }
+        }
+        all.into_values().collect()
     }
 
-    /// Per-state counts.
+    /// Counts of the live jobs.
     pub fn counts(&self) -> JobCounts {
-        let jobs = self.jobs.lock().unwrap();
         let mut c = JobCounts::default();
-        for record in jobs.values() {
+        for record in self.live.lock().unwrap().values() {
             match record.state {
                 JobState::Queued => c.queued += 1,
                 JobState::Running => c.running += 1,
-                JobState::Done => c.done += 1,
-                JobState::Failed => c.failed += 1,
-                JobState::Canceled => c.canceled += 1,
+                JobState::Done | JobState::Failed | JobState::Canceled => {}
             }
         }
         c
     }
 
     /// Transitions `id` to `state` (with optional metric/error) and
-    /// persists the record. Returns the updated record.
+    /// persists the record. A terminal record then leaves memory: its
+    /// manifest is its only copy. Returns the updated record.
     ///
     /// # Errors
     ///
-    /// Propagates manifest-write errors; unknown ids are a no-op `None`.
+    /// Propagates manifest-write errors (the record then stays in
+    /// memory); ids that are not live are a no-op `None`.
     pub fn set_state(
         &self,
         id: &str,
@@ -533,8 +566,8 @@ impl Ledger {
         metric: Option<f64>,
         error: Option<String>,
     ) -> std::io::Result<Option<JobRecord>> {
-        let mut jobs = self.jobs.lock().unwrap();
-        let Some(record) = jobs.get_mut(id) else {
+        let mut live = self.live.lock().unwrap();
+        let Some(record) = live.get_mut(id) else {
             return Ok(None);
         };
         record.state = state;
@@ -548,8 +581,11 @@ impl Ledger {
             record.error = error;
         }
         let snapshot = record.clone();
-        drop(jobs);
+        drop(live);
         self.persist(&snapshot)?;
+        if state.is_terminal() {
+            self.live.lock().unwrap().remove(id);
+        }
         Ok(Some(snapshot))
     }
 
@@ -562,8 +598,8 @@ impl Ledger {
     ///
     /// Propagates manifest-write errors.
     pub fn record_retry(&self, id: &str, backoff_ms: u64) -> std::io::Result<Option<JobRecord>> {
-        let mut jobs = self.jobs.lock().unwrap();
-        let Some(record) = jobs.get_mut(id) else {
+        let mut live = self.live.lock().unwrap();
+        let Some(record) = live.get_mut(id) else {
             return Ok(None);
         };
         record.retries += 1;
@@ -572,17 +608,15 @@ impl Ledger {
         record.cancel.store(false, Ordering::Release);
         record.watchdog_fired.store(false, Ordering::Release);
         let snapshot = record.clone();
-        drop(jobs);
+        drop(live);
         self.persist(&snapshot)?;
         Ok(Some(snapshot))
     }
 
-    /// Sets the cancel flag of every non-terminal job (server shutdown).
+    /// Sets the cancel flag of every live job (server shutdown).
     pub fn cancel_all(&self) {
-        for record in self.jobs.lock().unwrap().values() {
-            if !record.state.is_terminal() {
-                record.cancel.store(true, Ordering::Release);
-            }
+        for record in self.live.lock().unwrap().values() {
+            record.cancel.store(true, Ordering::Release);
         }
     }
 
@@ -590,7 +624,7 @@ impl Ledger {
     /// (graceful drain: the trainer checkpoints and the job goes back to
     /// `Queued`, not `Canceled`). Queued jobs are left untouched.
     pub fn halt_running(&self) {
-        for record in self.jobs.lock().unwrap().values() {
+        for record in self.live.lock().unwrap().values() {
             if record.state == JobState::Running {
                 record.cancel.store(true, Ordering::Release);
             }
@@ -940,6 +974,137 @@ mod tests {
         let d = ledger.create(spec(), None);
         assert_eq!(d.id, "job-000003");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn finished_jobs_live_only_in_their_manifests() {
+        let dir = tmp_dir("finished");
+        let ledger = Ledger::open(&dir).unwrap();
+        let mut expected = Vec::new();
+        for (state, metric, error) in [
+            (JobState::Done, Some(0.1 + 0.2), None),
+            (
+                JobState::Failed,
+                None,
+                Some("loss \"nan\"\n\u{1}".to_owned()),
+            ),
+            (JobState::Canceled, None, None),
+        ] {
+            let job = ledger.create(spec(), Some("c1-r1".to_owned()));
+            ledger.commit(&job).unwrap();
+            ledger
+                .set_state(&job.id, JobState::Running, None, None)
+                .unwrap();
+            let last = ledger.set_state(&job.id, state, metric, error).unwrap();
+            expected.push(last.unwrap().to_json());
+        }
+        assert!(ledger.live.lock().unwrap().is_empty());
+        assert_eq!(ledger.counts(), JobCounts::default());
+
+        // the manifests give back the text each record had in memory
+        let listed: Vec<String> = ledger.list().iter().map(JobRecord::to_json).collect();
+        assert_eq!(listed, expected);
+        for (n, text) in (1..).zip(&expected) {
+            assert_eq!(ledger.get(&format!("job-{n:06}")).unwrap().to_json(), *text);
+        }
+        assert!(ledger.get("job-000004").is_none());
+
+        // Only job-<digits> ids are looked up on disk: plant a manifest
+        // naming each other id where a lookup of it would read.
+        let manifest =
+            |id: &str| expected[0].replace("\"id\":\"job-000001\"", &format!("\"id\":{id:?}"));
+        for (id, at) in [
+            ("..", dir.clone()),
+            ("job-", dir.join("jobs/job-")),
+            ("job-1/..", dir.join("jobs")),
+            ("jobs", dir.join("jobs/jobs")),
+        ] {
+            std::fs::create_dir_all(&at).unwrap();
+            std::fs::write(at.join("job.json"), manifest(id)).unwrap();
+            assert!(ledger.get(id).is_none(), "{id}");
+        }
+        assert_eq!(ledger.list().len(), 3);
+        let _ = std::fs::remove_dir_all(dir);
+
+        // Ledger::open refuses a corrupt manifest whatever its state: a
+        // field of the wrong type, a budget no submission could carry, or
+        // a manifest naming another job than its directory does
+        for state in ["queued", "running", "done", "failed", "canceled"] {
+            let text = expected[0].replace("\"done\"", &format!("\"{state}\""));
+            let bad_budget = text.replace("\"budget\":25", "\"budget\":\"25\"");
+            let zero_budget = text.replace("\"budget\":25", "\"budget\":0");
+            let wrong_id = text.replace("job-000001", "job-000002");
+            for corrupt in [bad_budget, zero_budget, wrong_id] {
+                let dir = tmp_dir("corrupt");
+                std::fs::create_dir_all(dir.join("jobs/job-000001")).unwrap();
+                std::fs::write(dir.join("jobs/job-000001/job.json"), &corrupt).unwrap();
+                let err = Ledger::open(&dir).err().expect("opened a corrupt ledger");
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{corrupt}");
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    /// The decoder court's rules, applied to the manifest decoder that
+    /// finished-job lookups run on the request path: Prng-seeded byte
+    /// flips, truncations and insertions of a real manifest each decode or
+    /// are refused, none panics, and both verdicts occur.
+    #[test]
+    fn manifest_mutants_never_panic() {
+        let record = JobRecord {
+            id: "job-000042".to_owned(),
+            spec: JobSpec {
+                lr: Some(0.05),
+                ..spec()
+            },
+            state: JobState::Failed,
+            metric: Some(91.25),
+            error: Some("checkpoint \"ckpt\": disk full\n\u{7}é".to_owned()),
+            resumes: 1,
+            retries: 3,
+            retry_after_ms: Some(150),
+            request_id: Some("c3-r1".to_owned()),
+            cancel: Arc::new(AtomicBool::new(false)),
+            user_cancel: Arc::new(AtomicBool::new(false)),
+            watchdog_fired: Arc::new(AtomicBool::new(false)),
+        };
+        let dir = tmp_dir("court").join("job-000042");
+        std::fs::create_dir_all(&dir).unwrap();
+        let template = (record.to_json() + "\n").into_bytes();
+        let n = template.len();
+        let mut rng = rex_tensor::Prng::new(22);
+        let (mut accepted, mut rejected, mut panics) = (0, 0, Vec::new());
+        for i in 0..3000 {
+            let mut bytes = template.clone();
+            match rng.below(3) {
+                0 => {
+                    for _ in 0..=rng.below(3) {
+                        bytes[rng.below(n)] ^= 1 << rng.below(8);
+                    }
+                }
+                1 => bytes.truncate(rng.below(n)),
+                // bytes drawn from the manifest itself: quotes, escapes,
+                // digits and braces reach past the first check
+                _ => {
+                    let at = rng.below(n + 1);
+                    let insert: Vec<u8> =
+                        (0..=rng.below(4)).map(|_| template[rng.below(n)]).collect();
+                    bytes.splice(at..at, insert);
+                }
+            }
+            std::fs::write(dir.join("job.json"), &bytes).unwrap();
+            match std::panic::catch_unwind(|| read_manifest(&dir)) {
+                Err(_) => panics.push(i),
+                Ok(Ok(_)) => accepted += 1,
+                Ok(Err(_)) => rejected += 1,
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        assert!(panics.is_empty(), "mutants {panics:?} panicked");
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{accepted} accepted, {rejected} rejected"
+        );
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The admission contract behind `POST /v1/jobs`: [`BoundedQueue::try_push`]
 //! never blocks — a full queue is surfaced to the submitter as an error
 //! (HTTP 429 + `Retry-After`) instead of an unbounded in-memory backlog.
-//! Workers block in [`BoundedQueue::pop`] until work or shutdown. Every
-//! admitted item carries a monotonically increasing ticket, and pops hand
-//! out items in strict ticket order, so admission order *is* execution
-//! order regardless of how many workers drain the queue.
+//! Workers block in [`BoundedQueue::pop`] until work or shutdown. Pops
+//! hand out items in strict admission order under one lock, so admission
+//! order *is* execution order regardless of how many workers drain the
+//! queue.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -16,8 +16,7 @@ use std::sync::{Condvar, Mutex};
 pub struct QueueFull;
 
 struct Inner<T> {
-    items: VecDeque<(u64, T)>,
-    next_ticket: u64,
+    items: VecDeque<T>,
     shutdown: bool,
 }
 
@@ -34,7 +33,6 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
-                next_ticket: 0,
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -57,45 +55,38 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Admits `item` if there is room, returning its ticket.
+    /// Admits `item` if there is room.
     ///
     /// # Errors
     ///
     /// [`QueueFull`] when the queue is at capacity (or shut down) —
     /// the caller owes the submitter a backpressure signal.
-    pub fn try_push(&self, item: T) -> Result<u64, QueueFull> {
+    pub fn try_push(&self, item: T) -> Result<(), QueueFull> {
         let mut inner = self.inner.lock().unwrap();
         if inner.shutdown || inner.items.len() >= self.capacity {
             return Err(QueueFull);
         }
-        let ticket = inner.next_ticket;
-        inner.next_ticket += 1;
-        inner.items.push_back((ticket, item));
+        inner.items.push_back(item);
         drop(inner);
         self.cv.notify_one();
-        Ok(ticket)
+        Ok(())
     }
 
     /// Admits `item` even past the capacity bound. Recovery only: jobs
     /// found non-terminal on disk at startup must all re-enter the queue,
     /// however many there are — dropping one would lose it forever.
-    pub fn push_unbounded(&self, item: T) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        let ticket = inner.next_ticket;
-        inner.next_ticket += 1;
-        inner.items.push_back((ticket, item));
-        drop(inner);
+    pub fn push_unbounded(&self, item: T) {
+        self.inner.lock().unwrap().items.push_back(item);
         self.cv.notify_one();
-        ticket
     }
 
-    /// Blocks until an item is available (returning the oldest ticket) or
-    /// the queue is shut down and drained (`None`).
-    pub fn pop(&self) -> Option<(u64, T)> {
+    /// Blocks until an item is available (returning the oldest) or the
+    /// queue is shut down and drained (`None`).
+    pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().unwrap();
         loop {
-            if let Some(pair) = inner.items.pop_front() {
-                return Some(pair);
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.shutdown {
                 return None;
@@ -108,8 +99,8 @@ impl<T> BoundedQueue<T> {
     /// of a still-queued job). The freed slot is immediately reusable.
     pub fn remove<F: FnMut(&T) -> bool>(&self, mut pred: F) -> Option<T> {
         let mut inner = self.inner.lock().unwrap();
-        let idx = inner.items.iter().position(|(_, item)| pred(item))?;
-        inner.items.remove(idx).map(|(_, item)| item)
+        let idx = inner.items.iter().position(&mut pred)?;
+        inner.items.remove(idx)
     }
 
     /// Marks the queue shut down: pushes fail, pops drain the backlog and
@@ -127,10 +118,10 @@ mod tests {
     #[test]
     fn fifo_within_capacity() {
         let q = BoundedQueue::new(3);
-        assert_eq!(q.try_push('a').unwrap(), 0);
-        assert_eq!(q.try_push('b').unwrap(), 1);
-        assert_eq!(q.pop(), Some((0, 'a')));
-        assert_eq!(q.pop(), Some((1, 'b')));
+        q.try_push('a').unwrap();
+        q.try_push('b').unwrap();
+        assert_eq!(q.pop(), Some('a'));
+        assert_eq!(q.pop(), Some('b'));
     }
 
     #[test]
@@ -152,8 +143,8 @@ mod tests {
         q.try_push("b").unwrap();
         assert_eq!(q.remove(|item| *item == "a"), Some("a"));
         q.try_push("c").unwrap();
-        assert_eq!(q.pop().map(|(_, v)| v), Some("b"));
-        assert_eq!(q.pop().map(|(_, v)| v), Some("c"));
+        assert_eq!(q.pop(), Some("b"));
+        assert_eq!(q.pop(), Some("c"));
     }
 
     #[test]
@@ -162,7 +153,7 @@ mod tests {
         q.try_push(1).unwrap();
         q.shutdown();
         assert_eq!(q.try_push(2), Err(QueueFull));
-        assert_eq!(q.pop(), Some((0, 1)));
+        assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
     }
 

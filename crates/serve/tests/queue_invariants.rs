@@ -9,10 +9,10 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use rex_serve::queue::{BoundedQueue, QueueFull};
 
-/// Consumers drain a pre-filled queue; each consumer's ticket sequence
-/// must be strictly increasing (pops hand out strict FIFO order under
-/// one lock), and the union of all sequences must be exactly the pushed
-/// set — nothing lost, nothing duplicated.
+/// Consumers drain a queue pre-filled with 0..200 in order; each
+/// consumer's items must strictly increase (pops hand out strict FIFO
+/// order under one lock), and the union of all sequences must be exactly
+/// the pushed set — nothing lost, nothing duplicated.
 fn fifo_and_exactly_once(threads: usize) {
     const ITEMS: usize = 200;
     let queue = Arc::new(BoundedQueue::new(ITEMS));
@@ -26,8 +26,8 @@ fn fifo_and_exactly_once(threads: usize) {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some((ticket, item)) = queue.pop() {
-                    seen.push((ticket, item));
+                while let Some(item) = queue.pop() {
+                    seen.push(item);
                 }
                 seen
             })
@@ -37,16 +37,16 @@ fn fifo_and_exactly_once(threads: usize) {
     let mut all = Vec::new();
     for handle in handles {
         let seen = handle.join().unwrap();
-        // per-consumer FIFO: tickets strictly increase
+        // per-consumer FIFO: items were pushed in increasing order
         assert!(
-            seen.windows(2).all(|w| w[0].0 < w[1].0),
-            "consumer saw out-of-order tickets at {threads} threads"
+            seen.windows(2).all(|w| w[0] < w[1]),
+            "consumer saw out-of-order items at {threads} threads"
         );
         all.extend(seen);
     }
     all.sort_unstable();
-    // exactly once: every (ticket, item) pair, no gaps, no dupes
-    assert_eq!(all, (0..ITEMS).map(|i| (i as u64, i)).collect::<Vec<_>>());
+    // exactly once: every item, no gaps, no dupes
+    assert_eq!(all, (0..ITEMS).collect::<Vec<_>>());
 }
 
 /// Producers hammer `try_push` (retrying on `QueueFull`) while consumers
@@ -85,7 +85,7 @@ fn bounded_depth_under_contention(threads: usize) {
         let queue = Arc::clone(&queue);
         std::thread::spawn(move || {
             let mut got = Vec::new();
-            while let Some((_, item)) = queue.pop() {
+            while let Some(item) = queue.pop() {
                 got.push(item);
             }
             got
@@ -139,7 +139,7 @@ fn cancel_never_leaks_a_slot(threads: usize) {
         let queue = Arc::clone(&queue);
         let taken = Arc::clone(&taken);
         std::thread::spawn(move || {
-            while let Some((_, item)) = queue.pop() {
+            while let Some(item) = queue.pop() {
                 taken.lock().unwrap().push(item);
             }
         })

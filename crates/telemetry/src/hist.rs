@@ -4,9 +4,9 @@
 //! for a mean, useless for tail latency. This module adds an HDR-style
 //! histogram with *fixed, power-of-two bucket boundaries*: bucket `i`
 //! covers `(2^(i+MIN_POW-1), 2^(i+MIN_POW)]` nanoseconds, spanning 1 µs to
-//! ~69 s, plus an overflow bucket. Fixed boundaries make two histograms
-//! mergeable bucket-by-bucket and make the rendered `/metrics` output a
-//! pure function of the observations — no state-dependent resizing.
+//! ~69 s, plus an overflow bucket. Fixed boundaries make the rendered
+//! `/metrics` output a pure function of the observations — no
+//! state-dependent resizing.
 //!
 //! Exact `count`, `sum`, `min`, and `max` are carried alongside the
 //! buckets, so the old summary view stays derivable and quantile
@@ -83,46 +83,6 @@ impl Histogram {
         }
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
-    }
-
-    /// Folds `other` into `self` bucket-by-bucket (boundaries are fixed,
-    /// so merging is exact).
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        if self.count == 0 {
-            self.min_ns = other.min_ns;
-            self.max_ns = other.max_ns;
-        } else {
-            self.min_ns = self.min_ns.min(other.min_ns);
-            self.max_ns = self.max_ns.max(other.max_ns);
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations, in nanoseconds.
-    pub fn sum_ns(&self) -> u64 {
-        self.sum_ns
-    }
-
-    /// Smallest observation, in nanoseconds (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        self.min_ns
-    }
-
-    /// Largest observation, in nanoseconds (0 when empty).
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
     }
 
     /// The flat summary view ([`TimerStat`]) of this histogram.
@@ -212,13 +172,11 @@ mod tests {
         for ns in [500, 1500, 3000, 3000, 1 << 20] {
             h.observe_ns(ns);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum_ns(), 500 + 1500 + 3000 + 3000 + (1 << 20));
-        assert_eq!(h.min_ns(), 500);
-        assert_eq!(h.max_ns(), 1 << 20);
         let s = h.stat();
         assert_eq!(s.count, 5);
+        assert_eq!(s.sum_ns, 500 + 1500 + 3000 + 3000 + (1 << 20));
         assert_eq!(s.min_ns, 500);
+        assert_eq!(s.max_ns, 1 << 20);
     }
 
     #[test]
@@ -235,35 +193,8 @@ mod tests {
         let p99 = h.quantile_ns(0.99);
         assert!((1_000..=4_096).contains(&p50), "p50 = {p50}");
         assert!((500_000..=1_048_576).contains(&p99), "p99 = {p99}");
-        assert!(h.quantile_ns(0.0) >= h.min_ns());
+        assert!(h.quantile_ns(0.0) >= h.stat().min_ns);
         assert_eq!(h.quantile_ns(1.0), 1_000_000);
-    }
-
-    #[test]
-    fn merge_equals_observing_the_union() {
-        let samples_a = [1_000u64, 5_000, 9_999, 1 << 30];
-        let samples_b = [2u64, 70_000, 70_000];
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut u = Histogram::new();
-        for &s in &samples_a {
-            a.observe_ns(s);
-            u.observe_ns(s);
-        }
-        for &s in &samples_b {
-            b.observe_ns(s);
-            u.observe_ns(s);
-        }
-        a.merge(&b);
-        assert_eq!(a, u);
-        // merging an empty histogram is a no-op
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
-        // merging INTO an empty histogram copies
-        let mut e = Histogram::new();
-        e.merge(&u);
-        assert_eq!(e, u);
     }
 
     #[test]

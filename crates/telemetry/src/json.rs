@@ -261,11 +261,13 @@ impl<'a> Parser<'a> {
                         .bytes()
                         .get(self.pos + 1..self.pos + 5)
                         .ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(
-                        std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                        16,
-                    )
-                    .map_err(|_| "bad \\u escape")?;
+                    // exactly four hex digits: from_str_radix alone would
+                    // also take a leading sign
+                    let code = std::str::from_utf8(hex)
+                        .ok()
+                        .filter(|_| hex.iter().all(u8::is_ascii_hexdigit))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or("bad \\u escape")?;
                     out.push(char::from_u32(code).ok_or("bad \\u code point")?);
                     self.pos += 4;
                 }
@@ -296,6 +298,26 @@ mod tests {
         let line = format!("{{\"k\":\"{}\"}}", escape(s));
         let m = parse_object(&line).unwrap();
         assert_eq!(m["k"].as_str(), Some(s));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            parse_object(r#"{"k":"\u0041"}"#).unwrap()["k"].as_str(),
+            Some("A")
+        );
+        assert_eq!(
+            parse_object(r#"{"k":"\u00e9"}"#).unwrap()["k"].as_str(),
+            Some("é")
+        );
+        for bad in [
+            r#"{"k":"\u+041"}"#,
+            r#"{"k":"\u-041"}"#,
+            r#"{"k":"\u 041"}"#,
+            r#"{"k":"\u004"}"#,
+        ] {
+            assert!(parse_object(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

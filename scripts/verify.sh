@@ -137,11 +137,11 @@ f32_bytes=$(wc -c < "$tmp_dir/f32_ref.state")
 f16_bytes=$(wc -c < "$tmp_dir/f16_full_1.state")
 test $((f16_bytes * 4)) -lt $((f32_bytes * 3))
 
-echo "==> serve (HTTP job server: codec, queue, black-box e2e)"
-# the serve crate's own suites (codec + queue invariants + subprocess
-# e2e), then the root-level black-box harness in release mode — the same
-# binaries a deployment would run
-cargo test --offline -q -p rex-serve
+echo "==> serve (HTTP job server: black-box e2e in release mode)"
+# the serve crate's own suites (codec, queue invariants, subprocess e2e)
+# already ran in the debug workspace passes above; here the root-level
+# black-box harness runs in release mode — the same binaries a
+# deployment would run
 cargo test --release --offline -q --test serve_e2e
 # kill-and-resume over HTTP at 1 and 4 pool threads: rex-faults kills
 # rexd mid-job (exit 86), a restarted server must resume the job and
