@@ -8,11 +8,6 @@
 //! from byte slices: malformed request lines, oversized headers, chunked
 //! round-trips, pipelined requests, and abrupt disconnects, no
 //! `TcpStream` required.
-//!
-//! Each outgoing message (a whole [`Response`], a chunked head, one chunk,
-//! the terminator) is written once: split over several writes, it leaves
-//! in several TCP segments, and on a keep-alive connection each later
-//! segment waits ~40 ms for the peer's delayed ACK.
 
 use std::io::{self, BufRead, Write};
 
@@ -307,75 +302,7 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// A complete `Content-Length`-framed response, built whole so that it
-/// leaves in one write.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
-    /// Status code.
-    pub status: u16,
-    /// `Content-Type` value.
-    pub content_type: String,
-    /// Headers written after `Content-Length`, in order.
-    pub headers: Vec<(String, String)>,
-    /// The body.
-    pub body: Vec<u8>,
-}
-
-impl Response {
-    /// A response with no extra headers.
-    pub fn new(status: u16, content_type: &str, body: impl Into<Vec<u8>>) -> Response {
-        Response {
-            status,
-            content_type: content_type.to_owned(),
-            headers: Vec::new(),
-            body: body.into(),
-        }
-    }
-
-    /// Appends one header.
-    pub fn with_header(mut self, name: &str, value: &str) -> Response {
-        self.headers.push((name.to_owned(), value.to_owned()));
-        self
-    }
-
-    /// The response's wire bytes. `request_id`, when given, goes out as
-    /// `X-Request-Id` right after the status line.
-    pub fn encode(&self, request_id: Option<&str>) -> Vec<u8> {
-        let length = format!("Content-Length: {}", self.body.len());
-        let mut wire = head(
-            self.status,
-            request_id,
-            &self.content_type,
-            &length,
-            &self.headers,
-        );
-        wire.extend_from_slice(&self.body);
-        wire
-    }
-}
-
-/// A response head: the status line, `X-Request-Id` when given, the
-/// content type, the framing header, then `headers`.
-fn head(
-    status: u16,
-    request_id: Option<&str>,
-    content_type: &str,
-    framing: &str,
-    headers: &[(String, String)],
-) -> Vec<u8> {
-    let mut head = format!("HTTP/1.1 {status} {}\r\n", reason(status));
-    if let Some(id) = request_id {
-        head.push_str(&format!("X-Request-Id: {id}\r\n"));
-    }
-    head.push_str(&format!("Content-Type: {content_type}\r\n{framing}\r\n"));
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
-    head.into_bytes()
-}
-
-/// Writes a complete `Content-Length`-framed response in one write.
+/// Writes a complete `Content-Length`-framed response.
 ///
 /// # Errors
 ///
@@ -387,54 +314,39 @@ pub fn write_response<W: Write>(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    let resp = (extra_headers.iter()).fold(Response::new(status, content_type, body), |r, h| {
-        r.with_header(h.0, h.1)
-    });
-    w.write_all(&resp.encode(None))?;
+    write!(w, "HTTP/1.1 {status} {}\r\n", reason(status))?;
+    write!(w, "Content-Type: {content_type}\r\n")?;
+    write!(w, "Content-Length: {}\r\n", body.len())?;
+    for (name, value) in extra_headers {
+        write!(w, "{name}: {value}\r\n")?;
+    }
+    w.write_all(b"\r\n")?;
+    w.write_all(body)?;
     w.flush()
 }
 
-/// The head of a `Transfer-Encoding: chunked` response, with
-/// `X-Request-Id` right after the status line when `request_id` is given.
-pub fn chunked_head(status: u16, request_id: Option<&str>, content_type: &str) -> Vec<u8> {
-    let framing = "Transfer-Encoding: chunked";
-    head(status, request_id, content_type, framing, &[])
-}
-
-/// Writes the head of a `Transfer-Encoding: chunked` response in one
-/// write; follow with a [`ChunkedWriter`].
+/// Writes the head of a `Transfer-Encoding: chunked` response; follow with
+/// a [`ChunkedWriter`].
 ///
 /// # Errors
 ///
 /// Propagates transport errors.
 pub fn write_chunked_head<W: Write>(w: &mut W, status: u16, content_type: &str) -> io::Result<()> {
-    w.write_all(&chunked_head(status, None, content_type))?;
+    write!(w, "HTTP/1.1 {status} {}\r\n", reason(status))?;
+    write!(w, "Content-Type: {content_type}\r\n")?;
+    w.write_all(b"Transfer-Encoding: chunked\r\n\r\n")?;
     w.flush()
 }
 
-/// Encoder for a chunked response body: each chunk, and the terminator,
-/// is one write.
+/// Encoder for a chunked response body.
 pub struct ChunkedWriter<'a, W: Write> {
     w: &'a mut W,
-    sent: u64,
 }
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// Wraps `w`, which must already carry a chunked head.
     pub fn new(w: &'a mut W) -> Self {
-        ChunkedWriter { w, sent: 0 }
-    }
-
-    /// Bytes written so far, chunk framing included.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    fn send(&mut self, wire: &[u8]) -> io::Result<()> {
-        self.w.write_all(wire)?;
-        self.w.flush()?;
-        self.sent += wire.len() as u64;
-        Ok(())
+        ChunkedWriter { w }
     }
 
     /// Writes one chunk and flushes it (streaming readers see it
@@ -448,10 +360,10 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         if data.is_empty() {
             return Ok(());
         }
-        let mut wire = format!("{:x}\r\n", data.len()).into_bytes();
-        wire.extend_from_slice(data);
-        wire.extend_from_slice(b"\r\n");
-        self.send(&wire)
+        write!(self.w, "{:x}\r\n", data.len())?;
+        self.w.write_all(data)?;
+        self.w.write_all(b"\r\n")?;
+        self.w.flush()
     }
 
     /// Terminates the stream with the zero-size chunk.
@@ -459,7 +371,8 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// # Errors
     ///
     /// Propagates transport errors.
-    pub fn finish(&mut self) -> io::Result<()> {
-        self.send(b"0\r\n\r\n")
+    pub fn finish(self) -> io::Result<()> {
+        self.w.write_all(b"0\r\n\r\n")?;
+        self.w.flush()
     }
 }

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use rex_telemetry::MetricsRegistry;
 
-use crate::http::{self, ChunkedWriter, Request, Response};
+use crate::http::{self, ChunkedWriter, Request};
 use crate::jobs::{backoff_ms, run_job, JobSpec, JobState, Ledger, RunCtx, RunOutcome};
 use crate::queue::BoundedQueue;
 
@@ -411,12 +411,66 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// What a route answers with.
-enum Reply {
-    /// One whole response.
-    Whole(Response),
-    /// The trace of this job, streamed as a chunked response.
-    Trace(String),
+/// A byte-counting [`Write`] wrapper around the connection stream.
+///
+/// Buffers the response head until the status line is complete, then
+/// injects an `X-Request-Id` header right after it — so every handler
+/// gets the header and the access log gets the status code without
+/// threading either through each route branch.
+struct Metered<'a> {
+    inner: &'a mut TcpStream,
+    request_id: &'a str,
+    /// Bytes written on the wire (including the injected header).
+    bytes: u64,
+    /// Status code parsed off the status line; 0 until one is written.
+    status: u16,
+    head: Vec<u8>,
+    head_done: bool,
+}
+
+impl<'a> Metered<'a> {
+    fn new(inner: &'a mut TcpStream, request_id: &'a str) -> Metered<'a> {
+        Metered {
+            inner,
+            request_id,
+            bytes: 0,
+            status: 0,
+            head: Vec::new(),
+            head_done: false,
+        }
+    }
+}
+
+impl Write for Metered<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.head_done {
+            let n = self.inner.write(buf)?;
+            self.bytes += n as u64;
+            return Ok(n);
+        }
+        self.head.extend_from_slice(buf);
+        if let Some(pos) = self.head.windows(2).position(|w| w == b"\r\n") {
+            // "HTTP/1.1 NNN ..." — the three digits after the version
+            self.status = std::str::from_utf8(&self.head[..pos])
+                .ok()
+                .and_then(|line| line.split(' ').nth(1))
+                .and_then(|code| code.parse().ok())
+                .unwrap_or(0);
+            let mut out = Vec::with_capacity(self.head.len() + 32);
+            out.extend_from_slice(&self.head[..pos + 2]);
+            out.extend_from_slice(format!("X-Request-Id: {}\r\n", self.request_id).as_bytes());
+            out.extend_from_slice(&self.head[pos + 2..]);
+            self.inner.write_all(&out)?;
+            self.bytes += out.len() as u64;
+            self.head_done = true;
+            self.head.clear();
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 fn handle_conn(shared: &Shared, stream: TcpStream) {
@@ -442,8 +496,18 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                 // Not a parseable request: no request id, no access-log
                 // line — just the protocol error response.
                 if let Some((status, _)) = e.status() {
-                    let resp = error(shared, status, &e.to_string());
-                    let _ = writer.write_all(&resp.with_header("Connection", "close").encode(None));
+                    shared.metrics.counter_inc("rex_http_errors_total", 1);
+                    let body = format!(
+                        "{{\"error\":\"{}\"}}\n",
+                        rex_telemetry::json::escape(&e.to_string())
+                    );
+                    let _ = http::write_response(
+                        &mut writer,
+                        status,
+                        "application/json",
+                        &[("Connection", "close")],
+                        body.as_bytes(),
+                    );
                 }
                 return;
             }
@@ -451,20 +515,20 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
         shared.metrics.counter_inc("rex_http_requests_total", 1);
         reqno += 1;
         let request_id = format!("c{conn}-r{reqno}");
+        let close = req.wants_close();
         let started = Instant::now();
-        let (reply, job) = route(shared, &req, &request_id);
-        // bytes of the writes that completed, and whether all of them did
-        let (status, bytes, sent) = match reply {
-            Reply::Whole(resp) => {
-                let wire = resp.encode(Some(&request_id));
-                match writer.write_all(&wire) {
-                    Ok(()) => (resp.status, wire.len() as u64, true),
-                    Err(_) => (resp.status, 0, false),
-                }
-            }
-            Reply::Trace(id) => {
-                let (bytes, sent) = stream_trace(shared, &id, &mut writer, &request_id);
-                (200, bytes, sent)
+        let mut metered = Metered::new(&mut writer, &request_id);
+        let routed = route(shared, &req, &mut metered, &request_id);
+        let (status, bytes) = (metered.status, metered.bytes);
+        // Job id for the log line: the id submit_job allocated, or the id
+        // embedded in a job-scoped path.
+        let job = match &routed {
+            Ok(Some(id)) => Some(id.clone()),
+            _ => {
+                let mut segments = req.path().split('/').filter(|s| !s.is_empty());
+                (segments.next() == Some("v1") && segments.next() == Some("jobs"))
+                    .then(|| segments.next().map(str::to_owned))
+                    .flatten()
             }
         };
         if let Some(log) = &shared.access_log {
@@ -483,75 +547,90 @@ fn handle_conn(shared: &Shared, stream: TcpStream) {
                 let _ = file.write_all(line.as_bytes());
             }
         }
-        if !sent || req.wants_close() {
-            return; // peer went away mid-response, or asked to close
+        if routed.is_err() {
+            return; // peer went away mid-response
+        }
+        if close {
+            return;
         }
     }
 }
 
-fn json(status: u16, body: impl Into<Vec<u8>>) -> Response {
-    Response::new(status, "application/json", body)
+/// JSON-body convenience around [`http::write_response`].
+fn respond<W: Write>(
+    w: &mut W,
+    status: u16,
+    extra: &[(&str, &str)],
+    body: &str,
+) -> std::io::Result<()> {
+    http::write_response(w, status, "application/json", extra, body.as_bytes())
 }
 
-/// A JSON error response, counted in `rex_http_errors_total`.
-fn error(shared: &Shared, status: u16, message: &str) -> Response {
-    shared.metrics.counter_inc("rex_http_errors_total", 1);
-    let message = rex_telemetry::json::escape(message);
-    json(status, format!("{{\"error\":\"{message}\"}}\n"))
+fn error_body(message: &str) -> String {
+    format!(
+        "{{\"error\":\"{}\"}}\n",
+        rex_telemetry::json::escape(message)
+    )
 }
 
-/// Dispatches one request. Also returns, for the access log, the id of
-/// the job the request touched: the one a submission created, or the one
-/// its path names.
-fn route(shared: &Shared, req: &Request, request_id: &str) -> (Reply, Option<String>) {
-    let path = req.path();
+/// Dispatches one request. Returns the job id allocated by a submission
+/// (for the access log); every other route returns `Ok(None)`.
+fn route<W: Write>(
+    shared: &Shared,
+    req: &Request,
+    w: &mut W,
+    request_id: &str,
+) -> std::io::Result<Option<String>> {
+    let path = req.path().to_owned();
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let method = req.method.as_str();
-    let job = match segments.as_slice() {
-        ["v1", "jobs", id, ..] => Some((*id).to_owned()),
-        _ => None,
-    };
-    let resp = match (method, segments.as_slice()) {
-        ("GET", ["healthz"]) => json(
-            200,
-            format!(
+    let status = match (method, segments.as_slice()) {
+        ("GET", ["healthz"]) => {
+            let counts = shared.ledger.counts();
+            let body = format!(
                 "{{\"status\":\"ok\",\"queue_depth\":{},\"jobs_running\":{},\
                  \"uptime_seconds\":{}}}\n",
                 shared.queue.len(),
-                shared.ledger.counts().running,
+                counts.running,
                 shared.started.elapsed().as_secs(),
-            ),
-        ),
-        // Readiness is about admission: a draining (or stopping) server
-        // is still alive but will not take new jobs.
-        ("GET", ["readyz"])
-            if shared.draining.load(Ordering::Acquire) || shared.stop.load(Ordering::Acquire) =>
-        {
-            json(503, "{\"status\":\"draining\"}\n")
-                .with_header("Retry-After", &shared.cfg.retry_after_secs.to_string())
+            );
+            return respond(w, 200, &[], &body).map(|()| None);
         }
-        ("GET", ["readyz"]) => json(200, "{\"status\":\"ready\"}\n"),
-        ("POST", ["v1", "jobs"]) => {
-            let (resp, created) = submit_job(shared, req, request_id);
-            return (Reply::Whole(resp), created);
+        ("GET", ["readyz"]) => {
+            // Readiness is about admission: a draining (or stopping)
+            // server is still alive but will not take new jobs.
+            if shared.draining.load(Ordering::Acquire) || shared.stop.load(Ordering::Acquire) {
+                let retry_after = shared.cfg.retry_after_secs.to_string();
+                return respond(
+                    w,
+                    503,
+                    &[("Retry-After", retry_after.as_str())],
+                    "{\"status\":\"draining\"}\n",
+                )
+                .map(|()| None);
+            }
+            return respond(w, 200, &[], "{\"status\":\"ready\"}\n").map(|()| None);
         }
+        ("POST", ["v1", "jobs"]) => return submit_job(shared, req, w, request_id),
         ("GET", ["v1", "jobs"]) => {
             let mut body = String::new();
             for record in shared.ledger.list() {
                 body.push_str(&record.to_json());
                 body.push('\n');
             }
-            Response::new(200, "application/x-ndjson", body)
+            return http::write_response(w, 200, "application/x-ndjson", &[], body.as_bytes())
+                .map(|()| None);
         }
         ("GET", ["v1", "jobs", id]) => match shared.ledger.get(id) {
-            Some(record) => json(200, record.to_json() + "\n"),
-            None => error(shared, 404, &format!("no such resource {path}")),
+            Some(record) => {
+                let mut body = record.to_json();
+                body.push('\n');
+                return respond(w, 200, &[], &body).map(|()| None);
+            }
+            None => 404,
         },
-        ("DELETE", ["v1", "jobs", id]) => cancel_job(shared, id),
-        ("GET", ["v1", "jobs", id, "trace"]) => match shared.ledger.get(id) {
-            Some(_) => return (Reply::Trace((*id).to_owned()), job),
-            None => error(shared, 404, &format!("no such job {id}")),
-        },
+        ("DELETE", ["v1", "jobs", id]) => return cancel_job(shared, id, w).map(|()| None),
+        ("GET", ["v1", "jobs", id, "trace"]) => return stream_trace(shared, id, w).map(|()| None),
         ("GET", ["metrics"]) => {
             let counts = shared.ledger.counts();
             let m = &shared.metrics;
@@ -573,30 +652,46 @@ fn route(shared: &Shared, req: &Request, request_id: &str) -> (Reply, Option<Str
                 "rex_pool_worker_utilization",
                 (pool.worker_busy_ns + pool.submitter_busy_ns) as f64 / capacity_ns.max(1.0),
             );
-            Response::new(200, "text/plain; version=0.0.4", m.render_prometheus())
+            let body = shared.metrics.render_prometheus();
+            return http::write_response(w, 200, "text/plain; version=0.0.4", &[], body.as_bytes())
+                .map(|()| None);
         }
-        (_, ["healthz" | "readyz" | "metrics"]) | (_, ["v1", "jobs", ..]) => error(
-            shared,
-            405,
-            &format!("method {method} not allowed on {path}"),
-        ),
-        _ => error(shared, 404, &format!("no such resource {path}")),
+        (_, ["healthz" | "readyz" | "metrics"]) | (_, ["v1", "jobs", ..]) => 405,
+        _ => 404,
     };
-    (Reply::Whole(resp), job)
+    shared.metrics.counter_inc("rex_http_errors_total", 1);
+    let message = match status {
+        405 => format!("method {method} not allowed on {path}"),
+        _ => format!("no such resource {path}"),
+    };
+    respond(w, status, &[], &error_body(&message)).map(|()| None)
 }
 
-fn submit_job(shared: &Shared, req: &Request, request_id: &str) -> (Response, Option<String>) {
-    let retry_after = shared.cfg.retry_after_secs.to_string();
+fn submit_job<W: Write>(
+    shared: &Shared,
+    req: &Request,
+    w: &mut W,
+    request_id: &str,
+) -> std::io::Result<Option<String>> {
     if shared.stop.load(Ordering::Acquire) || shared.draining.load(Ordering::Acquire) {
         // Not backpressure (429) but planned unavailability: tell the
         // client when to come back instead of resetting the connection.
-        let resp =
-            error(shared, 503, "server is draining").with_header("Retry-After", &retry_after);
-        return (resp, None);
+        shared.metrics.counter_inc("rex_http_errors_total", 1);
+        let retry_after = shared.cfg.retry_after_secs.to_string();
+        return respond(
+            w,
+            503,
+            &[("Retry-After", retry_after.as_str())],
+            &error_body("server is draining"),
+        )
+        .map(|()| None);
     }
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) => s,
-        Err(_) => return (error(shared, 400, "body is not UTF-8"), None),
+        Err(_) => {
+            shared.metrics.counter_inc("rex_http_errors_total", 1);
+            return respond(w, 400, &[], &error_body("body is not UTF-8")).map(|()| None);
+        }
     };
     let spec = match JobSpec::parse(
         body,
@@ -604,111 +699,131 @@ fn submit_job(shared: &Shared, req: &Request, request_id: &str) -> (Response, Op
         shared.cfg.default_max_retries,
     ) {
         Ok(spec) => spec,
-        Err(e) => return (error(shared, 400, &e), None),
+        Err(e) => {
+            shared.metrics.counter_inc("rex_http_errors_total", 1);
+            return respond(w, 400, &[], &error_body(&e)).map(|()| None);
+        }
     };
 
-    let reject = || -> (Response, Option<String>) {
+    let retry_after = shared.cfg.retry_after_secs.to_string();
+    let reject = |shared: &Shared, w: &mut W| -> std::io::Result<Option<String>> {
         shared.metrics.counter_inc("rex_jobs_rejected_total", 1);
         shared.metrics.counter_inc("rex_http_errors_total", 1);
-        let body = format!(
-            "{{\"error\":\"queue full\",\"queue_depth\":{}}}\n",
-            shared.cfg.queue_depth
-        );
-        (
-            json(429, body).with_header("Retry-After", &retry_after),
-            None,
+        respond(
+            w,
+            429,
+            &[("Retry-After", retry_after.as_str())],
+            &format!(
+                "{{\"error\":\"queue full\",\"queue_depth\":{}}}\n",
+                shared.cfg.queue_depth
+            ),
         )
+        .map(|()| None)
     };
 
     // optimistic pre-check so a saturated queue doesn't cost ledger IO
     if shared.queue.len() >= shared.queue.capacity() {
-        return reject();
+        return reject(shared, w);
     }
     let record = shared.ledger.create(spec, Some(request_id.to_owned()));
     // persist before enqueueing: a crash between the two re-enqueues the
     // job at startup instead of losing it
     if let Err(e) = shared.ledger.commit(&record) {
         shared.ledger.discard(&record.id);
-        return (
-            error(shared, 500, &format!("ledger write failed: {e}")),
-            None,
-        );
+        shared.metrics.counter_inc("rex_http_errors_total", 1);
+        return respond(
+            w,
+            500,
+            &[],
+            &error_body(&format!("ledger write failed: {e}")),
+        )
+        .map(|()| None);
     }
     if shared.queue.try_push(record.id.clone()).is_err() {
         shared.ledger.discard(&record.id);
-        return reject();
+        return reject(shared, w);
     }
     shared.metrics.counter_inc("rex_jobs_submitted_total", 1);
     shared
         .metrics
         .gauge_set("rex_queue_depth", shared.queue.len() as f64);
-    let body = format!("{{\"id\":\"{}\",\"state\":\"queued\"}}\n", record.id);
-    (json(202, body), Some(record.id))
+    respond(
+        w,
+        202,
+        &[],
+        &format!("{{\"id\":\"{}\",\"state\":\"queued\"}}\n", record.id),
+    )
+    .map(|()| Some(record.id))
 }
 
-fn cancel_job(shared: &Shared, id: &str) -> Response {
+fn cancel_job<W: Write>(shared: &Shared, id: &str, w: &mut W) -> std::io::Result<()> {
     let Some(record) = shared.ledger.get(id) else {
-        return error(shared, 404, &format!("no such job {id}"));
+        shared.metrics.counter_inc("rex_http_errors_total", 1);
+        return respond(w, 404, &[], &error_body(&format!("no such job {id}")));
     };
     if record.state.is_terminal() {
         // Idempotent: canceling a job that can no longer run is success,
         // so retried DELETEs (lost response, impatient client) are safe.
-        return json(200, format!("{{\"state\":\"{}\"}}\n", record.state.name()));
+        return respond(
+            w,
+            200,
+            &[],
+            &format!("{{\"state\":\"{}\"}}\n", record.state.name()),
+        );
     }
     // set the flags first: if a worker pops the job in this window, it
     // observes them before training starts
     record.user_cancel.store(true, Ordering::Release);
     record.cancel.store(true, Ordering::Release);
     if record.state == JobState::Queued && shared.queue.remove(|qid| qid == id).is_some() {
-        if let Err(e) = shared.ledger.set_state(id, JobState::Canceled, None, None) {
-            return error(shared, 500, &format!("ledger write failed: {e}"));
-        }
+        shared
+            .ledger
+            .set_state(id, JobState::Canceled, None, None)?;
         shared.metrics.counter_inc("rex_jobs_canceled_total", 1);
         shared
             .metrics
             .gauge_set("rex_queue_depth", shared.queue.len() as f64);
-        return json(200, "{\"state\":\"canceled\"}\n");
+        return respond(w, 200, &[], "{\"state\":\"canceled\"}\n");
     }
-    json(202, "{\"state\":\"canceling\"}\n")
+    respond(w, 202, &[], "{\"state\":\"canceling\"}\n")
 }
 
 /// Streams a job's JSONL trace as a chunked response, following the file
 /// while the job is live — `curl` sees step lines appear as the trainer
-/// emits them. Returns the bytes of the writes that completed, and
-/// whether the stream ended cleanly.
-fn stream_trace(shared: &Shared, id: &str, w: &mut TcpStream, request_id: &str) -> (u64, bool) {
-    let head = http::chunked_head(200, Some(request_id), "application/x-ndjson");
-    if w.write_all(&head).is_err() {
-        return (0, false);
+/// emits them.
+fn stream_trace<W: Write>(shared: &Shared, id: &str, w: &mut W) -> std::io::Result<()> {
+    if shared.ledger.get(id).is_none() {
+        shared.metrics.counter_inc("rex_http_errors_total", 1);
+        return respond(w, 404, &[], &error_body(&format!("no such job {id}")));
     }
-    let mut chunks = ChunkedWriter::new(w);
     let path = shared.ledger.trace_path(id);
-    let mut follow = || -> std::io::Result<()> {
-        let mut offset: u64 = 0;
-        let mut buf = vec![0u8; 64 * 1024];
-        loop {
-            let terminal = shared.ledger.get(id).is_none_or(|r| r.state.is_terminal());
-            let mut drained = true;
-            if let Ok(mut file) = std::fs::File::open(&path) {
-                file.seek(SeekFrom::Start(offset))?;
-                loop {
-                    let n = file.read(&mut buf)?;
-                    if n == 0 {
-                        break;
-                    }
-                    offset += n as u64;
-                    chunks.write_chunk(&buf[..n])?;
-                    drained = false;
+    http::write_chunked_head(w, 200, "application/x-ndjson")?;
+    let mut chunks = ChunkedWriter::new(w);
+    let mut offset: u64 = 0;
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        let terminal = shared.ledger.get(id).is_none_or(|r| r.state.is_terminal());
+        let mut drained = true;
+        if let Ok(mut file) = std::fs::File::open(&path) {
+            file.seek(SeekFrom::Start(offset))?;
+            loop {
+                let n = file.read(&mut buf)?;
+                if n == 0 {
+                    break;
                 }
-            }
-            if (terminal && drained) || shared.stop.load(Ordering::Acquire) {
-                return chunks.finish();
-            }
-            if drained {
-                std::thread::sleep(Duration::from_millis(20));
+                offset += n as u64;
+                chunks.write_chunk(&buf[..n])?;
+                drained = false;
             }
         }
-    };
-    let ended = follow().is_ok();
-    (head.len() as u64 + chunks.sent(), ended)
+        if terminal && drained {
+            return chunks.finish();
+        }
+        if shared.stop.load(Ordering::Acquire) {
+            return chunks.finish();
+        }
+        if drained {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
 }

@@ -3,11 +3,11 @@
 //! code is pinned here: malformed request lines, oversized heads,
 //! chunked round-trips, pipelined requests, and abrupt disconnects.
 
-use std::io::{BufReader, Cursor, Write};
+use std::io::{BufReader, Cursor};
 
 use rex_serve::http::{
-    chunked_head, read_chunked_body, read_request, write_chunked_head, write_response,
-    ChunkedWriter, HttpError, Response, MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    read_chunked_body, read_request, write_chunked_head, write_response, ChunkedWriter, HttpError,
+    MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 
 fn parse(bytes: &[u8]) -> Result<rex_serve::http::Request, HttpError> {
@@ -236,78 +236,4 @@ fn write_response_emits_exact_framing() {
         "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
          Content-Length: 23\r\nRetry-After: 1\r\n\r\n{\"error\":\"queue full\"}\n"
     );
-}
-
-/// A writer that records every `write` call it gets.
-#[derive(Default)]
-struct CountingWriter {
-    writes: usize,
-    wire: Vec<u8>,
-}
-
-impl Write for CountingWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.writes += 1;
-        self.wire.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-const LIMITED: &str = "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
-                       Content-Length: 23\r\nRetry-After: 1\r\n\r\n{\"error\":\"queue full\"}\n";
-
-/// Each message leaves in one write: a message split over several writes
-/// leaves in several TCP segments, and on a keep-alive connection each
-/// later segment waits for the peer's delayed ACK.
-#[test]
-fn each_message_is_one_write() {
-    let body = b"{\"error\":\"queue full\"}\n";
-    for extra in [&[][..], &[("Retry-After", "1")][..]] {
-        let mut w = CountingWriter::default();
-        write_response(&mut w, 429, "application/json", extra, body).unwrap();
-        assert_eq!(w.writes, 1, "{extra:?}");
-    }
-
-    // the value the server builds encodes to the same bytes, with
-    // X-Request-Id right after the status line when it has one
-    let limited =
-        Response::new(429, "application/json", body.to_vec()).with_header("Retry-After", "1");
-    assert_eq!(limited.encode(None), LIMITED.as_bytes());
-    let with_id = LIMITED.replacen("\r\n", "\r\nX-Request-Id: c7-r2\r\n", 1);
-    assert_eq!(limited.encode(Some("c7-r2")), with_id.as_bytes());
-    let plain = Response::new(200, "text/plain", "ok");
-    assert_eq!(
-        plain.encode(Some("c1-r1")),
-        b"HTTP/1.1 200 OK\r\nX-Request-Id: c1-r1\r\nContent-Type: text/plain\r\n\
-          Content-Length: 2\r\n\r\nok"
-    );
-
-    let mut w = CountingWriter::default();
-    write_chunked_head(&mut w, 200, "application/x-ndjson").unwrap();
-    assert_eq!(w.writes, 1);
-    assert_eq!(w.wire, chunked_head(200, None, "application/x-ndjson"));
-    assert_eq!(
-        chunked_head(200, Some("c1-r3"), "application/x-ndjson"),
-        b"HTTP/1.1 200 OK\r\nX-Request-Id: c1-r3\r\nContent-Type: application/x-ndjson\r\n\
-          Transfer-Encoding: chunked\r\n\r\n"
-    );
-
-    let mut w = CountingWriter::default();
-    let mut chunks = ChunkedWriter::new(&mut w);
-    chunks.write_chunk(b"{\"ev\":\"step\"}\n").unwrap();
-    chunks.write_chunk(b"").unwrap();
-    chunks.write_chunk(&[b'x'; 300]).unwrap();
-    chunks.finish().unwrap();
-    let sent = chunks.sent();
-    // two chunks and the terminator; the empty chunk writes nothing
-    assert_eq!(w.writes, 3);
-    assert_eq!(sent, w.wire.len() as u64);
-    assert!(w
-        .wire
-        .starts_with(b"e\r\n{\"ev\":\"step\"}\n\r\n12c\r\nxxx"));
-    assert!(w.wire.ends_with(b"x\r\n0\r\n\r\n"));
 }
