@@ -117,8 +117,8 @@ PRECISION:
 
 BACKEND:
   --backend scalar|simd|auto picks the compute backend (overrides the
-  REX_BACKEND environment variable; default auto = simd wherever a
-  vector unit exists). Numerics are a property of the backend: within
+  REX_BACKEND environment variable; default auto = simd on hosts with
+  AVX2+FMA, scalar elsewhere). Numerics are a property of the backend: within
   one backend results are bitwise identical at any thread count, across
   backends they agree to rounding.
 

@@ -1,8 +1,7 @@
 //! Loss helpers composed from graph primitives.
 //!
-//! Cross-entropy and BCE-with-logits live directly on
-//! [`Graph`](rex_autograd::Graph); this module adds the composite losses the
-//! models need.
+//! Cross-entropy and BCE-with-logits live directly on [`Graph`]; this
+//! module adds the composite losses the models need.
 
 use rex_autograd::{Graph, NodeId};
 use rex_tensor::{Tensor, TensorError};

@@ -93,7 +93,7 @@ impl Module for BasicBlock {
 }
 
 /// A three-stage residual classifier: stem conv → stages of
-/// [`BasicBlock`]s at widths `w, 2w, 4w` (stride 2 between stages) →
+/// `BasicBlock`s at widths `w, 2w, 4w` (stride 2 between stages) →
 /// global average pool → linear head.
 ///
 /// `MicroResNet::rn20_analog` stands in for ResNet-20/CIFAR-10 and

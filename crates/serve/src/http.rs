@@ -181,8 +181,11 @@ pub fn read_chunked_body<R: BufRead>(r: &mut R) -> Result<Vec<u8>, HttpError> {
         let mut line_budget = 256;
         let size_line = read_line_budgeted(r, &mut line_budget)?.ok_or(HttpError::Truncated)?;
         let size_str = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_str, 16)
-            .map_err(|_| HttpError::Malformed(format!("bad chunk size {size_str:?}")))?;
+        // hex digits only: `from_str_radix` alone would also take a sign
+        let size = Some(size_str)
+            .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|s| usize::from_str_radix(s, 16).ok())
+            .ok_or_else(|| HttpError::Malformed(format!("bad chunk size {size_str:?}")))?;
         if size == 0 {
             // trailer section: lines until the empty one
             loop {
@@ -270,10 +273,11 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, HttpError> {
     if chunked {
         req.body = read_chunked_body(r)?;
     } else if let Some(len) = req.header("content-length") {
-        let n: usize = len
-            .trim()
-            .parse()
-            .map_err(|_| HttpError::Malformed(format!("bad Content-Length {len:?}")))?;
+        // decimal digits only: `parse` alone would also take a sign
+        let n: usize = Some(len.trim())
+            .filter(|s| s.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| HttpError::Malformed(format!("bad Content-Length {len:?}")))?;
         if n > MAX_BODY_BYTES {
             return Err(HttpError::BodyTooLarge);
         }

@@ -804,7 +804,8 @@ pub fn run_job(
             &mut rec,
         )
     })();
-    rec.flush();
+    // run_ft flushed the finished trace; dropping the recorder flushes
+    // (and fsyncs) whatever an early exit left unwritten
     drop(rec);
 
     // Counters increment BEFORE the manifest flips terminal: the ledger

@@ -196,18 +196,6 @@ impl Server {
         self.addr
     }
 
-    /// The server's metrics registry.
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.shared.metrics)
-    }
-
-    /// Blocks forever on the acceptor (the `rexd` foreground mode).
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-    }
-
     /// Graceful stop: refuse new work, cancel running jobs cooperatively,
     /// and join the acceptor and workers.
     pub fn shutdown(mut self) {

@@ -66,6 +66,7 @@ fn malformed_request_lines_are_400() {
         b"GET / HTTP/1.1\r\nbad name: x\r\n\r\n",           // space in header name
         b"GET / HTTP/1.1\r\n: empty\r\n\r\n",               // empty header name
         b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n", // unparseable length
+        b"POST / HTTP/1.1\r\nContent-Length: +77\r\n\r\n",  // signed length
         b"\xff\xfe / HTTP/1.1\r\n\r\n",                     // not UTF-8
     ];
     for (i, case) in table.iter().enumerate() {
@@ -175,6 +176,7 @@ fn bad_chunk_framing_is_malformed() {
     let table: &[&[u8]] = &[
         b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nab\r\n0\r\n\r\n", // bad size
         b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabXX0\r\n\r\n", // missing CRLF
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n+4d\r\n",            // signed size
     ];
     for (i, case) in table.iter().enumerate() {
         let err = parse(case).unwrap_err();

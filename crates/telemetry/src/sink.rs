@@ -138,6 +138,9 @@ pub struct JsonlSink {
     /// the trace is the resume contract's source of truth, so its flushed
     /// prefix must actually be durable.
     file: Option<File>,
+    /// Whether a line was written since the last fsync: a flush with
+    /// nothing new skips it.
+    unsynced: bool,
 }
 
 impl std::fmt::Debug for JsonlSink {
@@ -232,6 +235,7 @@ impl JsonlSink {
             writer: BufWriter::new(writer),
             include_timing: false,
             file: None,
+            unsynced: false,
         }
     }
 
@@ -240,6 +244,19 @@ impl JsonlSink {
     pub fn with_timing(mut self) -> Self {
         self.include_timing = true;
         self
+    }
+
+    /// Makes the flushed prefix durable: resume truncates the trace to the
+    /// checkpoint's line cursor, which must exist on disk even if the
+    /// process is killed right after checkpointing. fsyncs only when a
+    /// line was written since the last fsync, and says whether it did.
+    fn fsync_new_lines(&mut self) -> bool {
+        let Some(file) = self.file.as_ref().filter(|_| self.unsynced) else {
+            return false;
+        };
+        rex_faults::fsync_file(file);
+        self.unsynced = false;
+        true
     }
 }
 
@@ -255,17 +272,13 @@ impl Sink for JsonlSink {
             // Telemetry must not abort training on a full disk; drop the
             // line and keep going.
             let _ = writeln!(self.writer, "{line}");
+            self.unsynced = true;
         }
     }
 
     fn flush(&mut self) {
         let _ = self.writer.flush();
-        // make the flushed prefix durable: resume truncates the trace to
-        // the checkpoint's line cursor, which must exist on disk even if
-        // the process is killed right after checkpointing
-        if let Some(file) = &self.file {
-            rex_faults::fsync_file(file);
-        }
+        self.fsync_new_lines();
     }
 }
 
@@ -390,6 +403,26 @@ mod tests {
         let err = JsonlSink::resume(&path, 5).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("4 complete lines"), "{err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn jsonl_flush_fsyncs_only_new_lines() {
+        let path =
+            std::env::temp_dir().join(format!("rex_sink_fsync_{}.jsonl", std::process::id()));
+        let mut sink = JsonlSink::create(&path).unwrap();
+        assert!(!sink.fsync_new_lines(), "nothing written yet");
+        sink.record(&step(0));
+        sink.flush();
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
+        // a second flush (the recorder's, or the drop's) has nothing new
+        assert!(!sink.fsync_new_lines(), "fsynced twice for one line");
+        sink.record(&step(1));
+        let _ = sink.writer.flush();
+        assert!(sink.fsync_new_lines(), "a new line must be fsynced");
+        assert!(!sink.fsync_new_lines());
+        drop(sink);
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 2);
         let _ = std::fs::remove_file(path);
     }
 

@@ -1,14 +1,19 @@
-//! The compute-backend abstraction: every numeric kernel in the crate is
-//! reachable through the [`ComputeBackend`] trait, with two implementations
-//! behind one dispatch point.
+//! The compute-backend abstraction: the ops whose float order differs
+//! between backends sit behind the [`ComputeBackend`] trait, with two
+//! implementations behind one dispatch point.
 //!
-//! * [`ScalarBackend`] — the historical paths in [`crate::kernels`],
-//!   [`crate::im2col`], and the serial folds in `Tensor`: plain Rust loops
-//!   whose float order is the crate's long-standing numerical contract.
-//! * [`SimdBackend`] — runtime-dispatched vectorized microkernels from
-//!   [`crate::simd`]: `std::arch` AVX2/FMA where the host supports it, an
-//!   SSE2 micro-tile otherwise on x86-64, and portable 8-wide chunked loops
-//!   (which the autovectorizer lowers) everywhere else.
+//! * [`ScalarBackend`] — the historical paths in [`crate::kernels`] and the
+//!   serial folds: plain Rust loops whose float order is the crate's
+//!   long-standing numerical contract.
+//! * [`SimdBackend`] — the crate's runtime-dispatched vector kernels: an
+//!   AVX-512F or AVX2+FMA GEMM micro-tile (both give the same bits), and
+//!   8-lane chunked reductions and row kernels (compiled with AVX2 where
+//!   the host has it). A host without AVX2+FMA has no vector GEMM, and
+//!   `auto` resolves to [`ScalarBackend`] there.
+//!
+//! Ops that compute the same values whatever the backend — the elementwise
+//! maps, im2col and col2im — are not on the trait: every backend runs one
+//! body for each, so forcing a backend never changes them.
 //!
 //! # Dispatch order
 //!
@@ -17,7 +22,7 @@
 //! 1. the innermost [`with_backend`] scope on the current thread (tests),
 //! 2. the process-wide pin from [`set_backend`] (the `--backend` CLI flag),
 //! 3. the `REX_BACKEND` env var (`scalar` | `simd` | `auto`),
-//! 4. `auto`: [`SimdBackend`] when the host has a vector unit worth using,
+//! 4. `auto`: [`SimdBackend`] when the host has a vector GEMM tile,
 //!    [`ScalarBackend`] otherwise.
 //!
 //! Drivers resolve the backend **once** per entry point, before any work is
@@ -28,19 +33,18 @@
 //! # Determinism scope
 //!
 //! Bitwise determinism holds *within* a backend: for a fixed backend (and,
-//! for [`SimdBackend`], a fixed host ISA level), every op produces
-//! bit-identical results at any thread count, because chunk grids depend
-//! only on problem size and per-element accumulation order is independent
-//! of the partition (see `rex_pool`). *Across* backends results agree only
-//! to rounding (reductions reassociate; the SIMD GEMM uses FMA), which is
-//! why the naive [`crate::reference`] oracles remain the parity court for
-//! both.
+//! for [`SimdBackend`], whether the host has a vector GEMM), every op
+//! produces bit-identical results at any thread count, because chunk grids
+//! depend only on problem size and per-element accumulation order is
+//! independent of the partition (see `rex_pool`). *Across* backends results
+//! agree only to rounding (reductions reassociate; the SIMD GEMM uses FMA),
+//! which is why the naive [`crate::reference`] oracles remain the parity
+//! court for both.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use crate::conv::Window;
-use crate::{im2col, kernels, simd};
+use crate::{kernels, simd};
 
 /// Identifies a compute backend (the value of `REX_BACKEND` / `--backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,10 +95,11 @@ pub enum Layout {
     Nt,
 }
 
-/// The tensor crate's compute interface: serial kernels over slices.
+/// The tensor crate's compute interface: the serial kernels whose float
+/// order differs between backends (the GEMM, reductions and fused rows).
 ///
 /// Threading is *not* part of the trait — drivers in [`crate::kernels`],
-/// [`crate::im2col`], and `Tensor` own the chunk grids (which are part of
+/// [`crate::ops`], and `Tensor` own the chunk grids (which are part of
 /// the determinism contract) and call these methods from chunk bodies.
 /// Every method must be deterministic: for fixed inputs the output is a
 /// pure function of the arguments, with a fixed float-operation order.
@@ -106,9 +111,10 @@ pub trait ComputeBackend: Sync {
     fn name(&self) -> &'static str;
 
     /// The instruction-set level the backend executes with on this host
-    /// (`"none"` for scalar; `"avx2+fma"` / `"sse2"` / `"portable"` for
+    /// (`"none"` for scalar; `"avx512f"` / `"avx2+fma"` / `"portable"` for
     /// SIMD). Part of golden-trace provenance: bitwise reproducibility of
-    /// GEMM-derived results is scoped to a fixed (backend, level) pair.
+    /// GEMM-derived results is scoped to a backend and whether its level
+    /// has a vector GEMM (`avx512f` and `avx2+fma` give the same bits).
     fn simd_level(&self) -> &'static str;
 
     // -- GEMM ------------------------------------------------------------
@@ -131,25 +137,6 @@ pub trait ComputeBackend: Sync {
         row0: usize,
     );
 
-    // -- Elementwise slices ----------------------------------------------
-
-    /// `out[i] = a[i] + b[i]` (equal lengths).
-    fn add_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]);
-    /// `out[i] = a[i] - b[i]` (equal lengths).
-    fn sub_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]);
-    /// `out[i] = a[i] * b[i]` (equal lengths).
-    fn mul_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]);
-    /// `out[i] = a[i] / b[i]` (equal lengths).
-    fn div_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]);
-    /// `y[i] += alpha * x[i]` (equal lengths; the optimizer hot loop).
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]);
-    /// `out[i] = src[i] * s`.
-    fn scale(&self, s: f32, src: &[f32], out: &mut [f32]);
-    /// `out[i] = src[i] + s`.
-    fn add_scalar(&self, s: f32, src: &[f32], out: &mut [f32]);
-    /// `out[i] = max(src[i], 0)`.
-    fn relu(&self, src: &[f32], out: &mut [f32]);
-
     // -- Reductions ------------------------------------------------------
 
     /// Sum of all elements, in the backend's fixed accumulation order.
@@ -171,37 +158,6 @@ pub trait ComputeBackend: Sync {
     fn log_softmax_row(&self, row: &[f32], out: &mut [f32]);
     /// `(mean, biased variance)` of one row (the layer-norm statistics).
     fn mean_var_row(&self, row: &[f32]) -> (f32, f32);
-
-    // -- Conv lowering ---------------------------------------------------
-
-    /// Unrolls one `[H, W]` input plane into its `[K·K, OH·OW]` block of
-    /// the im2col patch matrix (`cols` pre-zeroed by the caller).
-    #[allow(clippy::too_many_arguments)]
-    fn im2col_channel(
-        &self,
-        plane: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        cols: &mut [f32],
-    );
-
-    /// Adjoint of [`ComputeBackend::im2col_channel`]: scatter-adds one
-    /// channel's `[K·K, OH·OW]` gradient block onto its `[H, W]` plane with
-    /// compensated (Kahan) accumulation.
-    #[allow(clippy::too_many_arguments)]
-    fn col2im_channel(
-        &self,
-        cols: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        plane: &mut [f32],
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -239,54 +195,6 @@ impl ComputeBackend for ScalarBackend {
         row0: usize,
     ) {
         kernels::gemm_rows_scalar(layout, m, k, n, a, b, c_rows, row0);
-    }
-
-    fn add_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x + y;
-        }
-    }
-
-    fn sub_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x - y;
-        }
-    }
-
-    fn mul_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x * y;
-        }
-    }
-
-    fn div_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x / y;
-        }
-    }
-
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        for (a, &b) in y.iter_mut().zip(x) {
-            *a += alpha * b;
-        }
-    }
-
-    fn scale(&self, s: f32, src: &[f32], out: &mut [f32]) {
-        for (o, &x) in out.iter_mut().zip(src) {
-            *o = x * s;
-        }
-    }
-
-    fn add_scalar(&self, s: f32, src: &[f32], out: &mut [f32]) {
-        for (o, &x) in out.iter_mut().zip(src) {
-            *o = x + s;
-        }
-    }
-
-    fn relu(&self, src: &[f32], out: &mut [f32]) {
-        for (o, &x) in out.iter_mut().zip(src) {
-            *o = x.max(0.0);
-        }
     }
 
     fn sum(&self, x: &[f32]) -> f32 {
@@ -337,47 +245,23 @@ impl ComputeBackend for ScalarBackend {
         let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d;
         (mean, var)
     }
-
-    fn im2col_channel(
-        &self,
-        plane: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        cols: &mut [f32],
-    ) {
-        im2col::im2col_channel_scalar(plane, h, w, win, oh, ow, cols);
-    }
-
-    fn col2im_channel(
-        &self,
-        cols: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        plane: &mut [f32],
-    ) {
-        im2col::col2im_channel_compensated(cols, h, w, win, oh, ow, plane);
-    }
 }
 
 // ---------------------------------------------------------------------------
 // SimdBackend
 // ---------------------------------------------------------------------------
 
-/// Runtime-dispatched vectorized kernels (see [`crate::simd`]).
+/// Runtime-dispatched vectorized kernels.
 ///
 /// Reductions use a fixed 8-lane chunked accumulation with a pairwise
 /// horizontal fold, identical whether the loop is lowered to vector or
-/// scalar instructions — so elementwise and reduction results are bitwise
-/// reproducible across ISA levels. The GEMM micro-tile is the exception:
-/// its AVX2 path uses FMA (single rounding per multiply–add) and therefore
-/// matches other levels only to rounding; [`ComputeBackend::simd_level`]
-/// records which level produced an artifact.
+/// scalar instructions — so reduction results are bitwise reproducible
+/// across ISA levels. The GEMM is the exception: the AVX-512F and
+/// AVX2+FMA micro-tiles use FMA (single rounding per multiply–add) in the
+/// same per-element order, so they agree with each other bit for bit but
+/// with a host that has no vector GEMM (and runs the scalar kernel) only
+/// to rounding; [`ComputeBackend::simd_level`] records which level
+/// produced an artifact.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimdBackend;
 
@@ -406,38 +290,6 @@ impl ComputeBackend for SimdBackend {
         row0: usize,
     ) {
         simd::gemm_rows(layout, m, k, n, a, b, c_rows, row0);
-    }
-
-    fn add_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        simd::add_slices(a, b, out);
-    }
-
-    fn sub_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        simd::sub_slices(a, b, out);
-    }
-
-    fn mul_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        simd::mul_slices(a, b, out);
-    }
-
-    fn div_slices(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        simd::div_slices(a, b, out);
-    }
-
-    fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
-        simd::axpy(alpha, x, y);
-    }
-
-    fn scale(&self, s: f32, src: &[f32], out: &mut [f32]) {
-        simd::scale(s, src, out);
-    }
-
-    fn add_scalar(&self, s: f32, src: &[f32], out: &mut [f32]) {
-        simd::add_scalar(s, src, out);
-    }
-
-    fn relu(&self, src: &[f32], out: &mut [f32]) {
-        simd::relu(src, out);
     }
 
     fn sum(&self, x: &[f32]) -> f32 {
@@ -471,32 +323,6 @@ impl ComputeBackend for SimdBackend {
     fn mean_var_row(&self, row: &[f32]) -> (f32, f32) {
         simd::mean_var_row(row)
     }
-
-    fn im2col_channel(
-        &self,
-        plane: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        cols: &mut [f32],
-    ) {
-        simd::im2col_channel(plane, h, w, win, oh, ow, cols);
-    }
-
-    fn col2im_channel(
-        &self,
-        cols: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        plane: &mut [f32],
-    ) {
-        simd::col2im_channel(cols, h, w, win, oh, ow, plane);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -513,11 +339,11 @@ thread_local! {
     static OVERRIDE: RefCell<Vec<BackendKind>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The backend `auto` resolves to on this host: SIMD when a vector unit is
-/// available (x86-64 always qualifies — SSE2 is baseline), scalar on
-/// targets where the "vector" path would just be the portable loops.
+/// The backend `auto` resolves to on this host: SIMD when it has a vector
+/// GEMM tile (AVX2+FMA or AVX-512F), scalar where the SIMD backend would
+/// run the scalar GEMM and only the portable loops.
 fn auto_kind() -> BackendKind {
-    if simd::host_has_vector_unit() {
+    if simd::host_has_vector_gemm() {
         BackendKind::Simd
     } else {
         BackendKind::Scalar

@@ -48,32 +48,25 @@ pub fn im2col_sample(
     // Channels are fully independent (disjoint input planes, disjoint cols
     // row blocks), so the channel axis parallelizes with no float-order
     // change; nested calls (from the batch-parallel conv driver) run
-    // inline on their worker. Backend resolved once so a thread-local
-    // override reaches the chunk bodies.
-    let be = crate::backend::active();
+    // inline on their worker.
+    let channel = |ch: usize, chunk: &mut [f32]| {
+        im2col_channel(
+            &input[ch * h * w..(ch + 1) * h * w],
+            h,
+            w,
+            win,
+            oh,
+            ow,
+            chunk,
+        );
+    };
     if c >= 2 && c * per_ch >= PAR_ELEMS && rex_pool::current_num_threads() > 1 {
         rex_pool::parallel_for_slices(&mut cols[..c * per_ch], per_ch, |ch, _, chunk| {
-            be.im2col_channel(
-                &input[ch * h * w..(ch + 1) * h * w],
-                h,
-                w,
-                win,
-                oh,
-                ow,
-                chunk,
-            );
+            channel(ch, chunk);
         });
     } else {
         for (ch, chunk) in cols[..c * per_ch].chunks_mut(per_ch).enumerate() {
-            be.im2col_channel(
-                &input[ch * h * w..(ch + 1) * h * w],
-                h,
-                w,
-                win,
-                oh,
-                ow,
-                chunk,
-            );
+            channel(ch, chunk);
         }
     }
 }
@@ -82,10 +75,55 @@ pub fn im2col_sample(
 const PAR_ELEMS: usize = 1 << 16;
 
 /// Unrolls one input plane (`[H, W]`) into its `K·K` rows of the patch
-/// matrix (`cols` is the channel's `[K·K, OH·OW]` block) — the scalar
-/// backend's implementation (the SIMD backend adds a stride-1 padded
-/// segment path in [`crate::simd`]).
-pub(crate) fn im2col_channel_scalar(
+/// matrix (`cols` is the channel's pre-zeroed `[K·K, OH·OW]` block).
+///
+/// At stride 1 every `(ky, kx, oy)` output row is one contiguous source
+/// segment clipped to the padding window, so the unroll is `K²·OH`
+/// memcpys instead of `K²·OH·OW` element moves; other strides take
+/// [`im2col_channel_elements`]. Pure data movement, so both paths write
+/// the same values on every backend.
+fn im2col_channel(
+    plane: &[f32],
+    h: usize,
+    w: usize,
+    win: Window,
+    oh: usize,
+    ow: usize,
+    cols: &mut [f32],
+) {
+    if win.stride != 1 {
+        return im2col_channel_elements(plane, h, w, win, oh, ow, cols);
+    }
+    let k = win.kernel;
+    let pad = win.padding;
+    let ohw = oh * ow;
+    for ky in 0..k {
+        for kx in 0..k {
+            let base = (ky * k + kx) * ohw;
+            // ox range whose input column ix = ox + kx - pad lands in
+            // [0, w); outside it `cols` keeps its caller-zeroed padding
+            let ox_lo = pad.saturating_sub(kx);
+            let ox_hi = ow.min((w + pad).saturating_sub(kx));
+            if ox_lo >= ox_hi {
+                continue;
+            }
+            let ix0 = ox_lo + kx - pad;
+            for oy in 0..oh {
+                let iy = (oy + ky) as isize - pad as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                let src = iy as usize * w + ix0;
+                cols[base + oy * ow + ox_lo..base + oy * ow + ox_hi]
+                    .copy_from_slice(&plane[src..src + (ox_hi - ox_lo)]);
+            }
+        }
+    }
+}
+
+/// The element-by-element unroll: the path for strides above 1, and the
+/// reference [`im2col_channel`]'s segment path is tested against.
+fn im2col_channel_elements(
     plane: &[f32],
     h: usize,
     w: usize,
@@ -106,13 +144,6 @@ pub(crate) fn im2col_channel_scalar(
                     continue;
                 }
                 let iy = iy as usize;
-                if win.stride == 1 && win.padding == 0 {
-                    // contiguous fast path: whole output row is one memcpy
-                    let src = iy * w + kx;
-                    cols[base + oy * ow..base + oy * ow + ow]
-                        .copy_from_slice(&plane[src..src + ow]);
-                    continue;
-                }
                 for ox in 0..ow {
                     let ix = (ox * win.stride + kx) as isize - win.padding as isize;
                     if ix < 0 || ix >= w as isize {
@@ -150,30 +181,24 @@ pub fn col2im_sample(
     // distinct channels scatter onto disjoint `[H, W]` planes, so only the
     // channel axis is safe to shard — and doing so leaves every plane's
     // accumulation order untouched (bitwise identical to serial).
-    let be = crate::backend::active();
+    let channel = |ch: usize, plane: &mut [f32]| {
+        col2im_channel_compensated(
+            &cols[ch * per_ch..(ch + 1) * per_ch],
+            h,
+            w,
+            win,
+            oh,
+            ow,
+            plane,
+        );
+    };
     if c >= 2 && c * per_ch >= PAR_ELEMS && rex_pool::current_num_threads() > 1 {
         rex_pool::parallel_for_slices(&mut out[..c * h * w], h * w, |ch, _, plane| {
-            be.col2im_channel(
-                &cols[ch * per_ch..(ch + 1) * per_ch],
-                h,
-                w,
-                win,
-                oh,
-                ow,
-                plane,
-            );
+            channel(ch, plane);
         });
     } else {
         for (ch, plane) in out[..c * h * w].chunks_mut(h * w).enumerate() {
-            be.col2im_channel(
-                &cols[ch * per_ch..(ch + 1) * per_ch],
-                h,
-                w,
-                win,
-                oh,
-                ow,
-                plane,
-            );
+            channel(ch, plane);
         }
     }
 }
@@ -184,10 +209,10 @@ pub fn col2im_sample(
 /// side plane, so the `K²` overlapping contributions per element lose
 /// almost no low-order bits regardless of their magnitudes.
 ///
-/// Both backends share this implementation, and each element's
-/// compensation stream runs in the same `(ky, kx, oy, ox)` order
-/// everywhere, so col2im results are bitwise identical scalar-vs-SIMD.
-pub(crate) fn col2im_channel_compensated(
+/// Every backend runs this one body, and each element's compensation
+/// stream runs in the same `(ky, kx, oy, ox)` order everywhere, so col2im
+/// results are bitwise identical scalar-vs-SIMD.
+fn col2im_channel_compensated(
     cols: &[f32],
     h: usize,
     w: usize,
@@ -269,6 +294,26 @@ mod tests {
             (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
             "{lhs} vs {rhs}"
         );
+    }
+
+    #[test]
+    fn im2col_fast_path_matches_scalar_with_padding() {
+        // the stride-1 segment path against the element loop, with
+        // padding clipping segments on every side
+        let (h, w) = (7, 9);
+        let win = Window {
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let (oh, ow) = (7, 9);
+        let plane: Vec<f32> = (0..h * w).map(|v| v as f32 + 1.0).collect();
+        let len = 9 * oh * ow;
+        let mut fast = vec![0.0f32; len];
+        im2col_channel(&plane, h, w, win, oh, ow, &mut fast);
+        let mut slow = vec![0.0f32; len];
+        im2col_channel_elements(&plane, h, w, win, oh, ow, &mut slow);
+        assert_eq!(fast, slow);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! `C`-row element is loaded and stored once per four multiply–adds. The
 //! inner `j` loop is a straight-line FMA expression over exact-length
 //! slices, which LLVM auto-vectorises. Products smaller than
-//! [`SMALL_FLOPS`] skip packing entirely and use the same unrolled loops
-//! directly on the operands (the packing memcpy would dominate).
+//! `SMALL_FLOPS` (2^15 multiply–adds) skip packing entirely and use the
+//! same unrolled loops directly on the operands (the packing memcpy would
+//! dominate).
 //!
 //! Unlike the seed kernels there is **no** per-element `a == 0.0` skip:
 //! on dense data the branch cost a mispredict opportunity per element and
@@ -28,17 +29,17 @@
 //!
 //! # Threading
 //!
-//! Products above [`PAR_FLOPS`] shard the rows of `C` — or the batch axis
-//! for the `gemm_batch*` family — onto the persistent [`rex_pool`] worker
-//! pool in *fixed-size* chunks ([`MC`] rows / one batch sample per chunk),
-//! so no thread is ever spawned in the hot path and the chunk grid is a
-//! function of problem size alone. Each chunk owns a disjoint `&mut`
-//! window of `C` and its own thread-local scratch pool, and per-row
-//! accumulation order is independent of which rows share a chunk, so
-//! results are bitwise identical at every thread count (see the
-//! determinism contract in `rex_pool`). Thread count comes from
-//! [`rex_pool::num_threads`]: `--threads` flag > `REX_NUM_THREADS` > core
-//! count.
+//! Products of at least `PAR_FLOPS` (2^20 multiply–adds) shard the rows
+//! of `C` — or the batch axis for the `gemm_batch*` family — onto the
+//! persistent [`rex_pool`] worker pool in *fixed-size* chunks ([`MC`]
+//! rows / one batch sample per chunk), so no thread is ever spawned in the
+//! hot path and the chunk grid is a function of problem size alone. Each
+//! chunk owns a disjoint `&mut` window of `C` and its own thread-local
+//! scratch pool, and per-row accumulation order is independent of which
+//! rows share a chunk, so results are bitwise identical at every thread
+//! count (see the determinism contract in `rex_pool`). Thread count comes
+//! from [`rex_pool::num_threads`]: `--threads` flag > `REX_NUM_THREADS` >
+//! core count.
 
 use crate::backend::Layout;
 use crate::scratch::PooledBuf;

@@ -9,17 +9,19 @@
 //! * [`Tensor`] — contiguous row-major storage with shape metadata,
 //!   constructors, elementwise arithmetic with NumPy-style broadcasting,
 //!   reductions, matrix multiplication, and activations.
-//! * [`backend`] — the [`backend::ComputeBackend`] trait behind every
-//!   numeric kernel: the historical [`backend::ScalarBackend`] and a
-//!   runtime-dispatched [`backend::SimdBackend`] (AVX2/FMA, SSE2, or
-//!   portable 8-wide chunked loops), selected via `REX_BACKEND` /
-//!   `--backend` / auto-detection.
+//! * [`backend`] — the [`backend::ComputeBackend`] trait behind the ops
+//!   whose float order differs between backends (GEMM, reductions, fused
+//!   rows): the historical [`backend::ScalarBackend`] and a
+//!   runtime-dispatched [`backend::SimdBackend`] (an AVX-512F or AVX2+FMA
+//!   GEMM tile, 8-wide chunked reductions), selected via `REX_BACKEND` /
+//!   `--backend` / auto-detection. Elementwise maps and im2col/col2im run
+//!   one body on every backend.
 //! * [`kernels`] — the blocked, register-tiled f32 GEMM every matrix
 //!   product lowers onto, with optional `REX_NUM_THREADS` row sharding.
 //! * [`conv`] — 2-D convolution and pooling lowered onto the GEMM via
 //!   [`im2col`], with explicit backward passes (consumed by
 //!   `rex-autograd`) and pooled scratch buffers ([`scratch`]).
-//! * [`reference`] — the seed's naive kernels, kept as the parity-test
+//! * [`reference`](mod@reference) — the seed's naive kernels, kept as the parity-test
 //!   oracle (for **both** backends) and the `kernel-bench` baseline.
 //! * [`rng`] — a deterministic xoshiro256\*\*-based PRNG ([`rng::Prng`]) with
 //!   uniform/normal sampling and weight-initialisation helpers, so every

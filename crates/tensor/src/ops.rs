@@ -94,17 +94,16 @@ pub fn log_softmax_rows(x: &Tensor) -> Result<Tensor, TensorError> {
     Tensor::from_vec(out, &[r, c])
 }
 
-/// Rectified linear unit (backend slice kernel; elementwise, so results
-/// are bitwise identical on every backend and thread count).
+/// Rectified linear unit (one vector slice kernel for every backend;
+/// elementwise, so results are bitwise identical at any thread count).
 pub fn relu(x: &Tensor) -> Tensor {
-    let be = crate::backend::active();
     let src = x.data();
     let mut out = vec![0.0f32; src.len()];
     if src.len() < PAR_ELEMS || rex_pool::current_num_threads() == 1 {
-        be.relu(src, &mut out);
+        crate::simd::relu(src, &mut out);
     } else {
         rex_pool::parallel_for_slices(&mut out, PAR_ELEMS / 8, |_, offset, window| {
-            be.relu(&src[offset..offset + window.len()], window);
+            crate::simd::relu(&src[offset..offset + window.len()], window);
         });
     }
     Tensor::from_vec(out, x.shape()).expect("shape preserved")

@@ -29,7 +29,7 @@ thread_local! {
 /// A zero-filled `f32` workspace drawn from the thread-local pool.
 ///
 /// Dereferences to `[f32]`. On drop the storage goes back to the pool
-/// (bounded by [`MAX_POOLED`] buffers per thread).
+/// (bounded by `MAX_POOLED`, 16 buffers per thread).
 #[derive(Debug)]
 pub struct PooledBuf {
     buf: Vec<f32>,

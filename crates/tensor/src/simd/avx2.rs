@@ -3,13 +3,10 @@
 //! The GEMM micro-tile is a classic 6×16 register kernel: 6 rows × two
 //! 8-lane YMM columns of `C` accumulate in 12 registers while one
 //! broadcast of `A` and two loads of packed `B` feed 12 FMAs per depth
-//! step. `A` is packed MR-major (6 row elements per depth), `B` NR-major
-//! (16 column elements per depth), both zero-padded to full tiles — the
-//! padded lanes are computed and discarded, so every *real* `C` element
-//! accumulates along `k` in one lane regardless of where its tile sits.
-//! That makes the result independent of the row/tile/thread partition,
-//! which is what lets the caller shard rows freely while keeping bitwise
-//! determinism at any thread count.
+//! step, over the zero-padded panels [`super::blocked_gemm`] packs. Each
+//! real `C` element accumulates along `k` in one lane regardless of where
+//! its tile sits, so the result is independent of the row/tile/thread
+//! partition, and it is bitwise identical to the AVX-512 tile's.
 //!
 //! Elementwise and reduction entry points re-compile the portable 8-wide
 //! bodies ([`super::portable`]) inside `#[target_feature]` wrappers: LLVM
@@ -20,28 +17,20 @@ use std::arch::x86_64::*;
 
 use super::portable;
 use crate::backend::Layout;
-use crate::scratch::PooledBuf;
 
 /// Micro-tile rows (A broadcast values per depth step).
-pub(super) const MR: usize = 6;
+const MR: usize = 6;
 /// Micro-tile columns (two 8-lane YMM registers).
-pub(super) const NR: usize = 16;
-/// Rows of packed `A` per cache block (multiple of [`MR`]).
-const MC: usize = 96;
-/// Depth per packed block (shared with the scalar kernel's `KC`).
-const KC: usize = 256;
-/// Columns of packed `B` per panel (multiple of [`NR`]).
-const NC: usize = 256;
+const NR: usize = 16;
 
-/// Blocked GEMM over a contiguous row range of `C` (see
-/// [`crate::backend::ComputeBackend::gemm_rows`] for the contract).
+/// [`super::blocked_gemm`] with the 6×16 FMA tile, over a contiguous row
+/// range of `C` (see [`crate::backend::ComputeBackend::gemm_rows`] for
+/// the contract).
 ///
 /// # Safety
 ///
 /// Caller must guarantee the host supports AVX2 and FMA (checked once in
-/// [`super::level`]). Slice geometry must satisfy the usual GEMM dimension
-/// invariants (`a`/`b`/`c_rows` sized per `layout`, `n` divides
-/// `c_rows.len()`), which the public drivers in [`crate::kernels`] check.
+/// [`super::level`]). Slices too short for the dimensions panic.
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
 pub(super) unsafe fn gemm_rows(
@@ -54,38 +43,22 @@ pub(super) unsafe fn gemm_rows(
     c_rows: &mut [f32],
     row0: usize,
 ) {
-    let rows = c_rows.len() / n;
-    // uninit is fine: pack_a/pack_b fully overwrite every panel slot the
-    // micro-kernel reads (including the zero padding)
-    let mut apack = PooledBuf::uninit(MC * KC);
-    let mut bpack = PooledBuf::uninit(KC * NC);
-    for j0 in (0..n).step_by(NC) {
-        let nb = NC.min(n - j0);
-        let jpanels = nb.div_ceil(NR);
-        for k0 in (0..k).step_by(KC) {
-            let kb = KC.min(k - k0);
-            super::pack_b(layout, b, k, n, k0, kb, j0, nb, NR, &mut bpack);
-            for i0 in (0..rows).step_by(MC) {
-                let mb = MC.min(rows - i0);
-                super::pack_a(layout, a, m, k, row0 + i0, mb, k0, kb, MR, &mut apack);
-                let ipanels = mb.div_ceil(MR);
-                for jp in 0..jpanels {
-                    let ncols = NR.min(nb - jp * NR);
-                    let bp = bpack.as_ptr().add(jp * kb * NR);
-                    for ip in 0..ipanels {
-                        let mrows = MR.min(mb - ip * MR);
-                        let ap = apack.as_ptr().add(ip * kb * MR);
-                        let cptr = c_rows.as_mut_ptr().add((i0 + ip * MR) * n + j0 + jp * NR);
-                        // SAFETY: ap/bp point at `kb`-deep packed panels,
-                        // and cptr addresses an mrows×ncols window of
-                        // c_rows with stride n (in bounds by construction
-                        // of the tile grid above).
-                        unsafe { mk6x16(kb, ap, bp, cptr, n, mrows, ncols) };
-                    }
-                }
-            }
-        }
-    }
+    super::blocked_gemm::<MR, NR>(
+        layout,
+        m,
+        k,
+        n,
+        a,
+        b,
+        c_rows,
+        row0,
+        |kb, ap, bp, c, cs, mr, nc| {
+            // SAFETY: this function's contract guarantees AVX2+FMA, and
+            // blocked_gemm hands over panels and a C window of the sizes
+            // mk6x16 requires.
+            unsafe { mk6x16(kb, ap, bp, c, cs, mr, nc) }
+        },
+    );
 }
 
 /// The 6×16 FMA micro-kernel: `C[mrows,ncols] += Ap·Bp` over one packed
@@ -93,22 +66,25 @@ pub(super) unsafe fn gemm_rows(
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA. `ap` must be valid for `kb * MR` reads, `bp` for
-/// `kb * NR` reads, and `c` for an `mrows × ncols` strided window with row
-/// stride `c_stride`.
+/// Requires AVX2+FMA. `ap` must hold `kb * MR` values, `bp` `kb * NR`,
+/// and `c` an `mrows × ncols` window with row stride `c_stride`
+/// (`mrows <= MR`, `ncols <= NR`).
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn mk6x16(
     kb: usize,
-    ap: *const f32,
-    bp: *const f32,
-    c: *mut f32,
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
     c_stride: usize,
     mrows: usize,
     ncols: usize,
 ) {
+    debug_assert!(ap.len() >= kb * MR && bp.len() >= kb * NR);
+    debug_assert!(mrows <= MR && ncols <= NR && c.len() >= (mrows - 1) * c_stride + ncols);
+    let (ap, bp, c) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
     // SAFETY: (for every intrinsic below) AVX2+FMA availability is the
     // function's safety contract; all pointer arithmetic stays within the
-    // ranges documented above.
+    // slice lengths documented above.
     unsafe {
         let mut acc00 = _mm256_setzero_ps();
         let mut acc01 = _mm256_setzero_ps();

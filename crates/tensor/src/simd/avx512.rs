@@ -1,13 +1,12 @@
-//! AVX-512F GEMM kernel (x86-64, runtime-detected).
+//! The AVX-512F GEMM tile (x86-64, runtime-detected).
 //!
 //! The micro-tile is 8×32: 8 rows × two 16-lane ZMM columns of `C` in 16
 //! accumulator registers, fed by two packed-`B` loads and eight `A`
 //! broadcasts per depth step (16 FMAs/step — FMA-port-bound on cores with
 //! two 512-bit FMA units, which is where this level pays off over
-//! [`super::avx2`]). Packing, blocking, and the partition-invariance
-//! argument are identical to the AVX2 kernel — each real `C` element
-//! accumulates along `k` in one lane, so results are bitwise stable under
-//! any row/tile/thread partition.
+//! [`super::avx2`]). Packing and blocking are [`super::blocked_gemm`]'s,
+//! and each `C` element accumulates along `k` in one lane with the same
+//! FMA order as the AVX2 tile, so the two give the same bits.
 //!
 //! Only the GEMM lives here: elementwise and reduction ops dispatch to the
 //! AVX2-compiled portable bodies (their lane order is fixed in source, so
@@ -17,27 +16,20 @@
 use std::arch::x86_64::*;
 
 use crate::backend::Layout;
-use crate::scratch::PooledBuf;
 
 /// Micro-tile rows (A broadcast values per depth step).
-pub(super) const MR: usize = 8;
+const MR: usize = 8;
 /// Micro-tile columns (two 16-lane ZMM registers).
-pub(super) const NR: usize = 32;
-/// Rows of packed `A` per cache block (multiple of [`MR`]).
-const MC: usize = 96;
-/// Depth per packed block.
-const KC: usize = 256;
-/// Columns of packed `B` per panel (multiple of [`NR`]).
-const NC: usize = 256;
+const NR: usize = 32;
 
-/// Blocked GEMM over a contiguous row range of `C` — the AVX-512 sibling
-/// of [`super::avx2::gemm_rows`].
+/// [`super::blocked_gemm`] with the 8×32 AVX-512 tile, over a contiguous
+/// row range of `C` (see [`crate::backend::ComputeBackend::gemm_rows`]
+/// for the contract).
 ///
 /// # Safety
 ///
 /// Caller must guarantee the host supports AVX-512F (checked once in
-/// [`super::level`]). Slice geometry must satisfy the GEMM dimension
-/// invariants checked by the drivers in [`crate::kernels`].
+/// [`super::level`]). Slices too short for the dimensions panic.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 pub(super) unsafe fn gemm_rows(
@@ -50,38 +42,22 @@ pub(super) unsafe fn gemm_rows(
     c_rows: &mut [f32],
     row0: usize,
 ) {
-    let rows = c_rows.len() / n;
-    // uninit is fine: pack_a/pack_b fully overwrite every panel slot the
-    // micro-kernel reads (including the zero padding)
-    let mut apack = PooledBuf::uninit(MC * KC);
-    let mut bpack = PooledBuf::uninit(KC * NC);
-    for j0 in (0..n).step_by(NC) {
-        let nb = NC.min(n - j0);
-        let jpanels = nb.div_ceil(NR);
-        for k0 in (0..k).step_by(KC) {
-            let kb = KC.min(k - k0);
-            super::pack_b(layout, b, k, n, k0, kb, j0, nb, NR, &mut bpack);
-            for i0 in (0..rows).step_by(MC) {
-                let mb = MC.min(rows - i0);
-                super::pack_a(layout, a, m, k, row0 + i0, mb, k0, kb, MR, &mut apack);
-                let ipanels = mb.div_ceil(MR);
-                for jp in 0..jpanels {
-                    let ncols = NR.min(nb - jp * NR);
-                    let bp = bpack.as_ptr().add(jp * kb * NR);
-                    for ip in 0..ipanels {
-                        let mrows = MR.min(mb - ip * MR);
-                        let ap = apack.as_ptr().add(ip * kb * MR);
-                        let cptr = c_rows.as_mut_ptr().add((i0 + ip * MR) * n + j0 + jp * NR);
-                        // SAFETY: ap/bp point at `kb`-deep packed panels,
-                        // and cptr addresses an mrows×ncols window of
-                        // c_rows with stride n (in bounds by construction
-                        // of the tile grid above).
-                        unsafe { mk8x32(kb, ap, bp, cptr, n, mrows, ncols) };
-                    }
-                }
-            }
-        }
-    }
+    super::blocked_gemm::<MR, NR>(
+        layout,
+        m,
+        k,
+        n,
+        a,
+        b,
+        c_rows,
+        row0,
+        |kb, ap, bp, c, cs, mr, nc| {
+            // SAFETY: this function's contract guarantees AVX-512F, and
+            // blocked_gemm hands over panels and a C window of the sizes
+            // mk8x32 requires.
+            unsafe { mk8x32(kb, ap, bp, c, cs, mr, nc) }
+        },
+    );
 }
 
 /// The 8×32 AVX-512 micro-kernel: `C[mrows,ncols] += Ap·Bp` over one
@@ -89,22 +65,25 @@ pub(super) unsafe fn gemm_rows(
 ///
 /// # Safety
 ///
-/// Requires AVX-512F. `ap` must be valid for `kb * MR` reads, `bp` for
-/// `kb * NR` reads, and `c` for an `mrows × ncols` strided window with row
-/// stride `c_stride`.
+/// Requires AVX-512F. `ap` must hold `kb * MR` values, `bp` `kb * NR`,
+/// and `c` an `mrows × ncols` window with row stride `c_stride`
+/// (`mrows <= MR`, `ncols <= NR`).
 #[target_feature(enable = "avx512f")]
 unsafe fn mk8x32(
     kb: usize,
-    ap: *const f32,
-    bp: *const f32,
-    c: *mut f32,
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
     c_stride: usize,
     mrows: usize,
     ncols: usize,
 ) {
+    debug_assert!(ap.len() >= kb * MR && bp.len() >= kb * NR);
+    debug_assert!(mrows <= MR && ncols <= NR && c.len() >= (mrows - 1) * c_stride + ncols);
+    let (ap, bp, c) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
     // SAFETY: (for every intrinsic below) AVX-512F availability is the
     // function's safety contract; all pointer arithmetic stays within the
-    // ranges documented above.
+    // slice lengths documented above.
     unsafe {
         let mut acc00 = _mm512_setzero_ps();
         let mut acc01 = _mm512_setzero_ps();

@@ -1,6 +1,5 @@
-use crate::backend::ComputeBackend;
 use crate::shape::broadcast_strides;
-use crate::{broadcast_shapes, TensorError};
+use crate::{broadcast_shapes, simd, TensorError};
 
 /// Minimum element count before elementwise ops shard onto the thread
 /// pool. Elementwise sharding is bitwise-invisible (each output element
@@ -23,7 +22,7 @@ const REDUCE_PAR_MIN: usize = 1 << 15;
 const REDUCE_CHUNK: usize = 1 << 13;
 
 /// Dispatch key routing [`Tensor::add`]/[`Tensor::sub`]/[`Tensor::mul`]/
-/// [`Tensor::div`] onto the corresponding [`ComputeBackend`] slice kernel.
+/// [`Tensor::div`] onto the corresponding slice kernel.
 #[derive(Clone, Copy)]
 enum BinOp {
     Add,
@@ -34,12 +33,12 @@ enum BinOp {
 
 impl BinOp {
     #[inline]
-    fn apply(self, be: &dyn ComputeBackend, a: &[f32], b: &[f32], out: &mut [f32]) {
+    fn apply(self, a: &[f32], b: &[f32], out: &mut [f32]) {
         match self {
-            BinOp::Add => be.add_slices(a, b, out),
-            BinOp::Sub => be.sub_slices(a, b, out),
-            BinOp::Mul => be.mul_slices(a, b, out),
-            BinOp::Div => be.div_slices(a, b, out),
+            BinOp::Add => simd::add_slices(a, b, out),
+            BinOp::Sub => simd::sub_slices(a, b, out),
+            BinOp::Mul => simd::mul_slices(a, b, out),
+            BinOp::Div => simd::div_slices(a, b, out),
         }
     }
 }
@@ -373,26 +372,23 @@ impl Tensor {
         self.broadcast_op(other, f)
     }
 
-    /// Backend-routed binary op. Equal shapes, scalar operands, and the
-    /// `[.., c] ⊕ [c]` row-broadcast (bias) pattern run on the active
-    /// [`ComputeBackend`]'s slice kernels; any other broadcast falls back
+    /// Slice-kernel binary op. Equal shapes, scalar operands, and the
+    /// `[.., c] ⊕ [c]` row-broadcast (bias) pattern run the vector slice
+    /// kernels (the same on every backend); any other broadcast falls back
     /// to the historical closure walk. Every fast path is a pure
-    /// elementwise map, so within a backend the result is bitwise
-    /// identical at any thread count; under [`crate::backend::ScalarBackend`]
-    /// it also matches the historical [`Tensor::broadcast_op`] bit for bit
-    /// (scalar subtraction becomes `x + (-s)`, which IEEE 754 defines as
-    /// the same operation).
-    fn binary_backend(&self, other: &Tensor, op: BinOp) -> Result<Tensor, TensorError> {
-        let be = crate::backend::active();
+    /// elementwise map, so the result is bitwise identical at any thread
+    /// count and matches the historical [`Tensor::broadcast_op`] bit for
+    /// bit (scalar subtraction becomes `x + (-s)`, which IEEE 754 defines
+    /// as the same operation).
+    fn binary_slices(&self, other: &Tensor, op: BinOp) -> Result<Tensor, TensorError> {
         if self.shape == other.shape {
             let mut data = vec![0.0f32; self.data.len()];
             if self.data.len() < ELEM_PAR_MIN || rex_pool::current_num_threads() == 1 {
-                op.apply(be, &self.data, &other.data, &mut data);
+                op.apply(&self.data, &other.data, &mut data);
             } else {
                 rex_pool::parallel_for_slices(&mut data, ELEM_CHUNK, |_, offset, window| {
                     let len = window.len();
                     op.apply(
-                        be,
                         &self.data[offset..offset + len],
                         &other.data[offset..offset + len],
                         window,
@@ -407,13 +403,9 @@ impl Tensor {
         if other.data.len() == 1 {
             let s = other.data[0];
             return match op {
-                BinOp::Add => {
-                    Ok(self.unary_backend(move |be, src, out| be.add_scalar(s, src, out)))
-                }
-                BinOp::Sub => {
-                    Ok(self.unary_backend(move |be, src, out| be.add_scalar(-s, src, out)))
-                }
-                BinOp::Mul => Ok(self.unary_backend(move |be, src, out| be.scale(s, src, out))),
+                BinOp::Add => Ok(self.unary_slices(move |src, out| simd::add_scalar(s, src, out))),
+                BinOp::Sub => Ok(self.unary_slices(move |src, out| simd::add_scalar(-s, src, out))),
+                BinOp::Mul => Ok(self.unary_slices(move |src, out| simd::scale(s, src, out))),
                 // x / s must stay a true division (not a multiply by 1/s)
                 BinOp::Div => Ok(self.map_par(move |a| a / s)),
             };
@@ -431,7 +423,7 @@ impl Tensor {
             let body = |offset: usize, window: &mut [f32]| {
                 for (i, orow) in window.chunks_mut(c).enumerate() {
                     let r0 = offset / c + i;
-                    op.apply(be, &self.data[r0 * c..(r0 + 1) * c], &other.data, orow);
+                    op.apply(&self.data[r0 * c..(r0 + 1) * c], &other.data, orow);
                 }
             };
             if self.data.len() < ELEM_PAR_MIN || rex_pool::current_num_threads() == 1 {
@@ -456,17 +448,16 @@ impl Tensor {
         }
     }
 
-    /// Backend-routed unary slice op (scale / add-scalar), sharded like
+    /// Unary slice-kernel op (scale / add-scalar), sharded like
     /// [`Tensor::map_par`].
-    fn unary_backend(&self, f: impl Fn(&dyn ComputeBackend, &[f32], &mut [f32]) + Sync) -> Tensor {
-        let be = crate::backend::active();
+    fn unary_slices(&self, f: impl Fn(&[f32], &mut [f32]) + Sync) -> Tensor {
         let mut data = vec![0.0f32; self.data.len()];
         if self.data.len() < ELEM_PAR_MIN || rex_pool::current_num_threads() == 1 {
-            f(be, &self.data, &mut data);
+            f(&self.data, &mut data);
         } else {
             rex_pool::parallel_for_slices(&mut data, ELEM_CHUNK, |_, offset, window| {
                 let len = window.len();
-                f(be, &self.data[offset..offset + len], window);
+                f(&self.data[offset..offset + len], window);
             });
         }
         Tensor {
@@ -570,7 +561,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::BroadcastMismatch`] on incompatible shapes.
     pub fn add(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.binary_backend(other, BinOp::Add)
+        self.binary_slices(other, BinOp::Add)
     }
 
     /// Elementwise difference with broadcasting.
@@ -579,7 +570,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::BroadcastMismatch`] on incompatible shapes.
     pub fn sub(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.binary_backend(other, BinOp::Sub)
+        self.binary_slices(other, BinOp::Sub)
     }
 
     /// Elementwise product with broadcasting.
@@ -588,7 +579,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::BroadcastMismatch`] on incompatible shapes.
     pub fn mul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.binary_backend(other, BinOp::Mul)
+        self.binary_slices(other, BinOp::Mul)
     }
 
     /// Elementwise quotient with broadcasting.
@@ -597,17 +588,17 @@ impl Tensor {
     ///
     /// Returns [`TensorError::BroadcastMismatch`] on incompatible shapes.
     pub fn div(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.binary_backend(other, BinOp::Div)
+        self.binary_slices(other, BinOp::Div)
     }
 
-    /// Multiplies every element by `s` (on the active compute backend).
+    /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Tensor {
-        self.unary_backend(move |be, src, out| be.scale(s, src, out))
+        self.unary_slices(move |src, out| simd::scale(s, src, out))
     }
 
-    /// Adds `s` to every element (on the active compute backend).
+    /// Adds `s` to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.unary_backend(move |be, src, out| be.add_scalar(s, src, out))
+        self.unary_slices(move |src, out| simd::add_scalar(s, src, out))
     }
 
     /// In-place `self += other * alpha` for same-shaped tensors (the hot
@@ -622,15 +613,14 @@ impl Tensor {
             "axpy shape mismatch {:?} vs {:?}",
             self.shape, other.shape
         );
-        let be = crate::backend::active();
         if self.data.len() >= ELEM_PAR_MIN && rex_pool::current_num_threads() > 1 {
             let src = &other.data;
             rex_pool::parallel_for_slices(&mut self.data, ELEM_CHUNK, |_, offset, window| {
                 let len = window.len();
-                be.axpy(alpha, &src[offset..offset + len], window);
+                simd::axpy(alpha, &src[offset..offset + len], window);
             });
         } else {
-            be.axpy(alpha, &other.data, &mut self.data);
+            simd::axpy(alpha, &other.data, &mut self.data);
         }
     }
 
@@ -642,7 +632,7 @@ impl Tensor {
     /// [`crate::backend::ScalarBackend`] keeps the historical serial fold,
     /// [`crate::backend::SimdBackend`] uses its fixed 8-lane chunked fold).
     ///
-    /// Tensors of at least [`REDUCE_PAR_MIN`] elements reduce through the
+    /// Tensors of at least `REDUCE_PAR_MIN` (2^15) elements reduce through the
     /// pool's fixed-chunk deterministic tree ([`rex_pool::parallel_reduce`])
     /// with the backend fold applied per chunk. Both the path and the chunk
     /// grid are chosen by *length alone* — never thread count — so within a
@@ -714,7 +704,7 @@ impl Tensor {
     }
 
     /// Squared L2 norm (same deterministic chunked path as [`Tensor::sum`]
-    /// above [`REDUCE_PAR_MIN`]).
+    /// from `REDUCE_PAR_MIN` elements on).
     pub fn sq_norm(&self) -> f32 {
         let be = crate::backend::active();
         if self.data.len() < REDUCE_PAR_MIN {

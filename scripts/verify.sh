@@ -15,6 +15,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (-D warnings, private items)"
+# every intra-doc link must resolve, and public docs must not link to
+# private items, so a doc that names a deleted kernel or trait method
+# fails here
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --document-private-items
+
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
