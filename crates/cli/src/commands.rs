@@ -4,7 +4,7 @@ use rex_core::{all_paper_schedules, ScheduleSpec};
 use rex_eval::table;
 use rex_telemetry::{JsonlSink, Recorder};
 use rex_train::marker::{self, CellKey};
-use rex_train::range_test::lr_range_test_traced;
+use rex_train::range_test::lr_range_test;
 use rex_train::settings::{load_setting, SettingSpec};
 use rex_train::{Budget, FtConfig, GuardPolicy, OptimizerKind, TrainState};
 use std::path::{Path, PathBuf};
@@ -467,7 +467,7 @@ fn range_test_inner(argv: &[String]) -> Result<(), String> {
     };
     let built = model.build(data.num_classes, seed);
     let mut rec = recorder_from_flags(&flags)?;
-    let result = lr_range_test_traced(
+    let result = lr_range_test(
         built.as_ref(),
         &data.train_images,
         &data.train_labels,

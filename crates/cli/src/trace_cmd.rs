@@ -24,7 +24,7 @@ usage: rexctl trace summary FILE
 summary  Render a JSONL training trace as a run header, event counts,
          and lr/loss sparklines over optimizer steps.
 diff     Compare two JSONL traces with the golden-trace comparator
-         (exact structure, per-field float tolerances; timing ignored).
+         (exact structure, per-field float tolerances).
          Prints nothing and exits 0 when the traces match; otherwise
          names the first divergent event/step and exits 1.
 profile  Show the hottest spans of a Chrome trace-event profile, as

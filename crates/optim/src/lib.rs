@@ -59,19 +59,6 @@ pub trait Optimizer {
         None
     }
 
-    /// Enables/disables update-norm instrumentation. When enabled, `step`
-    /// additionally accumulates the global L2 norm of the applied update,
-    /// readable via [`Optimizer::last_update_norm`]. Off by default so the
-    /// hot loop pays nothing.
-    fn set_instrumented(&mut self, _enabled: bool) {}
-
-    /// Global L2 norm of the update applied by the most recent `step`, when
-    /// instrumentation is enabled. For Adam-family optimizers this is the
-    /// adaptive update only (decoupled weight decay excluded).
-    fn last_update_norm(&self) -> Option<f32> {
-        None
-    }
-
     /// Sets the parameter *storage* dtype for mixed-precision training.
     ///
     /// All within-step arithmetic stays f32 (the widened stored value is
@@ -188,8 +175,6 @@ pub struct Sgd {
     weight_decay: f32,
     velocity: Vec<Tensor>,
     dtype: DType,
-    instrumented: bool,
-    last_update_norm: Option<f32>,
 }
 
 impl Sgd {
@@ -207,8 +192,6 @@ impl Sgd {
             velocity,
             weight_decay: 0.0,
             dtype: DType::F32,
-            instrumented: false,
-            last_update_norm: None,
         }
     }
 
@@ -238,17 +221,15 @@ struct SgdTask<'a> {
     value: &'a mut [f32],
     velocity: &'a mut [f32],
     grad: Tensor,
-    update_sq: f32,
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self) {
-        let (lr, momentum, nesterov, weight_decay, instrumented, dtype) = (
+        let (lr, momentum, nesterov, weight_decay, dtype) = (
             self.lr,
             self.momentum,
             self.nesterov,
             self.weight_decay,
-            self.instrumented,
             self.dtype,
         );
         // Gradients are cloned out before the value guards are taken:
@@ -266,12 +247,10 @@ impl Optimizer for Sgd {
                 value: value.data_mut(),
                 velocity: velocity.data_mut(),
                 grad,
-                update_sq: 0.0,
             })
             .collect();
         // One parameter per chunk: every float op below matches the serial
-        // history exactly, and the per-parameter norm partials are folded
-        // in parameter order, so `step` is bitwise identical at any thread
+        // history exactly, so `step` is bitwise identical at any thread
         // count.
         rex_pool::parallel_for_slices(&mut tasks, 1, |_, _, task| {
             let t = &mut task[0];
@@ -295,9 +274,6 @@ impl Optimizer for Sgd {
                     t.grad.data_mut().copy_from_slice(t.velocity);
                 }
             }
-            if instrumented {
-                t.update_sq = t.grad.sq_norm();
-            }
             // value += -lr * grad_eff
             for (w, &g) in t.value.iter_mut().zip(t.grad.data()) {
                 *w += -lr * g;
@@ -309,12 +285,6 @@ impl Optimizer for Sgd {
                 dtype.round_slice(t.velocity);
             }
         });
-        if instrumented {
-            let update_sq: f32 = tasks.iter().map(|t| t.update_sq).sum();
-            drop(tasks);
-            // the applied update is -lr * grad_eff, so scale the norm by lr
-            self.last_update_norm = Some(lr.abs() * update_sq.sqrt());
-        }
     }
 
     fn zero_grad(&self) {
@@ -337,17 +307,6 @@ impl Optimizer for Sgd {
 
     fn momentum(&self) -> Option<f32> {
         Some(self.momentum)
-    }
-
-    fn set_instrumented(&mut self, enabled: bool) {
-        self.instrumented = enabled;
-        if !enabled {
-            self.last_update_norm = None;
-        }
-    }
-
-    fn last_update_norm(&self) -> Option<f32> {
-        self.last_update_norm
     }
 
     fn set_param_dtype(&mut self, dtype: DType) {
@@ -404,8 +363,6 @@ pub struct Adam {
     v: Vec<Tensor>,
     t: u64,
     dtype: DType,
-    instrumented: bool,
-    last_update_norm: Option<f32>,
 }
 
 impl Adam {
@@ -431,8 +388,6 @@ impl Adam {
             v,
             t: 0,
             dtype: DType::F32,
-            instrumented: false,
-            last_update_norm: None,
         }
     }
 
@@ -463,7 +418,6 @@ struct AdamTask<'a> {
     m: &'a mut [f32],
     v: &'a mut [f32],
     grad: Tensor,
-    update_sq: f32,
 }
 
 impl Optimizer for Adam {
@@ -471,14 +425,13 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, beta1, beta2, eps, weight_decay, decoupled, instrumented, dtype) = (
+        let (lr, beta1, beta2, eps, weight_decay, decoupled, dtype) = (
             self.lr,
             self.beta1,
             self.beta2,
             self.eps,
             self.weight_decay,
             self.decoupled,
-            self.instrumented,
             self.dtype,
         );
         let grads: Vec<Tensor> = self.params.iter().map(|p| p.grad()).collect();
@@ -493,12 +446,11 @@ impl Optimizer for Adam {
                 m: m.data_mut(),
                 v: v.data_mut(),
                 grad,
-                update_sq: 0.0,
             })
             .collect();
         // One parameter per chunk; every per-element float op matches the
-        // serial loop exactly and the norm partials fold in parameter
-        // order, so the update is bitwise identical at any thread count.
+        // serial loop exactly, so the update is bitwise identical at any
+        // thread count.
         rex_pool::parallel_for_slices(&mut tasks, 1, |_, _, task| {
             let t = &mut task[0];
             if weight_decay != 0.0 && !decoupled {
@@ -517,15 +469,10 @@ impl Optimizer for Adam {
                     *w -= decay * *w;
                 }
             }
-            let mut update_sq = 0.0f32;
             for ((w, mi), vi) in t.value.iter_mut().zip(t.m.iter()).zip(t.v.iter()) {
                 let m_hat = mi / bc1;
                 let v_hat = vi / bc2;
-                let delta = lr * m_hat / (v_hat.sqrt() + eps);
-                if instrumented {
-                    update_sq += delta * delta;
-                }
-                *w -= delta;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
             // mixed precision: round the stored value and both moment
             // buffers through the storage dtype (per element, so still
@@ -535,13 +482,7 @@ impl Optimizer for Adam {
                 dtype.round_slice(t.m);
                 dtype.round_slice(t.v);
             }
-            t.update_sq = update_sq;
         });
-        if instrumented {
-            let update_sq: f32 = tasks.iter().map(|t| t.update_sq).sum();
-            drop(tasks);
-            self.last_update_norm = Some(update_sq.sqrt());
-        }
     }
 
     fn zero_grad(&self) {
@@ -564,17 +505,6 @@ impl Optimizer for Adam {
 
     fn momentum(&self) -> Option<f32> {
         Some(self.beta1)
-    }
-
-    fn set_instrumented(&mut self, enabled: bool) {
-        self.instrumented = enabled;
-        if !enabled {
-            self.last_update_norm = None;
-        }
-    }
-
-    fn last_update_norm(&self) -> Option<f32> {
-        self.last_update_norm
     }
 
     fn set_param_dtype(&mut self, dtype: DType) {
@@ -766,63 +696,6 @@ mod tests {
         let norm2 = clip_grad_norm(std::slice::from_ref(&w), 10.0);
         assert!((norm2 - 1.0).abs() < 1e-5);
         assert!((w.grad().sq_norm().sqrt() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn sgd_update_norm_matches_applied_update() {
-        let w = Param::new("w", Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
-        let mut opt = Sgd::new(vec![w.clone()], 0.1);
-        assert_eq!(opt.last_update_norm(), None);
-        opt.set_instrumented(true);
-        w.accumulate_grad(&Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap());
-        let before = w.value().data().to_vec();
-        opt.step();
-        let applied: f32 = before
-            .iter()
-            .zip(w.value().data())
-            .map(|(b, a)| (b - a) * (b - a))
-            .sum::<f32>()
-            .sqrt();
-        let reported = opt.last_update_norm().unwrap();
-        assert!((reported - applied).abs() < 1e-6, "{reported} vs {applied}");
-        assert!((reported - 0.5).abs() < 1e-6); // lr 0.1 × grad norm 5
-        opt.set_instrumented(false);
-        assert_eq!(opt.last_update_norm(), None);
-    }
-
-    #[test]
-    fn adam_update_norm_matches_applied_update() {
-        // plain Adam (no decay) so the full applied delta is the adaptive
-        // update the instrumentation reports
-        let w = Param::new("w", Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap());
-        let mut opt = Adam::new(vec![w.clone()], 0.05);
-        opt.set_instrumented(true);
-        w.accumulate_grad(&Tensor::from_vec(vec![0.5, -0.25], &[2]).unwrap());
-        let before = w.value().data().to_vec();
-        opt.step();
-        let applied: f32 = before
-            .iter()
-            .zip(w.value().data())
-            .map(|(b, a)| (b - a) * (b - a))
-            .sum::<f32>()
-            .sqrt();
-        let reported = opt.last_update_norm().unwrap();
-        assert!((reported - applied).abs() < 1e-6, "{reported} vs {applied}");
-    }
-
-    #[test]
-    fn instrumentation_is_bitwise_invisible() {
-        let run = |instrumented: bool| {
-            let w = Param::new("w", Tensor::from_vec(vec![5.0, -3.0], &[2]).unwrap());
-            let mut opt = Adam::adamw(vec![w.clone()], 0.1, 0.01);
-            opt.set_instrumented(instrumented);
-            for _ in 0..5 {
-                quadratic_step(&w, &mut opt);
-            }
-            let out = w.value().data().to_vec();
-            out
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -6,7 +6,10 @@ use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::http::{read_chunked_body, HttpError};
+use crate::http::{
+    framing, read_chunked_body, read_exact_body, read_headers, read_line_budgeted, Framing,
+    HttpError, MAX_HEAD_BYTES,
+};
 
 /// A parsed HTTP response.
 #[derive(Debug)]
@@ -39,6 +42,14 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// The codec's error as the `io::Error` this client returns.
+fn io_error(e: HttpError) -> io::Error {
+    match e {
+        HttpError::Io(e) => e,
+        other => invalid(other.to_string()),
+    }
+}
+
 /// Performs one request on a fresh connection (`Connection: close`).
 ///
 /// # Errors
@@ -69,60 +80,38 @@ pub fn request(
     read_response(&mut BufReader::new(stream))
 }
 
-/// Reads one response (status line, headers, body) from `r`.
+/// Reads one response (status line, headers, body) from `r`, under the
+/// server's head limits and framing rules. A declared `Content-Length`
+/// is not trusted: the body buffer grows only with the bytes that arrive.
 ///
 /// # Errors
 ///
 /// Transport errors and malformed response framing.
 pub fn read_response<R: io::BufRead>(r: &mut R) -> io::Result<HttpResponse> {
-    let mut status_line = String::new();
-    r.read_line(&mut status_line)?;
-    let status_line = status_line.trim_end();
+    let mut budget = MAX_HEAD_BYTES;
+    let status_line = read_line_budgeted(r, &mut budget)
+        .map_err(io_error)?
+        .ok_or_else(|| io_error(HttpError::Closed))?;
     let mut parts = status_line.splitn(3, ' ');
     let version = parts.next().unwrap_or("");
     if !version.starts_with("HTTP/1.") {
         return Err(invalid(format!("bad status line {status_line:?}")));
     }
+    // three digits (RFC 9112 §4): `parse` alone would also take a sign
     let status: u16 = parts
         .next()
+        .filter(|s| s.len() == 3 && s.bytes().all(|b| b.is_ascii_digit()))
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| invalid(format!("bad status line {status_line:?}")))?;
-
-    let mut headers = Vec::new();
-    loop {
-        let mut line = String::new();
-        r.read_line(&mut line)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
+    let headers = read_headers(r, &mut budget).map_err(io_error)?;
+    let body = match framing(&headers).map_err(io_error)? {
+        Some(Framing::Chunked) => read_chunked_body(r).map_err(io_error)?,
+        Some(Framing::Length(n)) => read_exact_body(r, n).map_err(io_error)?,
+        None => {
+            let mut body = Vec::new();
+            r.read_to_end(&mut body)?;
+            body
         }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
-        }
-    }
-
-    let find = |name: &str| -> Option<String> {
-        headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
-    };
-    let body = if find("transfer-encoding").is_some_and(|v| v.contains("chunked")) {
-        read_chunked_body(r).map_err(|e| match e {
-            HttpError::Io(e) => e,
-            other => invalid(other.to_string()),
-        })?
-    } else if let Some(len) = find("content-length") {
-        let n: usize = len
-            .parse()
-            .map_err(|_| invalid(format!("bad Content-Length {len:?}")))?;
-        let mut body = vec![0u8; n];
-        r.read_exact(&mut body)?;
-        body
-    } else {
-        let mut body = Vec::new();
-        r.read_to_end(&mut body)?;
-        body
     };
     Ok(HttpResponse {
         status,

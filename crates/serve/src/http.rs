@@ -9,7 +9,7 @@
 //! round-trips, pipelined requests, and abrupt disconnects, no
 //! `TcpStream` required.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Cap on the request line plus all headers, bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -128,7 +128,7 @@ impl Request {
 
 /// Reads one line (LF-terminated, CR stripped), counting its bytes
 /// against `budget`. `Ok(None)` means clean EOF with zero bytes read.
-fn read_line_budgeted<R: BufRead>(
+pub(crate) fn read_line_budgeted<R: BufRead>(
     r: &mut R,
     budget: &mut usize,
 ) -> Result<Option<String>, HttpError> {
@@ -162,11 +162,82 @@ fn read_line_budgeted<R: BufRead>(
         .map_err(|_| HttpError::Malformed("request head is not valid UTF-8".to_owned()))
 }
 
-/// Reads exactly `n` bytes.
-fn read_exact_body<R: BufRead>(r: &mut R, n: usize) -> Result<Vec<u8>, HttpError> {
-    let mut body = vec![0u8; n];
-    r.read_exact(&mut body)?;
+/// Reads exactly `n` bytes. The buffer grows with the bytes that arrive,
+/// never with the declared length, so a huge length costs nothing until
+/// its bytes are actually sent.
+pub(crate) fn read_exact_body<R: BufRead>(r: &mut R, n: usize) -> Result<Vec<u8>, HttpError> {
+    let mut body = Vec::new();
+    r.take(n as u64).read_to_end(&mut body)?;
+    if body.len() < n {
+        return Err(HttpError::Truncated);
+    }
     Ok(body)
+}
+
+/// Reads header lines up to the blank line that ends a head, counting
+/// them against the same `budget` as the start line. Names are
+/// lowercased and values trimmed.
+pub(crate) fn read_headers<R: BufRead>(
+    r: &mut R,
+    budget: &mut usize,
+) -> Result<Vec<(String, String)>, HttpError> {
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line_budgeted(r, budget)?.ok_or(HttpError::Truncated)?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(HttpError::HeadTooLarge);
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| HttpError::Malformed(format!("bad header line {line:?}")))?;
+        if name.is_empty() || name.contains(' ') {
+            return Err(HttpError::Malformed(format!("bad header name {name:?}")));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
+    }
+}
+
+/// How a message delimits its body.
+pub(crate) enum Framing {
+    /// `Content-Length: n`.
+    Length(usize),
+    /// `Transfer-Encoding: chunked`.
+    Chunked,
+}
+
+/// The body framing `headers` declare, or `None` when they declare none.
+/// Framing that two parsers could read differently is refused (RFC 9112
+/// §6.1, §6.3): more than one `Content-Length`, any `Transfer-Encoding`
+/// but a single `chunked`, or both headers together.
+pub(crate) fn framing(headers: &[(String, String)]) -> Result<Option<Framing>, HttpError> {
+    let values = |name: &str| -> Vec<&str> {
+        headers
+            .iter()
+            .filter(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+            .collect()
+    };
+    let framing = match (
+        &values("content-length")[..],
+        &values("transfer-encoding")[..],
+    ) {
+        ([], []) => Ok(None),
+        // decimal digits only: `parse` alone would also take a sign
+        ([len], []) => Some(len)
+            .filter(|s| s.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|s| s.parse().ok())
+            .map(|n| Some(Framing::Length(n)))
+            .ok_or_else(|| format!("bad Content-Length {len:?}")),
+        ([], [te]) if te.eq_ignore_ascii_case("chunked") => Ok(Some(Framing::Chunked)),
+        ([], [te]) => Err(format!("unsupported Transfer-Encoding {te:?}")),
+        (_, []) => Err("more than one Content-Length".to_owned()),
+        ([], _) => Err("more than one Transfer-Encoding".to_owned()),
+        _ => Err("both Content-Length and Transfer-Encoding".to_owned()),
+    };
+    framing.map_err(HttpError::Malformed)
 }
 
 /// Decodes a `Transfer-Encoding: chunked` body (trailers discarded).
@@ -187,9 +258,10 @@ pub fn read_chunked_body<R: BufRead>(r: &mut R) -> Result<Vec<u8>, HttpError> {
             .and_then(|s| usize::from_str_radix(s, 16).ok())
             .ok_or_else(|| HttpError::Malformed(format!("bad chunk size {size_str:?}")))?;
         if size == 0 {
-            // trailer section: lines until the empty one
+            // trailer section: lines until the empty one, all of them
+            // within one head's byte budget
+            let mut budget = MAX_HEAD_BYTES;
             loop {
-                let mut budget = MAX_HEAD_BYTES;
                 match read_line_budgeted(r, &mut budget)? {
                     None => return Err(HttpError::Truncated),
                     Some(l) if l.is_empty() => return Ok(body),
@@ -242,46 +314,18 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, HttpError> {
         return Err(HttpError::UnsupportedVersion(version));
     }
 
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line_budgeted(r, &mut budget)?.ok_or(HttpError::Truncated)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::HeadTooLarge);
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header line {line:?}")))?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(HttpError::Malformed(format!("bad header name {name:?}")));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
-    }
-
     let mut req = Request {
         method,
         target,
         version,
-        headers,
+        headers: read_headers(r, &mut budget)?,
         body: Vec::new(),
     };
-    let chunked = req
-        .header("transfer-encoding")
-        .is_some_and(|v| v.to_ascii_lowercase().contains("chunked"));
-    if chunked {
-        req.body = read_chunked_body(r)?;
-    } else if let Some(len) = req.header("content-length") {
-        // decimal digits only: `parse` alone would also take a sign
-        let n: usize = Some(len.trim())
-            .filter(|s| s.bytes().all(|b| b.is_ascii_digit()))
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| HttpError::Malformed(format!("bad Content-Length {len:?}")))?;
-        if n > MAX_BODY_BYTES {
-            return Err(HttpError::BodyTooLarge);
-        }
-        req.body = read_exact_body(r, n)?;
+    match framing(&req.headers)? {
+        None => {}
+        Some(Framing::Chunked) => req.body = read_chunked_body(r)?,
+        Some(Framing::Length(n)) if n > MAX_BODY_BYTES => return Err(HttpError::BodyTooLarge),
+        Some(Framing::Length(n)) => req.body = read_exact_body(r, n)?,
     }
     Ok(req)
 }

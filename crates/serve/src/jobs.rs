@@ -112,11 +112,15 @@ impl JobSpec {
             },
             lr: match obj.get("lr") {
                 None | Some(Value::Null) => None,
+                // tested as the f32 the trainer runs with: 1e39 rounds
+                // to inf and 1e-46 to 0
                 Some(v) => Some(
                     v.as_f64()
+                        .map(|f| f as f32)
                         .filter(|f| f.is_finite() && *f > 0.0)
-                        .ok_or_else(|| "field \"lr\" must be a positive number".to_owned())?
-                        as f32,
+                        .ok_or_else(|| {
+                            "field \"lr\" must be a positive number that fits in f32".to_owned()
+                        })?,
                 ),
             },
             checkpoint_every: match obj.get("checkpoint_every") {
@@ -893,6 +897,8 @@ mod tests {
             r#"{"setting":"digits-mlp","budget":10,"schedule":"warp"}"#,
             r#"{"setting":"digits-mlp","budget":10,"optimizer":"lion"}"#,
             r#"{"setting":"digits-mlp","budget":10,"lr":-1}"#,
+            r#"{"setting":"digits-mlp","budget":10,"lr":1e39}"#,
+            r#"{"setting":"digits-mlp","budget":10,"lr":1e-46}"#,
             r#"{"setting":"digits-mlp","budget":10,"surprise":1}"#,
             r#"{"setting":"digits-mlp","budget":10,"dtype":"f64"}"#,
             r#"{"setting":"digits-mlp","budget":10,"dtype":"q8_0"}"#,

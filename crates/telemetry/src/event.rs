@@ -3,11 +3,9 @@
 use crate::json::{self, Value};
 use std::collections::BTreeMap;
 
-/// One optimizer step, as observed by the training loop.
-///
-/// `elapsed_ns` is the only non-deterministic field; it is excluded from
-/// JSONL output unless timing is explicitly enabled, so same-seed traces
-/// serialize byte-identically.
+/// One optimizer step, as observed by the training loop. Every field is a
+/// pure function of the seed, so same-seed traces serialize
+/// byte-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepRecord {
     /// Zero-based optimizer-step index within the run.
@@ -20,12 +18,10 @@ pub struct StepRecord {
     pub lr: f64,
     /// Mini-batch training loss.
     pub loss: f64,
-    /// Global gradient norm before clipping (0 when not instrumented).
+    /// Global gradient norm before clipping.
     pub grad_norm: f64,
-    /// Global parameter norm after the update (0 when not instrumented).
+    /// Global parameter norm after the update.
     pub param_norm: f64,
-    /// Wall-clock duration of the step in nanoseconds (timing-only field).
-    pub elapsed_ns: u64,
 }
 
 /// A single telemetry event.
@@ -74,41 +70,14 @@ pub enum Event {
         /// Learning rate in effect at the end of the epoch.
         lr: f64,
     },
-    /// A monotone counter's cumulative value.
-    Counter {
-        /// Counter name, e.g. `train/steps`.
-        name: String,
-        /// Cumulative value after the increment.
-        value: u64,
-    },
-    /// A point-in-time measurement.
-    Gauge {
-        /// Gauge name, e.g. `optim/update_norm`.
-        name: String,
-        /// Observed value.
-        value: f64,
-    },
-    /// A scoped wall-clock timer fired (timing-only event).
-    Timer {
-        /// Timer name, e.g. `epoch/forward`.
-        name: String,
-        /// Elapsed wall-clock nanoseconds.
-        elapsed_ns: u64,
-    },
     /// A full training-state snapshot was written.
     Checkpoint {
         /// Optimizer step count at the snapshot (steps completed).
         step: u64,
     },
-    /// The run resumed from a snapshot (operational event: excluded from
-    /// deterministic traces so a resumed run's JSONL stays byte-identical
-    /// to the uninterrupted run's).
-    Resume {
-        /// Optimizer step count the snapshot restored to.
-        step: u64,
-    },
-    /// A numeric guard observed a non-finite loss or gradient
-    /// (operational event, like [`Event::Resume`]).
+    /// A numeric guard observed a non-finite loss or gradient. An
+    /// operational event: it feeds `/metrics` but never a trace, so a
+    /// guarded run's JSONL holds only its trajectory.
     GuardTrip {
         /// Optimizer step at which the guard fired.
         step: u64,
@@ -127,139 +96,69 @@ pub enum Event {
 }
 
 impl Event {
-    /// Serializes the event as one JSON line (no trailing newline).
-    ///
-    /// Wall-clock fields are included only when `include_timing` is true;
-    /// with it false, [`Event::Timer`] events return `None` and
-    /// `elapsed_ns` is omitted from step records, making same-seed traces
-    /// byte-identical.
-    pub fn to_jsonl(&self, include_timing: bool) -> Option<String> {
-        let mut s = String::with_capacity(96);
-        match self {
+    /// Serializes the event as one JSON line (no trailing newline), or
+    /// `None` for an operational event, which no trace holds.
+    pub fn to_jsonl(&self) -> Option<String> {
+        let line = match self {
             Event::RunStart {
                 run,
                 schedule,
                 optimizer,
                 seed,
                 total_samples,
-            } => {
-                s.push_str(&format!(
-                    "{{\"ev\":\"run_start\",\"run\":\"{}\",\"schedule\":\"{}\",\"optimizer\":\"{}\",\"seed\":{seed},\"total_samples\":{total_samples}}}",
-                    json::escape(run),
-                    json::escape(schedule),
-                    json::escape(optimizer),
-                ));
-            }
+            } => format!(
+                "{{\"ev\":\"run_start\",\"run\":\"{}\",\"schedule\":\"{}\",\"optimizer\":\"{}\",\"seed\":{seed},\"total_samples\":{total_samples}}}",
+                json::escape(run),
+                json::escape(schedule),
+                json::escape(optimizer),
+            ),
             Event::Epoch {
                 epoch,
                 samples,
                 batches,
                 shuffled,
-            } => {
-                s.push_str(&format!(
-                    "{{\"ev\":\"epoch\",\"epoch\":{epoch},\"samples\":{samples},\"batches\":{batches},\"shuffled\":{shuffled}}}"
-                ));
-            }
-            Event::Step(r) => {
-                s.push_str(&format!(
-                    "{{\"ev\":\"step\",\"step\":{},\"epoch\":{},\"batch_id\":{},\"lr\":{},\"loss\":{},\"grad_norm\":{},\"param_norm\":{}",
-                    r.step,
-                    r.epoch,
-                    r.batch_id,
-                    json::fmt_f64(r.lr),
-                    json::fmt_f64(r.loss),
-                    json::fmt_f64(r.grad_norm),
-                    json::fmt_f64(r.param_norm),
-                ));
-                if include_timing {
-                    s.push_str(&format!(",\"elapsed_ns\":{}", r.elapsed_ns));
-                }
-                s.push('}');
-            }
-            Event::Validation { epoch, loss } => {
-                s.push_str(&format!(
-                    "{{\"ev\":\"validation\",\"epoch\":{epoch},\"loss\":{}}}",
-                    json::fmt_f64(*loss)
-                ));
-            }
+            } => format!(
+                "{{\"ev\":\"epoch\",\"epoch\":{epoch},\"samples\":{samples},\"batches\":{batches},\"shuffled\":{shuffled}}}"
+            ),
+            Event::Step(r) => format!(
+                "{{\"ev\":\"step\",\"step\":{},\"epoch\":{},\"batch_id\":{},\"lr\":{},\"loss\":{},\"grad_norm\":{},\"param_norm\":{}}}",
+                r.step,
+                r.epoch,
+                r.batch_id,
+                json::fmt_f64(r.lr),
+                json::fmt_f64(r.loss),
+                json::fmt_f64(r.grad_norm),
+                json::fmt_f64(r.param_norm),
+            ),
+            Event::Validation { epoch, loss } => format!(
+                "{{\"ev\":\"validation\",\"epoch\":{epoch},\"loss\":{}}}",
+                json::fmt_f64(*loss)
+            ),
             Event::EpochEnd {
                 epoch,
                 mean_loss,
                 lr,
-            } => {
-                s.push_str(&format!(
-                    "{{\"ev\":\"epoch_end\",\"epoch\":{epoch},\"mean_loss\":{},\"lr\":{}}}",
-                    json::fmt_f64(*mean_loss),
-                    json::fmt_f64(*lr)
-                ));
-            }
-            Event::Counter { name, value } => {
-                s.push_str(&format!(
-                    "{{\"ev\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                    json::escape(name)
-                ));
-            }
-            Event::Gauge { name, value } => {
-                s.push_str(&format!(
-                    "{{\"ev\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-                    json::escape(name),
-                    json::fmt_f64(*value)
-                ));
-            }
-            Event::Timer { name, elapsed_ns } => {
-                if !include_timing {
-                    return None;
-                }
-                s.push_str(&format!(
-                    "{{\"ev\":\"timer\",\"name\":\"{}\",\"elapsed_ns\":{elapsed_ns}}}",
-                    json::escape(name)
-                ));
-            }
-            Event::Checkpoint { step } => {
-                s.push_str(&format!("{{\"ev\":\"checkpoint\",\"step\":{step}}}"));
-            }
-            Event::Resume { step } => {
-                if !include_timing {
-                    return None;
-                }
-                s.push_str(&format!("{{\"ev\":\"resume\",\"step\":{step}}}"));
-            }
-            Event::GuardTrip {
-                step,
-                what,
-                value,
-                action,
-            } => {
-                if !include_timing {
-                    return None;
-                }
-                s.push_str(&format!(
-                    "{{\"ev\":\"guard\",\"step\":{step},\"what\":\"{}\",\"value\":{},\"action\":\"{}\"}}",
-                    json::escape(what),
-                    json::fmt_f64(*value),
-                    json::escape(action)
-                ));
-            }
-            Event::RunEnd { metric } => {
-                s.push_str(&format!(
-                    "{{\"ev\":\"run_end\",\"metric\":{}}}",
-                    json::fmt_f64(*metric)
-                ));
-            }
-        }
-        Some(s)
+            } => format!(
+                "{{\"ev\":\"epoch_end\",\"epoch\":{epoch},\"mean_loss\":{},\"lr\":{}}}",
+                json::fmt_f64(*mean_loss),
+                json::fmt_f64(*lr)
+            ),
+            Event::Checkpoint { step } => format!("{{\"ev\":\"checkpoint\",\"step\":{step}}}"),
+            Event::GuardTrip { .. } => return None,
+            Event::RunEnd { metric } => format!(
+                "{{\"ev\":\"run_end\",\"metric\":{}}}",
+                json::fmt_f64(*metric)
+            ),
+        };
+        Some(line)
     }
 
-    /// True for events describing the *mechanics* of a run (timers,
-    /// resume markers, guard trips) rather than its deterministic
-    /// trajectory. Operational events are excluded from trace encoding
-    /// unless timing is enabled, so they never perturb byte-identity of
-    /// same-seed or resumed traces.
+    /// True for events describing the *mechanics* of a run (guard trips)
+    /// rather than its deterministic trajectory. Operational events are
+    /// never encoded, so they cannot perturb byte-identity of same-seed or
+    /// resumed traces.
     pub fn is_operational(&self) -> bool {
-        matches!(
-            self,
-            Event::Timer { .. } | Event::Resume { .. } | Event::GuardTrip { .. }
-        )
+        matches!(self, Event::GuardTrip { .. })
     }
 
     /// Parses one JSON line back into an event.
@@ -295,8 +194,6 @@ impl Event {
                 loss: req_f64(&map, "loss")?,
                 grad_norm: req_f64(&map, "grad_norm")?,
                 param_norm: req_f64(&map, "param_norm")?,
-                // absent when timing was excluded at serialization time
-                elapsed_ns: map.get("elapsed_ns").and_then(Value::as_u64).unwrap_or(0),
             })),
             "validation" => Ok(Event::Validation {
                 epoch: req_u64(&map, "epoch")?,
@@ -307,29 +204,8 @@ impl Event {
                 mean_loss: req_f64(&map, "mean_loss")?,
                 lr: req_f64(&map, "lr")?,
             }),
-            "counter" => Ok(Event::Counter {
-                name: req_str(&map, "name")?,
-                value: req_u64(&map, "value")?,
-            }),
-            "gauge" => Ok(Event::Gauge {
-                name: req_str(&map, "name")?,
-                value: req_f64(&map, "value")?,
-            }),
-            "timer" => Ok(Event::Timer {
-                name: req_str(&map, "name")?,
-                elapsed_ns: req_u64(&map, "elapsed_ns")?,
-            }),
             "checkpoint" => Ok(Event::Checkpoint {
                 step: req_u64(&map, "step")?,
-            }),
-            "resume" => Ok(Event::Resume {
-                step: req_u64(&map, "step")?,
-            }),
-            "guard" => Ok(Event::GuardTrip {
-                step: req_u64(&map, "step")?,
-                what: req_str(&map, "what")?,
-                value: req_f64(&map, "value")?,
-                action: req_str(&map, "action")?,
             }),
             "run_end" => Ok(Event::RunEnd {
                 metric: req_f64(&map, "metric")?,
@@ -346,11 +222,7 @@ impl Event {
             Event::Step(_) => "step",
             Event::Validation { .. } => "validation",
             Event::EpochEnd { .. } => "epoch_end",
-            Event::Counter { .. } => "counter",
-            Event::Gauge { .. } => "gauge",
-            Event::Timer { .. } => "timer",
             Event::Checkpoint { .. } => "checkpoint",
-            Event::Resume { .. } => "resume",
             Event::GuardTrip { .. } => "guard",
             Event::RunEnd { .. } => "run_end",
         }
@@ -385,11 +257,11 @@ fn req_f64(map: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
 }
 
 /// Serializes a slice of events as a JSONL document (newline-terminated
-/// lines; timer-only events dropped unless `include_timing`).
-pub fn encode_trace(events: &[Event], include_timing: bool) -> String {
+/// lines; operational events dropped).
+pub fn encode_trace(events: &[Event]) -> String {
     let mut out = String::new();
     for ev in events {
-        if let Some(line) = ev.to_jsonl(include_timing) {
+        if let Some(line) = ev.to_jsonl() {
             out.push_str(&line);
             out.push('\n');
         }
@@ -441,7 +313,6 @@ mod tests {
                 loss: 2.302,
                 grad_norm: 1.25,
                 param_norm: 10.5,
-                elapsed_ns: 42_000,
             }),
             Event::Validation {
                 epoch: 0,
@@ -452,24 +323,11 @@ mod tests {
                 mean_loss: 2.25,
                 lr: 0.0028,
             },
-            Event::Counter {
-                name: "train/steps".into(),
-                value: 4,
-            },
-            Event::Gauge {
-                name: "optim/update_norm".into(),
-                value: 0.007,
-            },
-            Event::Timer {
-                name: "epoch".into(),
-                elapsed_ns: 1_000_000,
-            },
             Event::Checkpoint { step: 4 },
-            Event::Resume { step: 4 },
             Event::GuardTrip {
                 step: 5,
                 what: "grad:m.fc0.weight".into(),
-                value: 7.5, // finite so the roundtrip compares equal
+                value: f64::NAN,
                 action: "skip".into(),
             },
             Event::RunEnd { metric: 0.85 },
@@ -479,36 +337,41 @@ mod tests {
     #[test]
     fn roundtrip_with_timing() {
         let events = sample_events();
-        let text = encode_trace(&events, true);
-        let parsed = parse_trace(&text).unwrap();
-        assert_eq!(parsed, events);
+        let parsed = parse_trace(&encode_trace(&events)).unwrap();
+        let kept: Vec<Event> = events.into_iter().filter(|e| !e.is_operational()).collect();
+        assert_eq!(parsed, kept);
+        // a step line from an older writer may still carry a wall-clock
+        // field; it parses to the same record and re-encodes without it
+        let step = kept[2].to_jsonl().unwrap();
+        let timed = format!("{},\"elapsed_ns\":42000}}", &step[..step.len() - 1]);
+        let reparsed = Event::parse_jsonl(&timed).unwrap();
+        assert_eq!(reparsed, kept[2]);
+        assert_eq!(reparsed.to_jsonl().unwrap(), step);
     }
 
     #[test]
     fn timing_excluded_by_default() {
         let events = sample_events();
-        let text = encode_trace(&events, false);
+        let text = encode_trace(&events);
         assert!(!text.contains("elapsed_ns"), "{text}");
-        let parsed = parse_trace(&text).unwrap();
-        // the operational events (timer, resume, guard) are dropped and
-        // step elapsed_ns zeroed; the checkpoint marker survives
-        let dropped = events.iter().filter(|e| e.is_operational()).count();
-        assert_eq!(dropped, 3);
-        assert_eq!(parsed.len(), events.len() - dropped);
-        assert_eq!(parsed[2].as_step().unwrap().elapsed_ns, 0);
+        // the operational guard trip is dropped; the checkpoint survives
+        assert!(!text.contains("\"ev\":\"guard\""), "{text}");
         assert!(text.contains("\"ev\":\"checkpoint\""), "{text}");
+        let dropped = events.iter().filter(|e| e.is_operational()).count();
+        assert_eq!(dropped, 1);
+        assert_eq!(text.lines().count(), events.len() - dropped);
     }
 
     #[test]
     fn non_finite_floats_become_null() {
-        let ev = Event::Gauge {
-            name: "g".into(),
-            value: f64::NAN,
+        let ev = Event::Validation {
+            epoch: 0,
+            loss: f64::NAN,
         };
-        let line = ev.to_jsonl(false).unwrap();
-        assert!(line.contains("\"value\":null"), "{line}");
+        let line = ev.to_jsonl().unwrap();
+        assert!(line.contains("\"loss\":null"), "{line}");
         match Event::parse_jsonl(&line).unwrap() {
-            Event::Gauge { value, .. } => assert!(value.is_nan()),
+            Event::Validation { loss, .. } => assert!(loss.is_nan()),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -524,7 +387,7 @@ mod tests {
     #[test]
     fn kind_tags_match_serialization() {
         for ev in sample_events() {
-            let line = ev.to_jsonl(true).unwrap();
+            let Some(line) = ev.to_jsonl() else { continue };
             assert!(
                 line.starts_with(&format!("{{\"ev\":\"{}\"", ev.kind())),
                 "{line}"

@@ -1,10 +1,10 @@
 //! Tolerance-checked trace diffing for golden-trace regression tests.
 //!
-//! Integer fields (steps, epochs, seeds, counter values) and strings must
+//! Integer fields (steps, epochs, seeds, sample counts) and strings must
 //! match exactly; float fields are compared under per-field [`Tolerance`]s
 //! so golden files survive benign numeric churn (e.g. a re-ordered but
 //! mathematically identical reduction) while catching real trajectory
-//! drift. Timing fields are never compared.
+//! drift.
 
 use crate::event::{Event, StepRecord};
 
@@ -110,7 +110,7 @@ impl std::fmt::Display for TraceDiff {
 /// Compares two event traces under per-field tolerances.
 ///
 /// Structure (event count, kinds, integer indices, strings) must match
-/// exactly; float fields use `tol`. Wall-clock fields are ignored.
+/// exactly; float fields use `tol`.
 ///
 /// # Errors
 ///
@@ -254,44 +254,11 @@ fn diff_event(
             close("epoch_end.mean_loss", tol.loss, *m1, *m2)?;
             close("epoch_end.lr", tol.lr, *l1, *l2)
         }
-        (
-            Event::Counter {
-                name: n1,
-                value: v1,
-            },
-            Event::Counter {
-                name: n2,
-                value: v2,
-            },
-        ) => {
-            exact_str("counter.name", n1, n2)?;
-            exact_u64("counter.value", *v1, *v2)
-        }
-        (
-            Event::Gauge {
-                name: n1,
-                value: v1,
-            },
-            Event::Gauge {
-                name: n2,
-                value: v2,
-            },
-        ) => {
-            exact_str("gauge.name", n1, n2)?;
-            close("gauge.value", tol.norm, *v1, *v2)
-        }
-        (Event::Timer { name: n1, .. }, Event::Timer { name: n2, .. }) => {
-            // elapsed time intentionally not compared
-            exact_str("timer.name", n1, n2)
-        }
         (Event::RunEnd { metric: m1 }, Event::RunEnd { metric: m2 }) => {
             close("run_end.metric", tol.metric, *m1, *m2)
         }
         (Event::Checkpoint { step: s1 }, Event::Checkpoint { step: s2 }) => {
             exact_u64("checkpoint.step", *s1, *s2)
-        }
-        (Event::Resume { step: s1 }, Event::Resume { step: s2 }) => {
-            exact_u64("resume.step", *s1, *s2)
         }
         (
             Event::GuardTrip {
@@ -374,7 +341,6 @@ fn diff_step(
             return fail(field, format!("{a}"), format!("{b}"));
         }
     }
-    // elapsed_ns intentionally not compared
     Ok(())
 }
 
@@ -391,7 +357,6 @@ mod tests {
             loss,
             grad_norm: 1.0,
             param_norm: 2.0,
-            elapsed_ns: 7 * i,
         })
     }
 
@@ -422,7 +387,6 @@ mod tests {
         let mut actual = trace();
         if let Event::Step(r) = &mut actual[2] {
             r.loss *= 1.0 + 1e-4; // inside the 5e-3 loss tolerance
-            r.elapsed_ns = 999_999; // timing never compared
         }
         diff_traces(&expected, &actual, &Tolerances::default()).unwrap();
     }

@@ -12,10 +12,9 @@
 //! so p50/p90/p99 are derivable by any Prometheus client).
 //!
 //! [`RegistrySink`] bridges the two worlds: it is a [`Sink`] that folds a
-//! run's deterministic event stream into a shared registry (steps into a
-//! counter, gauges into gauges, timers into histograms), so a per-job
-//! recorder can feed both its JSONL trace and the server's `/metrics` via
-//! [`FanoutSink`].
+//! run's event stream into counters of a shared registry (steps, finished
+//! runs, guard trips), so a per-job recorder can feed both its JSONL trace
+//! and the server's `/metrics` via [`FanoutSink`].
 //!
 //! [`Recorder`]: crate::Recorder
 
@@ -193,13 +192,8 @@ fn sanitize(name: &str) -> String {
 /// [`MetricsRegistry`]:
 ///
 /// * every [`Event::Step`] increments `rex_train_steps_total`;
-/// * [`Event::Gauge`]s are written through under their sanitized name;
-/// * [`Event::Timer`]s become timer observations;
 /// * [`Event::RunEnd`] increments `rex_train_runs_total`;
 /// * guard trips increment `rex_train_guard_trips_total`.
-///
-/// Recorder counters (cumulative within one run) are *not* folded — they
-/// would double-count across runs sharing a registry.
 #[derive(Debug)]
 pub struct RegistrySink {
     registry: Arc<MetricsRegistry>,
@@ -216,10 +210,6 @@ impl Sink for RegistrySink {
     fn record(&mut self, event: &Event) {
         match event {
             Event::Step(_) => self.registry.counter_inc("rex_train_steps_total", 1),
-            Event::Gauge { name, value } => self.registry.gauge_set(name, *value),
-            Event::Timer { name, elapsed_ns } => {
-                self.registry.timer_observe_ns(name, *elapsed_ns);
-            }
             Event::RunEnd { .. } => self.registry.counter_inc("rex_train_runs_total", 1),
             Event::GuardTrip { .. } => {
                 self.registry.counter_inc("rex_train_guard_trips_total", 1);
@@ -279,7 +269,6 @@ mod tests {
             loss: 1.0,
             grad_norm: 0.5,
             param_norm: 2.0,
-            elapsed_ns: 10,
         })
     }
 
@@ -365,14 +354,7 @@ mod tests {
         let mut sink = RegistrySink::new(Arc::clone(&reg));
         sink.record(&step(0));
         sink.record(&step(1));
-        sink.record(&Event::Gauge {
-            name: "optim/update_norm".into(),
-            value: 0.25,
-        });
-        sink.record(&Event::Timer {
-            name: "epoch".into(),
-            elapsed_ns: 7,
-        });
+        sink.record(&Event::Checkpoint { step: 2 });
         sink.record(&Event::RunEnd { metric: 1.0 });
         sink.record(&Event::GuardTrip {
             step: 3,
@@ -383,8 +365,7 @@ mod tests {
         assert_eq!(reg.counter("rex_train_steps_total"), 2);
         assert_eq!(reg.counter("rex_train_runs_total"), 1);
         assert_eq!(reg.counter("rex_train_guard_trips_total"), 1);
-        assert_eq!(reg.gauge("optim/update_norm"), 0.25);
-        assert_eq!(reg.timer("epoch").unwrap().count, 1);
+        assert_eq!(reg.counters().len(), 3, "{:?}", reg.counters());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::event::Event;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -18,21 +17,6 @@ pub trait Sink {
     fn flush(&mut self) {}
 }
 
-/// A sink that discards everything.
-///
-/// Useful when an API requires a boxed sink but the caller wants none; for
-/// hot loops prefer [`Recorder::disabled`], whose `None` branch the
-/// optimizer removes entirely.
-///
-/// [`Recorder::disabled`]: crate::Recorder::disabled
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    #[inline]
-    fn record(&mut self, _event: &Event) {}
-}
-
 /// Shared, cloneable view into a [`MemorySink`]'s buffer.
 ///
 /// The sink itself is moved into the [`Recorder`], so tests keep a handle
@@ -41,7 +25,7 @@ impl Sink for NullSink {
 /// [`Recorder`]: crate::Recorder
 #[derive(Debug, Clone)]
 pub struct MemoryHandle {
-    buf: Rc<RefCell<VecDeque<Event>>>,
+    buf: Rc<RefCell<Vec<Event>>>,
 }
 
 impl MemoryHandle {
@@ -57,7 +41,7 @@ impl MemoryHandle {
 
     /// Snapshot of the buffered events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.buf.borrow().iter().cloned().collect()
+        self.buf.borrow().clone()
     }
 
     /// Snapshot of the buffered step records, oldest first.
@@ -68,38 +52,19 @@ impl MemoryHandle {
             .filter_map(|ev| ev.as_step().cloned())
             .collect()
     }
-
-    /// Drops all buffered events.
-    pub fn clear(&self) {
-        self.buf.borrow_mut().clear();
-    }
 }
 
-/// In-memory ring buffer sink for tests and interactive inspection.
-///
-/// With a capacity, the oldest events are evicted once full; unbounded
-/// buffers keep everything.
+/// In-memory sink for tests and interactive inspection: keeps every
+/// event it receives.
 #[derive(Debug)]
 pub struct MemorySink {
-    buf: Rc<RefCell<VecDeque<Event>>>,
-    capacity: Option<usize>,
+    buf: Rc<RefCell<Vec<Event>>>,
 }
 
 impl MemorySink {
-    /// A ring buffer keeping at most `capacity` most-recent events.
-    pub fn new(capacity: usize) -> Self {
-        MemorySink {
-            buf: Rc::new(RefCell::new(VecDeque::with_capacity(capacity.min(1024)))),
-            capacity: Some(capacity),
-        }
-    }
-
-    /// A buffer that never evicts.
+    /// An empty buffer that keeps everything.
     pub fn unbounded() -> Self {
-        MemorySink {
-            buf: Rc::new(RefCell::new(VecDeque::new())),
-            capacity: None,
-        }
+        MemorySink { buf: Rc::default() }
     }
 
     /// A shared handle onto this sink's buffer, usable after the sink is
@@ -113,27 +78,14 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn record(&mut self, event: &Event) {
-        let mut buf = self.buf.borrow_mut();
-        if let Some(cap) = self.capacity {
-            if cap == 0 {
-                return;
-            }
-            while buf.len() >= cap {
-                buf.pop_front();
-            }
-        }
-        buf.push_back(event.clone());
+        self.buf.borrow_mut().push(event.clone());
     }
 }
 
-/// JSON-lines writer sink, one event per line.
-///
-/// Timing data (`elapsed_ns`, timer events) is excluded unless enabled via
-/// [`JsonlSink::with_timing`], so same-seed runs produce byte-identical
-/// files.
+/// JSON-lines writer sink, one deterministic event per line (operational
+/// events are skipped), so same-seed runs produce byte-identical files.
 pub struct JsonlSink {
     writer: BufWriter<Box<dyn Write>>,
-    include_timing: bool,
     /// The underlying file when writing to one, kept so `flush` can fsync:
     /// the trace is the resume contract's source of truth, so its flushed
     /// prefix must actually be durable.
@@ -146,7 +98,7 @@ pub struct JsonlSink {
 impl std::fmt::Debug for JsonlSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")
-            .field("include_timing", &self.include_timing)
+            .field("file", &self.file.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -233,17 +185,9 @@ impl JsonlSink {
     pub fn from_writer(writer: Box<dyn Write>) -> Self {
         JsonlSink {
             writer: BufWriter::new(writer),
-            include_timing: false,
             file: None,
             unsynced: false,
         }
-    }
-
-    /// Enables wall-clock fields in the output (breaks byte-identical
-    /// same-seed traces; intended for profiling, not golden files).
-    pub fn with_timing(mut self) -> Self {
-        self.include_timing = true;
-        self
     }
 
     /// Makes the flushed prefix durable: resume truncates the trace to the
@@ -262,7 +206,7 @@ impl JsonlSink {
 
 impl Sink for JsonlSink {
     fn record(&mut self, event: &Event) {
-        if let Some(line) = event.to_jsonl(self.include_timing) {
+        if let Some(line) = event.to_jsonl() {
             if self.file.is_some() {
                 // a `kill-on-write=trace:N:mid` plan dies here with half
                 // the line on disk — the torn trailing line a real
@@ -302,35 +246,19 @@ mod tests {
             loss: 1.0,
             grad_norm: 0.5,
             param_norm: 2.0,
-            elapsed_ns: 10,
         })
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut sink = MemorySink::new(3);
-        let handle = sink.handle();
-        for i in 0..5 {
-            sink.record(&step(i));
-        }
-        let steps = handle.steps();
-        assert_eq!(steps.len(), 3);
-        assert_eq!(
-            steps.iter().map(|r| r.step).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
     }
 
     #[test]
     fn unbounded_keeps_everything() {
         let mut sink = MemorySink::unbounded();
         let handle = sink.handle();
+        assert!(handle.is_empty());
         for i in 0..100 {
             sink.record(&step(i));
         }
         assert_eq!(handle.len(), 100);
-        handle.clear();
-        assert!(handle.is_empty());
+        assert_eq!(handle.steps()[99].step, 99);
     }
 
     #[test]
@@ -443,18 +371,18 @@ mod tests {
 
         let mut sink = JsonlSink::from_writer(Box::new(Shared(Rc::clone(&buf))));
         sink.record(&step(0));
-        sink.record(&Event::Timer {
-            name: "t".into(),
-            elapsed_ns: 9,
+        sink.record(&Event::GuardTrip {
+            step: 1,
+            what: "loss".into(),
+            value: f64::NAN,
+            action: "skip".into(),
         });
         sink.record(&Event::RunEnd { metric: 0.5 });
         sink.flush();
 
         let text = String::from_utf8(buf.borrow().clone()).unwrap();
         let events = crate::parse_trace(&text).unwrap();
-        // timer dropped (timing off), step's elapsed_ns zeroed
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].as_step().unwrap().elapsed_ns, 0);
-        assert_eq!(events[1], Event::RunEnd { metric: 0.5 });
+        // the guard trip is operational: no line
+        assert_eq!(events, vec![step(0), Event::RunEnd { metric: 0.5 }]);
     }
 }

@@ -39,8 +39,9 @@ pub enum TrainError {
     /// A loaded checkpoint is incompatible with the current run (wrong
     /// schedule, optimizer, seed, dataset size, …).
     Resume(String),
-    /// The fault-tolerance configuration itself is unusable (zero
-    /// checkpoint interval, stateful schedule, missing path, …).
+    /// The run configuration itself is unusable (a learning rate that is
+    /// not finite and positive, zero checkpoint interval, stateful
+    /// schedule, missing path, …).
     Config(String),
     /// The run stopped deliberately at `FtConfig::halt_after_step`; the
     /// checkpoint on disk resumes it. Not a failure — a scheduled pause.
@@ -69,7 +70,7 @@ impl std::fmt::Display for TrainError {
                 )
             }
             TrainError::Resume(msg) => write!(f, "resume rejected: {msg}"),
-            TrainError::Config(msg) => write!(f, "invalid fault-tolerance config: {msg}"),
+            TrainError::Config(msg) => write!(f, "invalid run config: {msg}"),
             TrainError::Halted { step } => write!(f, "halted after step {step} (resumable)"),
         }
     }

@@ -38,6 +38,10 @@ pub struct RangeTestResult {
 /// from `lr_min` to `lr_max` over `steps` iterations (cycling through the
 /// dataset as needed) and analyses the smoothed loss curve.
 ///
+/// `rec` receives one [`StepRecord`] per sweep step (LR, smoothed loss,
+/// gradient/parameter norms) plus the suggested LR as the run metric;
+/// pass [`Recorder::disabled`] for none.
+///
 /// # Errors
 ///
 /// Propagates [`TensorError`]s from the model; also fails if `steps == 0`
@@ -48,43 +52,6 @@ pub struct RangeTestResult {
 /// Panics if `lr_min <= 0`, `lr_max <= lr_min`, or the dataset is empty.
 #[allow(clippy::too_many_arguments)]
 pub fn lr_range_test(
-    model: &dyn Module,
-    images: &Tensor,
-    labels: &[usize],
-    optimizer: OptimizerKind,
-    lr_min: f32,
-    lr_max: f32,
-    steps: usize,
-    batch_size: usize,
-    seed: u64,
-) -> Result<RangeTestResult, TensorError> {
-    lr_range_test_traced(
-        model,
-        images,
-        labels,
-        optimizer,
-        lr_min,
-        lr_max,
-        steps,
-        batch_size,
-        seed,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`lr_range_test`] with telemetry: emits one [`StepRecord`] per sweep
-/// step (LR, smoothed loss, gradient/parameter norms) plus the suggested
-/// LR as the run metric.
-///
-/// # Errors
-///
-/// Same as [`lr_range_test`].
-///
-/// # Panics
-///
-/// Same as [`lr_range_test`].
-#[allow(clippy::too_many_arguments)]
-pub fn lr_range_test_traced(
     model: &dyn Module,
     images: &Tensor,
     labels: &[usize],
@@ -105,7 +72,6 @@ pub fn lr_range_test_traced(
     }
     let mut opt = optimizer.build(model.params(), lr_min);
     let traced = rec.is_enabled();
-    opt.set_instrumented(traced);
     rec.emit(Event::RunStart {
         run: "range_test".to_owned(),
         schedule: "ExponentialSweep".to_owned(),
@@ -158,7 +124,6 @@ pub fn lr_range_test_traced(
                     loss: debiased,
                     grad_norm: grad_norm as f64,
                     param_norm: global_param_norm(opt.params()) as f64,
-                    elapsed_ns: 0,
                 }));
             }
             curve.push(RangePoint { lr, loss: debiased });
@@ -223,6 +188,7 @@ mod tests {
             30,
             16,
             7,
+            &mut Recorder::disabled(),
         )
         .unwrap();
         assert!(!r.curve.is_empty());
@@ -246,6 +212,7 @@ mod tests {
             120,
             16,
             7,
+            &mut Recorder::disabled(),
         )
         .unwrap();
         assert!(
@@ -270,6 +237,7 @@ mod tests {
             0,
             8,
             0,
+            &mut Recorder::disabled(),
         )
         .is_err());
     }

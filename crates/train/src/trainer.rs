@@ -11,7 +11,6 @@ use rex_telemetry::{Event, Recorder, StepRecord};
 use rex_tensor::{DType, Prng, Tensor, TensorError};
 use std::cell::RefCell;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Which optimizer family to instantiate (the paper pairs every schedule
 /// with both SGDM and Adam; the BERT setting uses AdamW).
@@ -403,7 +402,7 @@ impl Trainer {
     ) -> Result<TrainResult, TrainError> {
         let cfg = self.config.clone();
         let ft = &cfg.ft;
-        self.validate_ft(ft)?;
+        self.validate()?;
         let mut opt = cfg.optimizer.build(task.params(), cfg.lr);
         opt.set_param_dtype(cfg.dtype);
         if cfg.dtype != DType::F32 {
@@ -415,7 +414,6 @@ impl Trainer {
             round_buffers(cfg.dtype, task);
         }
         let traced = rec.is_enabled();
-        opt.set_instrumented(traced);
         let guard_on = ft.guard != GuardPolicy::Off;
         // Budget accounting is sample-exact: schedule progress advances by
         // the number of samples actually consumed, so a partial final
@@ -453,7 +451,6 @@ impl Trainer {
             })?;
             self.check_resume(&state, &cfg, &live.kind, total_samples)?;
             live.restore(&state, rec)?;
-            rec.emit(Event::Resume { step: live.st.step });
         } else {
             rec.emit(Event::RunStart {
                 run: live.kind.clone(),
@@ -497,7 +494,6 @@ impl Trainer {
             while let Some(&rows) = batches.get(live.st.batch_in_epoch as usize) {
                 let _step_span = span("step");
                 let samples = rows.len() as u64;
-                let step_start = traced.then(Instant::now);
                 let st = &mut live.st;
                 let factor = self.schedule.factor(st.samples_done, total_samples) as f32;
                 st.last_lr = cfg.lr * factor;
@@ -568,9 +564,6 @@ impl Trainer {
                         loss: batch_loss,
                         grad_norm: grad_norm as f64,
                         param_norm: global_param_norm(live.opt.params()) as f64,
-                        elapsed_ns: step_start
-                            .map(|s| s.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
-                            .unwrap_or(0),
                     }));
                 }
                 st.batch_in_epoch += 1;
@@ -659,7 +652,13 @@ impl Trainer {
         })
     }
 
-    fn validate_ft(&self, ft: &FtConfig) -> Result<(), TrainError> {
+    fn validate(&self) -> Result<(), TrainError> {
+        let TrainConfig { lr, ft, .. } = &self.config;
+        if !(lr.is_finite() && *lr > 0.0) {
+            return Err(TrainError::Config(format!(
+                "learning rate must be finite and positive, got {lr}"
+            )));
+        }
         if ft.checkpoint_every == Some(0) {
             return Err(TrainError::Config(
                 "checkpoint interval must be at least 1 step".to_owned(),
@@ -1127,6 +1126,28 @@ mod tests {
         assert_eq!(result.history.len(), 10);
         // training loss should drop over the run
         assert!(result.history.last().unwrap().train_loss < result.history[0].train_loss);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_lr_is_refused_before_training() {
+        let data = synth_cifar10(1, 1, 18);
+        let model = Mlp::new("m", &[3 * 12 * 12, 4, 10], &mut Prng::new(18));
+        let (train, test) = (
+            flatten_images(&data.train_images),
+            flatten_images(&data.test_images),
+        );
+        let task =
+            ClassifierTask::new(&model, &train, &data.train_labels, &test, &data.test_labels);
+        for lr in [f32::INFINITY, f32::NAN, 0.0, -1.0] {
+            let sink = MemorySink::unbounded();
+            let handle = sink.handle();
+            let mut rec = Recorder::new(Box::new(sink));
+            match Trainer::new(config(1, 4, lr, ScheduleSpec::Rex)).run(&task, &mut rec) {
+                Err(TrainError::Config(msg)) => assert!(msg.contains("learning rate"), "{msg}"),
+                other => panic!("lr {lr}: expected a config error, got {other:?}"),
+            }
+            assert!(handle.is_empty(), "lr {lr}: the refused run emitted events");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use rex::data::images::synth_cifar10;
 use rex::nn::MicroResNet;
+use rex::telemetry::Recorder;
 use rex::train::range_test::lr_range_test;
 use rex::train::OptimizerKind;
 
@@ -26,6 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         120,
         32,
         7,
+        &mut Recorder::disabled(),
     )?;
 
     // ASCII plot: loss (y) vs log-lr (x).

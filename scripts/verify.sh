@@ -24,6 +24,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --document-
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> perfbench check (the benchmark compiles against this workspace)"
+# perfbench/ is its own Cargo workspace that calls this one's public
+# items, so a deleted or renamed item must fail here rather than in the
+# benchmark run; --locked refuses to rewrite perfbench/Cargo.lock, and
+# the build goes to target/, so the stage writes nothing under perfbench/
+CARGO_TARGET_DIR=target/perfbench cargo check --offline --locked \
+  --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -96,7 +96,7 @@ fn check_cell(name: &str, spec: &ScheduleSpec, budget_pct: u32) {
 fn check_golden(path: &Path, events: &[Event], label: &str) {
     if std::env::var_os("REX_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, encode_trace(events, false)).unwrap();
+        std::fs::write(path, encode_trace(events)).unwrap();
         eprintln!("blessed {}", path.display());
         return;
     }
@@ -144,8 +144,8 @@ fn golden_trace_step() {
 /// excluded from the encoding), so traces are diffable with plain tools.
 #[test]
 fn same_seed_traces_are_byte_identical() {
-    let a = encode_trace(&run_trace(&ScheduleSpec::Rex, 50), false);
-    let b = encode_trace(&run_trace(&ScheduleSpec::Rex, 50), false);
+    let a = encode_trace(&run_trace(&ScheduleSpec::Rex, 50));
+    let b = encode_trace(&run_trace(&ScheduleSpec::Rex, 50));
     assert_eq!(a, b);
     assert!(a.ends_with('\n') && a.lines().count() > 4);
 }
@@ -164,9 +164,7 @@ fn traces_pass_under_both_forced_backends_at_any_thread_count() {
 
     for kind in [BackendKind::Scalar, BackendKind::Simd] {
         let baseline = backend::with_backend(kind, || {
-            rex_pool::with_pool_size(1, || {
-                encode_trace(&run_trace(&ScheduleSpec::Rex, 10), false)
-            })
+            rex_pool::with_pool_size(1, || encode_trace(&run_trace(&ScheduleSpec::Rex, 10)))
         });
         // the committed golden still holds under this backend
         let events = parse_trace(&baseline).expect("trace must re-parse");
@@ -179,7 +177,7 @@ fn traces_pass_under_both_forced_backends_at_any_thread_count() {
         for threads in [2usize, 3, 7] {
             let run = backend::with_backend(kind, || {
                 rex_pool::with_pool_size(threads, || {
-                    encode_trace(&run_trace(&ScheduleSpec::Rex, 10), false)
+                    encode_trace(&run_trace(&ScheduleSpec::Rex, 10))
                 })
             });
             assert_eq!(
@@ -217,7 +215,7 @@ fn dtype_f32_default_keeps_all_goldens_byte_identical() {
                 .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
             for threads in [1usize, 3] {
                 let run = backend::with_backend(BackendKind::Scalar, || {
-                    rex_pool::with_pool_size(threads, || encode_trace(&run_trace(spec, pct), false))
+                    rex_pool::with_pool_size(threads, || encode_trace(&run_trace(spec, pct)))
                 });
                 assert_eq!(
                     run, text,
