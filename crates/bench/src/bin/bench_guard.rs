@@ -113,10 +113,7 @@ fn report_fresh(kind: Kind, committed: &Fields, fresh: &Fields) {
 }
 
 fn main() {
-    if std::env::args().len() > 1 {
-        eprintln!("usage: bench-guard (takes no arguments)");
-        std::process::exit(2);
-    }
+    rex_bench::parse_flags("usage: bench-guard (takes no arguments)", &[], &[]);
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let held = Kind::ALL.map(|kind| guard(kind, &root));
     if held.contains(&false) {

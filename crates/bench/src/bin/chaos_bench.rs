@@ -49,6 +49,7 @@ use std::time::{Duration, Instant};
 
 use rex_bench::floors::Kind;
 use rex_bench::measure::{quantiles, Artifact, Sampling};
+use rex_bench::{exit_with, or_usage, parse_flags};
 use rex_faults::{ChaosKind, ChaosPlan, KILL_EXIT_CODE};
 use rex_serve::client::request;
 use rex_telemetry::json::{parse_object, Value};
@@ -82,60 +83,23 @@ struct Config {
     out: Option<String>,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("chaos-bench: {msg}");
-    eprintln!(
-        "usage: chaos-bench [--smoke] [--seed N] [--jobs N] [--storm-rounds N] \
-         [--workers N] [--out PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: chaos-bench [--smoke] [--seed N] [--jobs N] [--storm-rounds N] \
+                     [--workers N] [--out PATH]";
 
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        seed: 7,
-        jobs: 60,
-        storm_rounds: 10,
-        workers: 2,
-        smoke: false,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    let mut jobs_set = false;
-    let mut rounds_set = false;
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| die(&format!("{name} needs a non-negative integer")))
-        };
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--seed" => cfg.seed = num("--seed"),
-            "--jobs" => {
-                cfg.jobs = num("--jobs").max(1) as usize;
-                jobs_set = true;
-            }
-            "--storm-rounds" => {
-                cfg.storm_rounds = num("--storm-rounds").max(1) as usize;
-                rounds_set = true;
-            }
-            "--workers" => cfg.workers = num("--workers").max(1) as usize,
-            "--out" => {
-                cfg.out = Some(args.next().unwrap_or_else(|| die("--out needs a path")));
-            }
-            other => die(&format!("unknown flag {other:?}")),
-        }
+/// The run's configuration, from the command line.
+fn config_from_args() -> Config {
+    let valued = ["seed", "jobs", "storm-rounds", "workers", "out"];
+    let flags = parse_flags(USAGE, &valued, &["smoke"]);
+    let smoke = flags.switch("smoke");
+    let num = |key: &str, default: u64| or_usage(flags.get_or(key, default), USAGE);
+    Config {
+        seed: num("seed", 7),
+        jobs: num("jobs", if smoke { 12 } else { 60 }).max(1) as usize,
+        storm_rounds: num("storm-rounds", if smoke { 4 } else { 10 }).max(1) as usize,
+        workers: num("workers", 2).max(1) as usize,
+        smoke,
+        out: flags.get("out").map(str::to_owned),
     }
-    if cfg.smoke {
-        if !jobs_set {
-            cfg.jobs = 12;
-        }
-        if !rounds_set {
-            cfg.storm_rounds = 4;
-        }
-    }
-    cfg
 }
 
 /// The directory holding this binary's build profile — where the
@@ -164,12 +128,12 @@ fn rexd_path() -> PathBuf {
     let status = cmd
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .status()
-        .unwrap_or_else(|e| die(&format!("cargo build for rexd failed to spawn: {e}")));
+        .unwrap_or_else(|e| exit_with(&format!("cargo build for rexd failed to spawn: {e}")));
     if !status.success() {
-        die("building rexd failed");
+        exit_with("building rexd failed");
     }
     if !path.is_file() {
-        die(&format!("built rexd but {} is missing", path.display()));
+        exit_with(&format!("built rexd but {} is missing", path.display()));
     }
     path
 }
@@ -209,18 +173,18 @@ fn start_daemon(
     }
     let mut child = cmd
         .spawn()
-        .unwrap_or_else(|e| die(&format!("spawn rexd: {e}")));
+        .unwrap_or_else(|e| exit_with(&format!("spawn rexd: {e}")));
     let stdout = child.stdout.take().expect("rexd stdout");
     let mut line = String::new();
     BufReader::new(stdout)
         .read_line(&mut line)
-        .unwrap_or_else(|e| die(&format!("rexd startup line: {e}")));
+        .unwrap_or_else(|e| exit_with(&format!("rexd startup line: {e}")));
     let addr = line
         .trim()
         .strip_prefix("rexd listening on http://")
-        .unwrap_or_else(|| die(&format!("unexpected startup line {line:?}")))
+        .unwrap_or_else(|| exit_with(&format!("unexpected startup line {line:?}")))
         .parse()
-        .unwrap_or_else(|e| die(&format!("parse rexd address: {e}")));
+        .unwrap_or_else(|e| exit_with(&format!("parse rexd address: {e}")));
     Daemon {
         child,
         addr,
@@ -306,7 +270,7 @@ fn scan_manifests(data_dir: &Path) -> Vec<DiskJob> {
     let jobs_dir = data_dir.join("jobs");
     let entries = match std::fs::read_dir(&jobs_dir) {
         Ok(entries) => entries,
-        Err(e) => die(&format!("reading {}: {e}", jobs_dir.display())),
+        Err(e) => exit_with(&format!("reading {}: {e}", jobs_dir.display())),
     };
     for entry in entries.flatten() {
         let manifest = entry.path().join("job.json");
@@ -314,12 +278,14 @@ fn scan_manifests(data_dir: &Path) -> Vec<DiskJob> {
             continue;
         };
         let fields = parse_object(text.trim())
-            .unwrap_or_else(|e| die(&format!("bad manifest {}: {e}", manifest.display())));
+            .unwrap_or_else(|e| exit_with(&format!("bad manifest {}: {e}", manifest.display())));
         let str_of = |key: &str| -> String {
             fields
                 .get(key)
                 .and_then(Value::as_str)
-                .unwrap_or_else(|| die(&format!("manifest {} lacks {key}", manifest.display())))
+                .unwrap_or_else(|| {
+                    exit_with(&format!("manifest {} lacks {key}", manifest.display()))
+                })
                 .to_owned()
         };
         let num_of = |key: &str| fields.get(key).and_then(Value::as_u64).unwrap_or(0);
@@ -358,15 +324,15 @@ fn count_quarantined(data_dir: &Path) -> usize {
 fn twin_trace(scratch: &Path, seed: u64) -> Vec<u8> {
     let trace_path = scratch.join(format!("twin_{seed}.jsonl"));
     let ckpt_path = scratch.join(format!("twin_{seed}.state"));
-    let sink =
-        JsonlSink::create(&trace_path).unwrap_or_else(|e| die(&format!("twin trace sink: {e}")));
+    let sink = JsonlSink::create(&trace_path)
+        .unwrap_or_else(|e| exit_with(&format!("twin trace sink: {e}")));
     let mut rec = Recorder::new(Box::new(sink));
-    let setting = load_setting("digits-mlp", seed).unwrap_or_else(|e| die(&e));
+    let setting = load_setting("digits-mlp", seed).unwrap_or_else(|e| exit_with(&e));
     let optimizer = OptimizerKind::sgdm();
     let lr = setting.default_lr(&optimizer);
     let schedule = "rex"
         .parse()
-        .unwrap_or_else(|e| die(&format!("schedule: {e}")));
+        .unwrap_or_else(|e| exit_with(&format!("schedule: {e}")));
     let ft = FtConfig {
         checkpoint_every: Some(CHECKPOINT_EVERY),
         checkpoint_path: Some(ckpt_path.clone()),
@@ -389,10 +355,11 @@ fn twin_trace(scratch: &Path, seed: u64) -> Vec<u8> {
             ft,
             &mut rec,
         )
-        .unwrap_or_else(|e| die(&format!("twin run (seed {seed}): {e}")));
+        .unwrap_or_else(|e| exit_with(&format!("twin run (seed {seed}): {e}")));
     rec.flush();
     drop(rec);
-    let bytes = std::fs::read(&trace_path).unwrap_or_else(|e| die(&format!("twin trace: {e}")));
+    let bytes =
+        std::fs::read(&trace_path).unwrap_or_else(|e| exit_with(&format!("twin trace: {e}")));
     let _ = std::fs::remove_file(&trace_path);
     let _ = std::fs::remove_file(&ckpt_path);
     bytes
@@ -400,7 +367,7 @@ fn twin_trace(scratch: &Path, seed: u64) -> Vec<u8> {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let cfg = parse_args();
+    let cfg = config_from_args();
     // The daemon children get per-round fault plans; the bench process
     // itself (and its in-process twin runs) must stay fault-free.
     std::env::remove_var("REX_FAULTS");
@@ -409,7 +376,7 @@ fn main() {
     let rexd = rexd_path();
     let data_dir = std::env::temp_dir().join(format!("rex-chaos-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&data_dir);
-    std::fs::create_dir_all(&data_dir).unwrap_or_else(|e| die(&format!("data dir: {e}")));
+    std::fs::create_dir_all(&data_dir).unwrap_or_else(|e| exit_with(&format!("data dir: {e}")));
     let queue_depth = cfg.jobs + 8;
 
     println!(
@@ -447,7 +414,7 @@ fn main() {
                     next_seed += 1;
                 }
                 Ok(None) => break,
-                Err(e) => die(&e),
+                Err(e) => exit_with(&e),
             }
         }
 
@@ -515,7 +482,7 @@ fn main() {
                                 next_seed += 1;
                             }
                             Ok(None) => break,
-                            Err(e) => die(&e),
+                            Err(e) => exit_with(&e),
                         }
                     }
                 }
@@ -552,7 +519,7 @@ fn main() {
 
     // ---- twin traces: every survivor must match its fault-free twin ----
     let scratch = data_dir.join("twins");
-    std::fs::create_dir_all(&scratch).unwrap_or_else(|e| die(&format!("twin scratch: {e}")));
+    std::fs::create_dir_all(&scratch).unwrap_or_else(|e| exit_with(&format!("twin scratch: {e}")));
     let mut twins: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut traces_checked = 0usize;
     let mut mismatches = 0usize;
@@ -562,7 +529,7 @@ fn main() {
             .or_insert_with(|| twin_trace(&scratch, job.seed));
         let trace_path = data_dir.join("jobs").join(&job.id).join("trace.jsonl");
         let actual = std::fs::read(&trace_path)
-            .unwrap_or_else(|e| die(&format!("trace {}: {e}", trace_path.display())));
+            .unwrap_or_else(|e| exit_with(&format!("trace {}: {e}", trace_path.display())));
         traces_checked += 1;
         if &actual != twin {
             mismatches += 1;
@@ -635,7 +602,8 @@ fn main() {
 
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
     let out = cfg.out.as_deref().unwrap_or(default_out);
-    let held = (art.write_checked(out)).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
+    let held =
+        (art.write_checked(out)).unwrap_or_else(|e| exit_with(&format!("writing {out}: {e}")));
     println!("wrote {out}");
     if held {
         let _ = std::fs::remove_dir_all(&data_dir);

@@ -22,7 +22,7 @@ const INPUTS: &[&str] = &[
 ];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["out"]);
     let records = read_results(&args.out, INPUTS);
     let cells = to_setting_results(&records);
 

@@ -16,7 +16,7 @@ fn curve(spec: &ScheduleSpec) -> Vec<f64> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["out"]);
     fs::create_dir_all(&args.out).expect("create out dir");
 
     let mut csv = String::from("series,progress,factor\n");

@@ -16,7 +16,7 @@ use rex_train::trial::lr_grid;
 use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "out", "seed", "threads", "backend", "dtype"]);
     let (max_epochs, per_class, test_per_class) =
         args.scale
             .pick((4usize, 8usize, 4usize), (24, 30, 10), (60, 100, 30));

@@ -30,7 +30,7 @@
 use rex_bench::floors::Kind;
 use rex_bench::kernel_matrix;
 use rex_bench::measure::{ratio, time_arms, Artifact, Sampling};
-use rex_bench::{run_schedule_grid, Cell, GridRun, ScaleKind};
+use rex_bench::{exit_with, or_usage, parse_flags, run_schedule_grid, Cell, GridRun, ScaleKind};
 use rex_core::ScheduleSpec;
 use rex_data::images::synth_cifar10;
 use rex_telemetry::Recorder;
@@ -42,28 +42,7 @@ use rex_train::{Budget, OptimizerKind, TrainConfig};
 /// Pool size for the parallel leg of the grid measurement.
 const GRID_THREADS: usize = 4;
 
-fn die(msg: &str) -> ! {
-    eprintln!("kernel-bench: {msg}");
-    eprintln!("usage: kernel-bench [--smoke] [--reps N] [--out PATH]");
-    std::process::exit(2);
-}
-
-fn parse_args() -> (Sampling, Option<String>) {
-    let (mut s, mut out) = (Sampling::full(40), None);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => s = Sampling::smoke(),
-            "--reps" => {
-                s.reps = (args.next().and_then(|v| v.parse().ok()))
-                    .unwrap_or_else(|| die("--reps needs a positive integer"));
-            }
-            "--out" => out = Some(args.next().unwrap_or_else(|| die("--out needs a path"))),
-            other => die(&format!("unknown argument {other:?}")),
-        }
-    }
-    (s, out)
-}
+const USAGE: &str = "usage: kernel-bench [--smoke] [--reps N] [--out PATH]";
 
 /// Times one small real training grid (2 schedules × 2 trials of a
 /// micro-ResNet cell) at 1 pool thread and at [`GRID_THREADS`], the two
@@ -122,7 +101,13 @@ fn bench_grid(s: &Sampling, art: &mut Artifact) -> f64 {
 }
 
 fn main() {
-    let (s, out) = parse_args();
+    let flags = parse_flags(USAGE, &["reps", "out"], &["smoke"]);
+    let mut s = if flags.switch("smoke") {
+        Sampling::smoke()
+    } else {
+        Sampling::full(40)
+    };
+    s.reps = or_usage(flags.get_or("reps", s.reps), USAGE);
     let be = backend::active();
     println!(
         "kernel-bench: reps={} warmup={} backend={} ({}){}",
@@ -170,8 +155,9 @@ fn main() {
     );
 
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    let path = out.as_deref().unwrap_or(default_path);
-    let held = (art.write_checked(path)).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+    let path = flags.get("out").unwrap_or(default_path);
+    let held = (art.write_checked(path))
+        .unwrap_or_else(|e| exit_with(&format!("kernel-bench: writing {path}: {e}")));
     println!("wrote {path}");
     if !held {
         std::process::exit(1);

@@ -14,28 +14,19 @@
 
 use rex_bench::measure::Sampling;
 use rex_bench::profile_overhead;
+use rex_bench::{exit_with, or_usage, parse_flags};
 use rex_telemetry::json::Value;
 
-fn die(msg: &str) -> ! {
-    eprintln!("profile-bench: {msg}");
-    eprintln!("usage: profile-bench [--smoke] [--reps N] [--out PATH]");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: profile-bench [--smoke] [--reps N] [--out PATH]";
 
 fn main() {
-    let (mut s, mut out) = (Sampling::full(30), None);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => s = Sampling::smoke(),
-            "--reps" => {
-                s.reps = (args.next().and_then(|v| v.parse().ok()))
-                    .unwrap_or_else(|| die("--reps needs an integer"));
-            }
-            "--out" => out = Some(args.next().unwrap_or_else(|| die("--out needs a path"))),
-            other => die(&format!("unknown flag {other:?}")),
-        }
-    }
+    let flags = parse_flags(USAGE, &["reps", "out"], &["smoke"]);
+    let mut s = if flags.switch("smoke") {
+        Sampling::smoke()
+    } else {
+        Sampling::full(30)
+    };
+    s.reps = or_usage(flags.get_or("reps", s.reps), USAGE);
     let be = rex_tensor::backend::active();
     println!(
         "profile-bench: reps={} warmup={} threads={} backend={} ({}){}",
@@ -62,8 +53,9 @@ fn main() {
     print!("{}", profile.render_phase_table());
 
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_profile.json");
-    let path = out.as_deref().unwrap_or(default_path);
-    let held = (art.write_checked(path)).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+    let path = flags.get("out").unwrap_or(default_path);
+    let held = (art.write_checked(path))
+        .unwrap_or_else(|e| exit_with(&format!("profile-bench: writing {path}: {e}")));
     println!("wrote {path}");
     if !held {
         std::process::exit(1);

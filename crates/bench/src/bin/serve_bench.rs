@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use rex_bench::floors::Kind;
 use rex_bench::measure::{quantiles, Artifact, Sampling};
+use rex_bench::{exit_with, or_usage, parse_flags};
 use rex_serve::client::request;
 use rex_serve::{ServeConfig, Server};
 use rex_telemetry::json::{parse_object, Value};
@@ -71,62 +72,30 @@ struct Config {
     out: Option<String>,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("serve-bench: {msg}");
-    eprintln!(
-        "usage: serve-bench [--smoke] [--jobs N] [--clients N] [--workers N] \
-         [--queue-depth N] [--out PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: serve-bench [--smoke] [--jobs N] [--clients N] [--workers N] \
+                     [--queue-depth N] [--out PATH]";
 
-fn parse_args() -> Config {
+/// The run's configuration, from the command line.
+fn config_from_args() -> Config {
+    let flags = parse_flags(
+        USAGE,
+        &["jobs", "clients", "workers", "queue-depth", "out"],
+        &["smoke"],
+    );
+    let smoke = flags.switch("smoke");
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut cfg = Config {
-        jobs: 200,
-        clients: 12,
-        workers: host_cores.clamp(1, 4),
-        queue_depth: 32,
-        smoke: false,
-        out: None,
+    let num = |key: &str, default: usize| match flags.get_or(key, default) {
+        Ok(n) if n > 0 => n,
+        _ => or_usage(Err(format!("--{key} needs a positive integer")), USAGE),
     };
-    let mut args = std::env::args().skip(1);
-    let mut jobs_set = false;
-    let mut clients_set = false;
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| -> usize {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| die(&format!("{name} needs a positive integer")))
-        };
-        match arg.as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--jobs" => {
-                cfg.jobs = num("--jobs");
-                jobs_set = true;
-            }
-            "--clients" => {
-                cfg.clients = num("--clients");
-                clients_set = true;
-            }
-            "--workers" => cfg.workers = num("--workers"),
-            "--queue-depth" => cfg.queue_depth = num("--queue-depth"),
-            "--out" => {
-                cfg.out = Some(args.next().unwrap_or_else(|| die("--out needs a path")));
-            }
-            other => die(&format!("unknown flag {other:?}")),
-        }
+    Config {
+        jobs: num("jobs", if smoke { 24 } else { 200 }),
+        clients: num("clients", if smoke { 4 } else { 12 }),
+        workers: num("workers", host_cores.clamp(1, 4)),
+        queue_depth: num("queue-depth", 32),
+        smoke,
+        out: flags.get("out").map(str::to_owned),
     }
-    if cfg.smoke {
-        if !jobs_set {
-            cfg.jobs = 24;
-        }
-        if !clients_set {
-            cfg.clients = 4;
-        }
-    }
-    cfg
 }
 
 struct Submitted {
@@ -154,13 +123,13 @@ fn submit_one(addr: SocketAddr, seed: u64) -> Submitted {
     let mut jitter = Prng::new(0x0B0F_F5E5 ^ seed);
     loop {
         let resp = request(addr, "POST", "/v1/jobs", Some(&body), REQUEST_TIMEOUT)
-            .unwrap_or_else(|e| die(&format!("submit failed: {e}")));
+            .unwrap_or_else(|e| exit_with(&format!("submit failed: {e}")));
         match resp.status {
             202 => {
                 let fields = parse_object(resp.text().trim())
-                    .unwrap_or_else(|e| die(&format!("bad 202 body: {e}")));
+                    .unwrap_or_else(|e| exit_with(&format!("bad 202 body: {e}")));
                 let Some(Value::Str(id)) = fields.get("id") else {
-                    die("202 body lacks an id");
+                    exit_with("202 body lacks an id");
                 };
                 return Submitted {
                     id: id.clone(),
@@ -180,7 +149,7 @@ fn submit_one(addr: SocketAddr, seed: u64) -> Submitted {
                 let pause_ms = 1 + jitter.below(ceiling as usize) as u64;
                 std::thread::sleep(Duration::from_millis(pause_ms));
             }
-            other => die(&format!("submit got unexpected status {other}")),
+            other => exit_with(&format!("submit got unexpected status {other}")),
         }
     }
 }
@@ -195,14 +164,14 @@ fn await_terminal(addr: SocketAddr, sub: &Submitted) -> (String, f64) {
             None,
             REQUEST_TIMEOUT,
         )
-        .unwrap_or_else(|e| die(&format!("poll failed: {e}")));
+        .unwrap_or_else(|e| exit_with(&format!("poll failed: {e}")));
         if resp.status != 200 {
-            die(&format!("poll of {} got status {}", sub.id, resp.status));
+            exit_with(&format!("poll of {} got status {}", sub.id, resp.status));
         }
-        let fields =
-            parse_object(resp.text().trim()).unwrap_or_else(|e| die(&format!("bad job body: {e}")));
+        let fields = parse_object(resp.text().trim())
+            .unwrap_or_else(|e| exit_with(&format!("bad job body: {e}")));
         let Some(Value::Str(state)) = fields.get("state") else {
-            die("job body lacks a state");
+            exit_with("job body lacks a state");
         };
         if matches!(state.as_str(), "done" | "failed" | "canceled") {
             return (state.clone(), sub.started.elapsed().as_secs_f64() * 1e3);
@@ -225,7 +194,7 @@ fn hist_bucket(retries: u64) -> usize {
 }
 
 fn main() {
-    let cfg = parse_args();
+    let cfg = config_from_args();
     let data_dir = std::env::temp_dir().join(format!("rex-serve-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&data_dir);
 
@@ -237,7 +206,7 @@ fn main() {
         default_checkpoint_every: 0,
         ..ServeConfig::default()
     })
-    .unwrap_or_else(|e| die(&format!("server failed to start: {e}")));
+    .unwrap_or_else(|e| exit_with(&format!("server failed to start: {e}")));
     let addr = server.addr();
     println!(
         "serve-bench: jobs={} clients={} workers={} queue_depth={} addr={addr}{}",
@@ -298,10 +267,11 @@ fn main() {
         .filter(|(sub, _, _)| !ids.insert(sub.id.clone()))
         .count();
     let listing = request(addr, "GET", "/v1/jobs", None, REQUEST_TIMEOUT)
-        .unwrap_or_else(|e| die(&format!("listing failed: {e}")));
+        .unwrap_or_else(|e| exit_with(&format!("listing failed: {e}")));
     let mut ledger_done = BTreeSet::new();
     for line in listing.text().lines().filter(|l| !l.trim().is_empty()) {
-        let fields = parse_object(line).unwrap_or_else(|e| die(&format!("bad listing line: {e}")));
+        let fields =
+            parse_object(line).unwrap_or_else(|e| exit_with(&format!("bad listing line: {e}")));
         if let (Some(Value::Str(id)), Some(Value::Str(state))) =
             (fields.get("id"), fields.get("state"))
         {
@@ -368,7 +338,8 @@ fn main() {
     art.num("throughput_jobs_per_s", throughput);
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     let path = cfg.out.as_deref().unwrap_or(default_path);
-    let held = (art.write_checked(path)).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+    let held =
+        (art.write_checked(path)).unwrap_or_else(|e| exit_with(&format!("writing {path}: {e}")));
     println!("wrote {path}");
     if !held {
         std::process::exit(1);

@@ -24,7 +24,7 @@ const INPUTS: &[&str] = &[
 ];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["out"]);
     let records = read_results(&args.out, INPUTS);
     let mut cells = to_setting_results(&records);
     fold_plateau_into_step(&mut cells);

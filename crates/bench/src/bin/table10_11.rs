@@ -16,7 +16,7 @@ use rex_train::tasks::{pretrain_transformer, GlueTask};
 use rex_train::{OptimizerKind, TrainConfig, Trainer};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "out", "seed", "threads", "backend", "dtype"]);
     let (pretrain_epochs, corpus_size, train_per_task, test_per_task) = args.scale.pick(
         (1usize, 64usize, 32usize, 16usize),
         (6, 512, 768, 128),

@@ -19,7 +19,9 @@ use rex_train::OptimizerKind;
 use rex_train::TrainConfig;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "scale", "out", "trials", "seed", "threads", "backend", "dtype",
+    ]);
     let (epoch_scales, per_class, test_per_class, trials): (Vec<usize>, usize, usize, usize) =
         match args.scale {
             rex_bench::ScaleKind::Smoke => (vec![2], 6, 3, 1),

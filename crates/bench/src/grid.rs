@@ -16,7 +16,9 @@ use rex_telemetry::Recorder;
 use rex_train::tasks::{DetectionTask, ImageModel, VaeTask};
 use rex_train::{Budget, OptimizerKind, TrainConfig, TrainError, Trainer};
 
-use crate::{print_budget_table, run_schedule_grid, table_schedules, Args, Cell, GridRun};
+use crate::{
+    print_budget_table, report_cell, run_schedule_grid, table_schedules, Args, Cell, GridRun,
+};
 
 /// One paper grid.
 pub struct Grid {
@@ -270,7 +272,11 @@ impl Grid {
                     resume: args.resume.as_deref(),
                 };
                 let cell_fn = |cell: &Cell, rec: &mut Recorder| {
-                    train(self.config(block, args, cell), rec).expect("training cell failed")
+                    let t0 = std::time::Instant::now();
+                    let score =
+                        train(self.config(block, args, cell), rec).expect("training cell failed");
+                    report_cell(&run, cell, score, &format!("{:.1?}", t0.elapsed()));
+                    score
                 };
                 trained.extend(run_schedule_grid(
                     &run,

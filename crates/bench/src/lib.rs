@@ -5,7 +5,8 @@
 //! [`grid::grids`]; `table2`, `fig2`, `fig4` and `table10_11` keep their
 //! own loops, and `table1` and `fig1` aggregate the grids' CSVs (see
 //! DESIGN.md §4 for the index). This library holds the pieces they
-//! share: CLI parsing ([`Args`]), experiment scales ([`ScaleKind`]), the
+//! share: CLI parsing ([`Args`], over the workspace's one flag parser,
+//! [`rex_serve::cli::Flags`]), experiment scales ([`ScaleKind`]), the
 //! schedule-grid runner ([`run_schedule_grid`]), and the markdown
 //! emission helpers.
 //!
@@ -15,15 +16,25 @@
 //! workloads [`kernel_matrix`] and [`profile_overhead`], which the
 //! producers and `bench-guard` share.
 //!
-//! Binaries accept:
+//! Each binary reads only the flags it declares and refuses any other
+//! with exit status 2:
 //!
 //! ```text
+//! grid <name>           --scale --out --trials --seed --trace --resume
+//!                       --threads --backend --dtype
+//! table2                --scale --out --trials --seed --threads --backend --dtype
+//! table10_11, fig4      --scale --out --seed --threads --backend --dtype
+//! table1, fig1, fig2    --out
+//!
 //! --scale smoke|fast|full   experiment size (default fast)
 //! --out <dir>               directory for CSV records (default results/)
 //! --trials <n>              override the trial count
 //! --seed <s>                override the base seed
 //! --trace <dir>             write one JSONL telemetry trace per cell
 //! --resume <dir>            skip cells with a done-marker in <dir>
+//! --threads <n>             worker-pool size (>= 1)
+//! --backend scalar|simd|auto  compute backend
+//! --dtype f32|f16|bf16      parameter storage precision (default f32)
 //! ```
 //!
 //! `--resume DIR` makes the grid crash-tolerant at cell granularity:
@@ -47,6 +58,7 @@ use rex_core::ScheduleSpec;
 use rex_eval::stats::Summary;
 use rex_eval::store::Record;
 use rex_eval::table;
+use rex_serve::cli::{apply_threads_and_backend, Flags};
 use rex_telemetry::{JsonlSink, Recorder};
 use rex_train::marker::{self, CellKey};
 use rex_train::{Budget, OptimizerKind};
@@ -94,118 +106,105 @@ impl ScaleKind {
     }
 }
 
-/// Parsed command-line arguments common to every experiment binary.
+/// Parsed command-line arguments of an experiment binary. Each binary
+/// declares the flags it reads; a flag it does not declare keeps its
+/// default here and is refused on its command line.
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// Selected experiment scale.
+    /// Selected experiment scale (`--scale`, default fast).
     pub scale: ScaleKind,
-    /// Output directory for CSV records.
+    /// Output directory for CSV records (`--out`, default `results/`).
     pub out: PathBuf,
-    /// Trial-count override.
+    /// Trial-count override (`--trials`).
     pub trials: Option<usize>,
-    /// Base-seed override.
+    /// Base-seed override (`--seed`, default 0).
     pub seed: u64,
-    /// Telemetry trace directory: when set, every grid cell writes a
-    /// JSONL trace file there (one per setting/optimizer/schedule/
-    /// budget/trial combination).
+    /// Telemetry trace directory (`--trace`): when set, every grid cell
+    /// writes a JSONL trace file there (one per setting/optimizer/
+    /// schedule/budget/trial combination).
     pub trace: Option<PathBuf>,
-    /// Worker-thread override (`--threads N`); `None` leaves the pool at
-    /// its `REX_NUM_THREADS`/core-count default.
-    pub threads: Option<usize>,
-    /// Compute-backend override (`--backend scalar|simd|auto`); `None`
-    /// leaves the `REX_BACKEND`/auto-detected default.
-    pub backend: Option<rex_tensor::BackendKind>,
-    /// Per-cell resume directory: finished cells leave done-markers here
-    /// and are skipped (score replayed) on the next run.
+    /// Per-cell resume directory (`--resume`): finished cells leave
+    /// done-markers here and are skipped (score replayed) on the next run.
     pub resume: Option<PathBuf>,
     /// Parameter storage precision (`--dtype f32|f16|bf16`); the default
     /// `f32` is the legacy bit-exact path that golden traces pin.
     pub dtype: rex_tensor::DType,
 }
 
-const USAGE: &str = "usage: <bin> [--scale smoke|fast|full] [--out DIR] [--trials N] [--seed S] [--trace DIR] [--threads N] [--backend scalar|simd|auto] [--dtype f32|f16|bf16] [--resume DIR]";
+/// Every flag an experiment binary may read, with the form of its value.
+const ARG_FORMS: [(&str, &str); 9] = [
+    ("scale", "smoke|fast|full"),
+    ("out", "DIR"),
+    ("trials", "N"),
+    ("seed", "S"),
+    ("trace", "DIR"),
+    ("resume", "DIR"),
+    ("threads", "N"),
+    ("backend", "scalar|simd|auto"),
+    ("dtype", "f32|f16|bf16"),
+];
 
 /// Prints `msg` and exits with status 2.
-fn exit_with(msg: &str) -> ! {
+pub fn exit_with(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
 }
 
+/// Unwraps a command-line result, or prints its error and `usage` and
+/// exits with status 2.
+pub fn or_usage<T>(result: Result<T, String>, usage: &str) -> T {
+    result.unwrap_or_else(|e| exit_with(&format!("error: {e}\n{usage}")))
+}
+
+/// Parses this process's arguments against the `--key value` flags in
+/// `valued` and the bare `switches` a binary reads, exiting through
+/// [`or_usage`] on an error.
+pub fn parse_flags(usage: &str, valued: &[&str], switches: &[&str]) -> Flags {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    or_usage(Flags::parse(&argv, valued, switches), usage)
+}
+
 impl Args {
-    /// Parses `std::env::args`, exiting with usage on error.
-    pub fn parse() -> Args {
-        Args::parse_from(std::env::args().skip(1).collect())
+    /// Parses `std::env::args` against the flags in `reads` (names from
+    /// `--scale`, `--out`, `--trials`, `--seed`, `--trace`, `--resume`,
+    /// `--threads`, `--backend`, `--dtype`), applying `--threads` and
+    /// `--backend`. `--help` prints the usage and exits 0; an error prints
+    /// it with the usage and exits 2.
+    pub fn parse(reads: &[&str]) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse_from(&argv, reads)
     }
 
-    /// Parses `argv` (the arguments after the program name), exiting with
-    /// usage on error.
-    pub fn parse_from(argv: Vec<String>) -> Args {
-        let mut args = Args {
-            scale: ScaleKind::Fast,
-            out: PathBuf::from("results"),
-            trials: None,
-            seed: 0,
-            trace: None,
-            threads: None,
-            backend: None,
-            resume: None,
-            dtype: rex_tensor::DType::F32,
+    /// [`Args::parse`] over `argv`, the arguments after the program name
+    /// (and after `grid`'s positional grid name).
+    pub fn parse_from(argv: &[String], reads: &[&str]) -> Args {
+        let usage = (ARG_FORMS.iter())
+            .filter(|(flag, _)| reads.contains(flag))
+            .fold("usage: <bin>".to_owned(), |u, (flag, form)| {
+                u + &format!(" [--{flag} {form}]")
+            });
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{usage}");
+            std::process::exit(0);
+        }
+        let parsed = || -> Result<Args, String> {
+            let flags = Flags::parse(argv, reads, &[])?;
+            apply_threads_and_backend(&flags)?;
+            let scale = flags.parse_with("scale", |v| {
+                ScaleKind::parse(v).ok_or_else(|| "expected smoke|fast|full".to_owned())
+            })?;
+            Ok(Args {
+                scale: scale.unwrap_or(ScaleKind::Fast),
+                out: PathBuf::from(flags.get("out").unwrap_or("results")),
+                trials: flags.value("trials")?,
+                seed: flags.get_or("seed", 0)?,
+                trace: flags.get("trace").map(PathBuf::from),
+                resume: flags.get("resume").map(PathBuf::from),
+                dtype: (flags.parse_with("dtype", rex_tensor::DType::parse)?)
+                    .unwrap_or(rex_tensor::DType::F32),
+            })
         };
-        let mut argv = argv.into_iter();
-        while let Some(flag) = argv.next() {
-            if flag == "--help" || flag == "-h" {
-                eprintln!("{USAGE}");
-                std::process::exit(0);
-            }
-            let mut value = || {
-                argv.next()
-                    .unwrap_or_else(|| exit_with(&format!("missing value for {flag}")))
-            };
-            match flag.as_str() {
-                "--scale" => {
-                    let v = value();
-                    args.scale = ScaleKind::parse(&v).unwrap_or_else(|| {
-                        exit_with(&format!("bad scale {v:?}; expected smoke|fast|full"))
-                    });
-                }
-                "--out" => args.out = PathBuf::from(value()),
-                "--trials" => {
-                    let n = value().parse();
-                    args.trials = Some(n.unwrap_or_else(|_| exit_with("bad trial count")));
-                }
-                "--seed" => args.seed = value().parse().unwrap_or_else(|_| exit_with("bad seed")),
-                "--trace" => args.trace = Some(PathBuf::from(value())),
-                "--resume" => args.resume = Some(PathBuf::from(value())),
-                "--threads" => match value().parse() {
-                    Ok(n) if n >= 1 => args.threads = Some(n),
-                    _ => exit_with("bad thread count (want an integer >= 1)"),
-                },
-                "--backend" => {
-                    let v = value();
-                    let kind = rex_tensor::BackendKind::parse(&v)
-                        .unwrap_or_else(|e| exit_with(&format!("--backend {v:?}: {e}")));
-                    args.backend = Some(kind);
-                }
-                "--dtype" => {
-                    let v = value();
-                    args.dtype = rex_tensor::DType::parse(&v).unwrap_or_else(|| {
-                        exit_with(&format!("bad dtype {v:?}; expected f32|f16|bf16"))
-                    });
-                }
-                other => exit_with(&format!("unknown argument {other:?}")),
-            }
-        }
-        if let Some(n) = args.threads {
-            if let Err(e) = rex_pool::set_num_threads(n) {
-                exit_with(&format!("--threads {n}: {e}"));
-            }
-        }
-        if let Some(kind) = args.backend {
-            if let Err(e) = rex_tensor::backend::set_backend(kind) {
-                exit_with(&format!("--backend: {e}"));
-            }
-        }
-        args
+        or_usage(parsed(), &usage)
     }
 }
 
@@ -323,8 +322,9 @@ pub fn cell_recorder(run: &GridRun, cell: &Cell) -> Recorder {
 /// nests), keeping every cell's trajectory bitwise independent of how
 /// many cells run at once.
 ///
-/// Progress is streamed to stderr so long runs are observable; lines may
-/// interleave across cells when the pool has more than one thread.
+/// A replayed cell's line goes to stderr ([`report_cell`], ending
+/// `(resumed)`); a trained cell's line is `cell_fn`'s to print, so a
+/// caller that times cells quietly prints none.
 pub fn run_schedule_grid(
     run: &GridRun,
     schedules: &[ScheduleSpec],
@@ -360,9 +360,11 @@ pub fn run_schedule_grid(
     rex_pool::parallel_for_slices(&mut scores, 1, |idx, _, slot| {
         let cell = &cells_ref[idx];
         let done_path = run.resume.map(|d| d.join(cell_done_name(run, cell)));
-        let t0 = std::time::Instant::now();
-        let (score, took) = match done_path.as_deref().and_then(marker::read) {
-            Some(score) => (score, "resumed".to_string()),
+        slot[0] = match done_path.as_deref().and_then(marker::read) {
+            Some(score) => {
+                report_cell(run, cell, score, "resumed");
+                score
+            }
             None => {
                 let mut rec = cell_recorder(run, cell);
                 let score = cell_fn(cell, &mut rec);
@@ -370,17 +372,9 @@ pub fn run_schedule_grid(
                 if let Some(path) = &done_path {
                     marker::write(path, score);
                 }
-                (score, format!("{:.1?}", t0.elapsed()))
+                score
             }
         };
-        eprintln!(
-            "[{setting}/{}] {} @ {}: trial {} -> {score:.2} ({took})",
-            cell.optimizer.name(),
-            cell.schedule.name(),
-            cell.budget,
-            cell.trial,
-        );
-        slot[0] = score;
     });
     cells
         .iter()
@@ -395,6 +389,21 @@ pub fn run_schedule_grid(
             lower_is_better,
         })
         .collect()
+}
+
+/// Prints one grid cell's progress line to stderr: its setting,
+/// optimizer, schedule, budget, trial and score, and `took` in brackets.
+/// Lines may interleave across cells when the pool has more than one
+/// thread.
+pub fn report_cell(run: &GridRun, cell: &Cell, score: f64, took: &str) {
+    eprintln!(
+        "[{}/{}] {} @ {}: trial {} -> {score:.2} ({took})",
+        run.setting,
+        cell.optimizer.name(),
+        cell.schedule.name(),
+        cell.budget,
+        cell.trial,
+    );
 }
 
 /// Reads the CSVs named in `names` from `dir` for an aggregate binary,

@@ -1,4 +1,5 @@
-//! `grid <name>` end to end: the CSV pins, resume keys and `--dtype`.
+//! `grid <name>` end to end: the CSV pins, resume keys and `--dtype`;
+//! and every rex-bench binary's refusal of the flags it does not read.
 //!
 //! The pins are each CSV's byte length and fnv1a64 at `--scale smoke`,
 //! seed 0, taken from the per-table binaries the grid table replaced.
@@ -159,5 +160,93 @@ fn bf16_changes_table7_scores() {
         .filter(|(a, b)| a.1 != b.1)
         .count();
     assert_eq!(moved, 16, "every VAE score should move under bf16");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every paper and benchmark binary refuses a flag it does not read (or
+/// a bad value of one it does) with exit 2 and the flag's name on the
+/// first line of stderr, before it does any work.
+#[test]
+fn binaries_refuse_flags_they_do_not_read() {
+    let dir = scratch("refused");
+    let d = dir.to_str().unwrap();
+    let cases: [(&str, &[&str], &str); 14] = [
+        (
+            env!("CARGO_BIN_EXE_fig2"),
+            &["--out", d, "--resume", d],
+            "--resume",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig2"),
+            &["--out", d, "--scale", "full"],
+            "--scale",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--out", d, "--trace", d],
+            "--trace",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig1"),
+            &["--out", d, "--seed", "1"],
+            "--seed",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--out", d, "--resume", d],
+            "--resume",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table10_11"),
+            &["--out", d, "--trials", "2"],
+            "--trials",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig4"),
+            &["--out", d, "--trace", d],
+            "--trace",
+        ),
+        (
+            env!("CARGO_BIN_EXE_grid"),
+            &["table7", "--out", d, "--budget", "5"],
+            "--budget",
+        ),
+        (
+            env!("CARGO_BIN_EXE_grid"),
+            &["table7", "--out", d, "--threads", "0"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_kernel-bench"),
+            &["--smoke", "--threads", "2"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile-bench"),
+            &["--smoke", "--jobs", "2"],
+            "--jobs",
+        ),
+        (
+            env!("CARGO_BIN_EXE_serve-bench"),
+            &["--smoke", "--reps", "2"],
+            "--reps",
+        ),
+        (
+            env!("CARGO_BIN_EXE_chaos-bench"),
+            &["--smoke", "--clients", "2"],
+            "--clients",
+        ),
+        (env!("CARGO_BIN_EXE_bench-guard"), &["--smoke"], "--smoke"),
+    ];
+    for (bin, args, flag) in cases {
+        let out = Command::new(bin)
+            .args(args)
+            .output()
+            .expect("binary must spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(flag), "{bin} {args:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,109 +2,90 @@
 
 use rex_core::{all_paper_schedules, ScheduleSpec};
 use rex_eval::table;
+use rex_serve::cli::{apply_threads_and_backend, Flags};
 use rex_telemetry::{JsonlSink, Recorder};
+use rex_tensor::DType;
 use rex_train::marker::{self, CellKey};
 use rex_train::range_test::lr_range_test;
 use rex_train::settings::{load_setting, SettingSpec};
 use rex_train::{Budget, FtConfig, GuardPolicy, OptimizerKind, TrainState};
 use std::path::{Path, PathBuf};
 
-use crate::args::{parse_schedule, Flags};
+/// The flags `rexctl curve` reads.
+const CURVE_FLAGS: &[&str] = &["schedule", "points", "budget-steps"];
 
-/// Applies the optional `--threads <n>` flag to the worker pool. The flag
-/// overrides `REX_NUM_THREADS`; it must come before the pool first runs a
-/// task, which holds for flag parsing at subcommand entry.
-fn threads_from_flags(flags: &Flags) -> Result<(), String> {
-    match flags.get_or("threads", 0usize)? {
-        0 if flags.get("threads").is_some() => Err("--threads must be an integer >= 1".to_string()),
-        0 => Ok(()),
-        n => rex_pool::set_num_threads(n).map_err(|e| format!("--threads {n}: {e}")),
-    }
-}
+/// The flags `rexctl train` reads.
+const TRAIN_FLAGS: &[&str] = &[
+    "setting",
+    "budget",
+    "schedule",
+    "optimizer",
+    "lr",
+    "seed",
+    "dtype",
+    "threads",
+    "backend",
+    "trace",
+    "profile",
+    "profile-detail",
+    "checkpoint",
+    "checkpoint-every",
+    "keep-checkpoints",
+    "resume",
+    "guard",
+    "halt-after",
+];
 
-/// Applies the optional `--backend scalar|simd|auto` flag to the compute
-/// dispatch. Like `--threads`, it overrides the `REX_BACKEND` environment
-/// variable and must run before the first dispatched op, which holds for
-/// flag parsing at subcommand entry.
-fn backend_from_flags(flags: &Flags) -> Result<(), String> {
-    match flags.get("backend") {
-        None => Ok(()),
-        Some(v) => {
-            let kind =
-                rex_tensor::BackendKind::parse(v).map_err(|e| format!("--backend {v:?}: {e}"))?;
-            rex_tensor::backend::set_backend(kind).map_err(|e| format!("--backend: {e}"))
-        }
-    }
-}
+/// The flags `rexctl sweep` reads.
+const SWEEP_FLAGS: &[&str] = &[
+    "setting",
+    "budgets",
+    "schedules",
+    "optimizer",
+    "seed",
+    "dtype",
+    "threads",
+    "backend",
+    "resume",
+    "profile",
+    "profile-detail",
+];
 
-/// Parses the optional `--dtype f32|f16|bf16` flag: the parameter
-/// storage precision (default f32, the legacy bit-exact path).
-fn dtype_from_flags(flags: &Flags) -> Result<rex_tensor::DType, String> {
-    match flags.get("dtype") {
-        None => Ok(rex_tensor::DType::F32),
-        Some(v) => rex_tensor::DType::parse(v)
-            .ok_or_else(|| format!("--dtype {v:?}: expected f32 | f16 | bf16")),
-    }
-}
-
-/// Builds a recorder from the optional `--trace <path>` flag: a JSONL
-/// writer when given, otherwise disabled.
-fn recorder_from_flags(flags: &Flags) -> Result<Recorder, String> {
-    match flags.get("trace") {
-        Some(path) => {
-            let sink = JsonlSink::create(Path::new(path))
-                .map_err(|e| format!("cannot create trace file {path:?}: {e}"))?;
-            Ok(Recorder::new(Box::new(sink)))
-        }
-        None => Ok(Recorder::disabled()),
-    }
-}
+/// The flags `rexctl range-test` reads.
+const RANGE_TEST_FLAGS: &[&str] = &[
+    "setting",
+    "optimizer",
+    "seed",
+    "trace",
+    "threads",
+    "backend",
+];
 
 /// Parses the fault-tolerance flags of `rexctl train`:
 /// `--checkpoint PATH --checkpoint-every N --keep-checkpoints N
 /// --resume PATH --guard off|abort|skip|rollback --halt-after N`.
 fn ft_from_flags(flags: &Flags) -> Result<FtConfig, String> {
     let checkpoint_path = flags.get("checkpoint").map(PathBuf::from);
-    let checkpoint_every = match flags.get("checkpoint-every") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("bad value for --checkpoint-every: {v:?}"))?,
-        ),
-        None => None,
-    };
+    let checkpoint_every = flags.value("checkpoint-every")?;
     if checkpoint_every.is_some() && checkpoint_path.is_none() {
         return Err("--checkpoint-every requires --checkpoint PATH".into());
     }
     if checkpoint_path.is_some() && checkpoint_every.is_none() {
         return Err("--checkpoint requires --checkpoint-every N".into());
     }
-    let keep_checkpoints = match flags.get("keep-checkpoints") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => return Err(format!("--keep-checkpoints must be >= 1, got {v:?}")),
-        },
-        None => None,
-    };
+    let keep_checkpoints = flags.parse_with("keep-checkpoints", |v| match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err("must be an integer >= 1".into()),
+    })?;
     if keep_checkpoints.is_some() && checkpoint_path.is_none() {
         return Err("--keep-checkpoints requires --checkpoint DIR --checkpoint-every N".into());
     }
-    let guard = match flags.get("guard") {
-        Some(v) => GuardPolicy::parse(v)?,
-        None => GuardPolicy::Off,
-    };
-    let halt_after_step = match flags.get("halt-after") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("bad value for --halt-after: {v:?}"))?,
-        ),
-        None => None,
-    };
     Ok(FtConfig {
         checkpoint_every,
         checkpoint_path,
         resume_from: flags.get("resume").map(PathBuf::from),
-        guard,
-        halt_after_step,
+        guard: (flags.parse_with("guard", GuardPolicy::parse)?).unwrap_or(GuardPolicy::Off),
+        halt_after_step: flags.value("halt-after")?,
         stop_flag: None,
         keep_checkpoints,
         checkpoint_on_halt: false,
@@ -145,13 +126,8 @@ fn profile_from_flags(flags: &Flags) -> Result<Option<PathBuf>, String> {
         }
         return Ok(None);
     };
-    let detail = match flags.get("profile-detail") {
-        None => rex_telemetry::span::Detail::Phase,
-        Some(v) => {
-            rex_telemetry::span::Detail::parse(v).map_err(|e| format!("--profile-detail: {e}"))?
-        }
-    };
-    rex_telemetry::span::enable(detail);
+    let detail = flags.parse_with("profile-detail", rex_telemetry::span::Detail::parse)?;
+    rex_telemetry::span::enable(detail.unwrap_or(rex_telemetry::span::Detail::Phase));
     Ok(Some(PathBuf::from(path)))
 }
 
@@ -166,11 +142,11 @@ fn finish_profile(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the trace recorder for `train`. A resumed run re-opens the
-/// existing trace and truncates it to the snapshot's line cursor, so the
-/// finished file is byte-identical to an uninterrupted run's; a fresh run
-/// creates (truncates) the file.
-fn recorder_for_train(flags: &Flags, ft: &FtConfig) -> Result<Recorder, String> {
+/// Builds the recorder of the optional `--trace FILE` flag: disabled
+/// without it. A resumed run re-opens the existing trace and truncates it
+/// to the snapshot's line cursor, so the finished file is byte-identical
+/// to an uninterrupted run's; a fresh run creates (truncates) the file.
+fn recorder_from_flags(flags: &Flags, ft: &FtConfig) -> Result<Recorder, String> {
     let Some(path) = flags.get("trace") else {
         return Ok(Recorder::disabled());
     };
@@ -189,7 +165,8 @@ fn recorder_for_train(flags: &Flags, ft: &FtConfig) -> Result<Recorder, String> 
 }
 
 /// `rexctl schedules`
-pub fn schedules() -> i32 {
+pub fn schedules(argv: &[String]) -> Result<(), String> {
+    Flags::parse(argv, &[], &[])?;
     println!("Schedules evaluated in the paper (Tables 4-11):");
     for spec in std::iter::once(ScheduleSpec::None).chain(all_paper_schedules(2)) {
         let mut s = spec.build();
@@ -218,25 +195,17 @@ pub fn schedules() -> i32 {
             s.factor(100, 100)
         );
     }
-    0
+    Ok(())
 }
 
 /// `rexctl curve --schedule rex [--points N] [--budget-steps T]`
-pub fn curve(argv: &[String]) -> i32 {
-    match curve_inner(argv) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn curve_inner(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv)?;
-    let spec = parse_schedule(flags.require("schedule")?)?;
-    let points: u64 = flags.get_or("points", 50u64)?;
-    let total: u64 = flags.get_or("budget-steps", 1000u64)?;
+pub fn curve(argv: &[String]) -> Result<(), String> {
+    let flags = Flags::parse(argv, CURVE_FLAGS, &[])?;
+    let spec: ScheduleSpec = flags
+        .value("schedule")?
+        .ok_or("missing required --schedule")?;
+    let points: u64 = flags.get_or("points", 50)?;
+    let total: u64 = flags.get_or("budget-steps", 1000)?;
     let mut sched = spec.build();
     println!("progress,factor");
     for i in 0..=points {
@@ -251,35 +220,20 @@ fn curve_inner(argv: &[String]) -> Result<(), String> {
 }
 
 /// `rexctl train --setting rn20-cifar10 --budget 10 --schedule rex`
-pub fn train(argv: &[String]) -> i32 {
-    match train_inner(argv) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn train_inner(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv)?;
-    threads_from_flags(&flags)?;
-    backend_from_flags(&flags)?;
-    let seed: u64 = flags.get_or("seed", 0u64)?;
+pub fn train(argv: &[String]) -> Result<(), String> {
+    let flags = Flags::parse(argv, TRAIN_FLAGS, &[])?;
+    apply_threads_and_backend(&flags)?;
+    let seed: u64 = flags.get_or("seed", 0)?;
     let setting = load_setting(flags.require("setting")?, seed)?;
-    let budget_pct: u32 = flags.get_or("budget", 100u32)?;
-    if !(1..=100).contains(&budget_pct) {
-        return Err(format!(
-            "--budget must be 1..=100 (percent), got {budget_pct}"
-        ));
-    }
-    let spec = parse_schedule(flags.get("schedule").unwrap_or("rex"))?;
-    let optimizer = OptimizerKind::parse(flags.get("optimizer").unwrap_or("sgdm"))?;
-    let dtype = dtype_from_flags(&flags)?;
+    let budget_pct = Budget::check_pct(flags.get_or("budget", 100)?)?;
+    let spec = flags.get_or("schedule", ScheduleSpec::Rex)?;
+    let optimizer =
+        (flags.parse_with("optimizer", OptimizerKind::parse)?).unwrap_or_else(OptimizerKind::sgdm);
+    let dtype = (flags.parse_with("dtype", DType::parse)?).unwrap_or(DType::F32);
     let mut ft = ft_from_flags(&flags)?;
     resolve_resume(&mut ft)?;
     let profile_path = profile_from_flags(&flags)?;
-    let mut rec = recorder_for_train(&flags, &ft)?;
+    let mut rec = recorder_from_flags(&flags, &ft)?;
 
     let t0 = std::time::Instant::now();
     let budget = Budget::new(setting.max_epochs(), budget_pct);
@@ -318,37 +272,23 @@ fn train_inner(argv: &[String]) -> Result<(), String> {
 
 /// `rexctl sweep --setting rn20-cifar10 --budgets 5,25,100`
 /// (`--resume DIR` skips cells whose done-marker is already in DIR)
-pub fn sweep(argv: &[String]) -> i32 {
-    match sweep_inner(argv) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn sweep_inner(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv)?;
-    threads_from_flags(&flags)?;
-    backend_from_flags(&flags)?;
-    let seed: u64 = flags.get_or("seed", 0u64)?;
+pub fn sweep(argv: &[String]) -> Result<(), String> {
+    let flags = Flags::parse(argv, SWEEP_FLAGS, &[])?;
+    apply_threads_and_backend(&flags)?;
+    let seed: u64 = flags.get_or("seed", 0)?;
     let setting = load_setting(flags.require("setting")?, seed)?;
-    let optimizer = OptimizerKind::parse(flags.get("optimizer").unwrap_or("sgdm"))?;
-    let dtype = dtype_from_flags(&flags)?;
-    let budgets: Vec<u32> = flags
-        .get("budgets")
-        .unwrap_or("5,25,100")
-        .split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("bad budget {s:?}")))
+    let optimizer =
+        (flags.parse_with("optimizer", OptimizerKind::parse)?).unwrap_or_else(OptimizerKind::sgdm);
+    let dtype = (flags.parse_with("dtype", DType::parse)?).unwrap_or(DType::F32);
+    let budgets: Vec<u32> = (flags.get("budgets").unwrap_or("5,25,100").split(','))
+        .map(|s| {
+            let pct = s.trim().parse().map_err(|_| format!("bad budget {s:?}"))?;
+            Budget::check_pct(pct)
+        })
         .collect::<Result<_, _>>()?;
-    if let Some(&bad) = budgets.iter().find(|b| !(1..=100).contains(*b)) {
-        return Err(format!("budgets must be 1..=100 (percent), got {bad}"));
-    }
     let schedules: Vec<ScheduleSpec> = match flags.get("schedules") {
-        Some(list) => list
-            .split(',')
-            .map(|s| parse_schedule(s.trim()))
+        Some(list) => (list.split(','))
+            .map(|s| s.trim().parse().map_err(|e| format!("--schedules: {e}")))
             .collect::<Result<_, _>>()?,
         None => {
             let mut v = vec![ScheduleSpec::None];
@@ -428,37 +368,14 @@ fn sweep_inner(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `rexctl serve --data-dir DIR [--addr HOST:PORT] ...` — the HTTP job
-/// server, implemented in `rex-serve` (shared with the `rexd` binary).
-pub fn serve(argv: &[String]) -> i32 {
-    match rex_serve::cli::serve_cmd(argv) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", rex_serve::cli::USAGE);
-            2
-        }
-    }
-}
-
 /// `rexctl range-test --setting rn20-cifar10`
-pub fn range_test(argv: &[String]) -> i32 {
-    match range_test_inner(argv) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
-}
-
-fn range_test_inner(argv: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(argv)?;
-    threads_from_flags(&flags)?;
-    backend_from_flags(&flags)?;
-    let seed: u64 = flags.get_or("seed", 0u64)?;
+pub fn range_test(argv: &[String]) -> Result<(), String> {
+    let flags = Flags::parse(argv, RANGE_TEST_FLAGS, &[])?;
+    apply_threads_and_backend(&flags)?;
+    let seed: u64 = flags.get_or("seed", 0)?;
     let setting = load_setting(flags.require("setting")?, seed)?;
-    let optimizer = OptimizerKind::parse(flags.get("optimizer").unwrap_or("sgdm"))?;
+    let optimizer =
+        (flags.parse_with("optimizer", OptimizerKind::parse)?).unwrap_or_else(OptimizerKind::sgdm);
     let SettingSpec::Image {
         name, model, data, ..
     } = setting
@@ -466,7 +383,7 @@ fn range_test_inner(argv: &[String]) -> Result<(), String> {
         return Err("range-test supports image settings".into());
     };
     let built = model.build(data.num_classes, seed);
-    let mut rec = recorder_from_flags(&flags)?;
+    let mut rec = recorder_from_flags(&flags, &FtConfig::default())?;
     let result = lr_range_test(
         built.as_ref(),
         &data.train_images,

@@ -8,31 +8,36 @@
 //! rexctl range-test --setting rn20-cifar10
 //! ```
 
-mod args;
 mod commands;
 mod trace_cmd;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let code = match argv.first().map(String::as_str) {
-        Some("schedules") => commands::schedules(),
-        Some("curve") => commands::curve(&argv[1..]),
-        Some("train") => commands::train(&argv[1..]),
-        Some("sweep") => commands::sweep(&argv[1..]),
-        Some("range-test") => commands::range_test(&argv[1..]),
-        Some("serve") => commands::serve(&argv[1..]),
-        Some("trace") => trace_cmd::trace(&argv[1..]),
+    let rest = argv.get(1..).unwrap_or_default();
+    let result = match argv.first().map(String::as_str) {
+        Some("schedules") => commands::schedules(rest),
+        Some("curve") => commands::curve(rest),
+        Some("train") => commands::train(rest),
+        Some("sweep") => commands::sweep(rest),
+        Some("range-test") => commands::range_test(rest),
+        Some("serve") => {
+            rex_serve::cli::serve_cmd(rest).map_err(|e| format!("{e}\n{}", rex_serve::cli::USAGE))
+        }
+        Some("trace") => std::process::exit(trace_cmd::trace(rest)),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
-            0
+            Ok(())
         }
         Some(other) => {
             eprintln!("unknown command {other:?}\n");
             print_usage();
-            2
+            std::process::exit(2);
         }
     };
-    std::process::exit(code);
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 }
 
 fn print_usage() {
@@ -65,7 +70,7 @@ USAGE:
 
   rexctl sweep --setting <SETTING> [--budgets 1,5,10,25,50,100]
                [--schedules rex,linear,...] [--optimizer sgdm|adam]
-               [--threads N] [--backend scalar|simd|auto]
+               [--seed S] [--threads N] [--backend scalar|simd|auto]
                [--dtype f32|f16|bf16] [--resume DIR]
                [--profile FILE] [--profile-detail phase|kernel]
       Run a schedule x budget mini-grid and print a markdown table.
@@ -83,7 +88,7 @@ USAGE:
       a --profile Chrome trace.
 
   rexctl range-test --setting <SETTING> [--optimizer sgdm|adam] [--trace FILE]
-               [--threads N] [--backend scalar|simd|auto]
+               [--seed S] [--threads N] [--backend scalar|simd|auto]
       Run an LR range test and print the suggested initial LR.
 
   rexctl serve --data-dir DIR [--addr HOST:PORT] [--queue-depth N]
@@ -101,6 +106,8 @@ USAGE:
       line per request; every response carries an X-Request-Id that also
       lands in the submitted job's manifest; --profile on writes a span
       profile per job to jobs/<id>/profile.json.
+
+Each subcommand refuses, with exit status 2, a flag it does not read.
 
 THREADS:
   --threads N sizes the persistent worker pool (overrides the

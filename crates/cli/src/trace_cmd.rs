@@ -13,7 +13,7 @@ use rex_telemetry::golden::{diff_traces, Tolerances};
 use rex_telemetry::span::Profile;
 use rex_telemetry::{parse_trace, Event};
 
-use crate::args::Flags;
+use rex_serve::cli::Flags;
 
 /// Usage text for `rexctl trace`.
 pub const USAGE: &str = "\
@@ -52,14 +52,18 @@ pub fn trace(argv: &[String]) -> i32 {
     }
 }
 
-/// Splits leading non-flag arguments (file paths) from trailing
-/// `--key value` flags.
-fn positionals<'a>(argv: &'a [String], expect: &str) -> Result<(Vec<&'a str>, Flags), String> {
+/// Splits leading non-flag arguments (file paths) from the trailing
+/// `--key value` flags, of which the subcommand reads `valued`.
+fn positionals<'a>(
+    argv: &'a [String],
+    expect: &str,
+    valued: &[&str],
+) -> Result<(Vec<&'a str>, Flags), String> {
     let split = argv
         .iter()
         .position(|a| a.starts_with("--"))
         .unwrap_or(argv.len());
-    let flags = Flags::parse(&argv[split..])?;
+    let flags = Flags::parse(&argv[split..], valued, &[])?;
     if split == 0 {
         return Err(format!("expected {expect}"));
     }
@@ -74,7 +78,7 @@ fn read_events(path: &str) -> Result<Vec<Event>, String> {
 
 /// `rexctl trace summary FILE`
 fn summary(argv: &[String]) -> Result<i32, String> {
-    let (files, _flags) = positionals(argv, "a trace file")?;
+    let (files, _) = positionals(argv, "a trace file", &[])?;
     let [path] = files.as_slice() else {
         return Err(format!("summary takes one trace file, got {}", files.len()));
     };
@@ -165,7 +169,7 @@ fn sparkline(values: &[f64], width: usize) -> String {
 
 /// `rexctl trace diff EXPECTED ACTUAL`
 fn diff(argv: &[String]) -> Result<i32, String> {
-    let (files, _flags) = positionals(argv, "two trace files")?;
+    let (files, _) = positionals(argv, "two trace files", &[])?;
     let [expected_path, actual_path] = files.as_slice() else {
         return Err(format!("diff takes two trace files, got {}", files.len()));
     };
@@ -185,14 +189,14 @@ fn diff(argv: &[String]) -> Result<i32, String> {
 
 /// `rexctl trace profile FILE [--top K]`
 fn profile(argv: &[String]) -> Result<i32, String> {
-    let (files, flags) = positionals(argv, "a profile file")?;
+    let (files, flags) = positionals(argv, "a profile file", &["top"])?;
     let [path] = files.as_slice() else {
         return Err(format!(
             "profile takes one Chrome-trace file, got {}",
             files.len()
         ));
     };
-    let top: usize = flags.get_or("top", 10usize)?;
+    let top: usize = flags.get_or("top", 10)?;
     let text = std::fs::read_to_string(Path::new(path))
         .map_err(|e| format!("cannot read profile {path}: {e}"))?;
     let prof = Profile::parse_chrome_trace(&text)?;

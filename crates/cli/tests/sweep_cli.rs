@@ -1,6 +1,7 @@
 //! `rexctl sweep` runs every catalogued setting through the same cell
 //! runner as `rexctl train`, so a sweep cell reports exactly the metric
-//! the equivalent `train` invocation prints.
+//! the equivalent `train` invocation prints. Every subcommand refuses the
+//! flags it does not read.
 
 use std::process::{Command, Output};
 
@@ -115,4 +116,60 @@ fn sweep_resume_does_not_replay_another_seed() {
     );
     assert_eq!(cell("2", Some(resume)), format!("{fresh} (resumed)"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each subcommand refuses a flag it does not read (or a bad value of one
+/// it does) with exit 2 and the flag's name on the first line of stderr,
+/// before it trains anything or writes a file.
+#[test]
+fn subcommands_refuse_flags_they_do_not_read() {
+    let trace = std::env::temp_dir().join(format!("rex_refused_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&trace);
+    let t = trace.to_str().unwrap();
+    let sweep = [
+        "sweep",
+        "--setting",
+        "digits-mlp",
+        "--budgets",
+        "1",
+        "--schedules",
+        "rex",
+    ];
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &["train", "--setting", "digits-mlp", "--budgte", "50"],
+            "--budgte",
+        ),
+        (&[&sweep[..], &["--trace", t]].concat(), "--trace"),
+        (
+            &[
+                "range-test",
+                "--setting",
+                "rn20-cifar10",
+                "--checkpoint-every",
+                "5",
+            ],
+            "--checkpoint-every",
+        ),
+        (
+            &["train", "--setting", "digits-mlp", "--threads", "0"],
+            "--threads",
+        ),
+        (
+            &["train", "--setting", "digits-mlp", "--budget", "101"],
+            "budget",
+        ),
+        (&[&sweep[..], &["--dtype", "f64"]].concat(), "--dtype"),
+        (&["curve", "--schedule", "rex", "--seed", "1"], "--seed"),
+        (&["schedules", "--threads", "2"], "--threads"),
+        (&["trace", "summary", t, "--top", "3"], "--top"),
+    ];
+    for (args, flag) in cases {
+        let out = rexctl(args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(flag), "{args:?}: {stderr}");
+    }
+    assert!(!trace.exists(), "a refused sweep wrote {t}");
 }

@@ -14,77 +14,41 @@ use crate::schedule::{progress, Schedule};
 /// ```
 /// use rex_core::{OneCycle, Schedule};
 ///
-/// let mut oc = OneCycle::default();
+/// let mut oc = OneCycle;
 /// assert!((oc.factor(0, 100) - 0.1).abs() < 0.05);      // starts low
 /// assert!((oc.factor(50, 100) - 1.0).abs() < 0.05);     // peaks mid-budget
 /// assert!(oc.factor(99, 100) < 0.15);                   // ends low
 /// assert_eq!(oc.momentum(50, 100), Some(0.85));         // momentum dips at peak
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OneCycle {
-    lr_min_factor: f64,
-    beta_max: f64,
-    beta_min: f64,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct OneCycle;
 
-impl Default for OneCycle {
-    /// The paper's recommended settings.
-    fn default() -> Self {
-        OneCycle {
-            lr_min_factor: 0.1,
-            beta_max: 0.95,
-            beta_min: 0.85,
-        }
-    }
-}
+/// The LR floor, `η_min / η_max`.
+const LR_MIN_FACTOR: f64 = 0.1;
+/// The momentum at the LR floor.
+const BETA_MAX: f64 = 0.95;
+/// The momentum at the LR peak.
+const BETA_MIN: f64 = 0.85;
 
-impl OneCycle {
-    /// OneCycle with the paper's recommended settings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the LR floor factor (`η_min / η_max`) and momentum range.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ lr_min_factor ≤ 1` and `0 ≤ beta_min ≤ beta_max < 1`.
-    pub fn with_settings(lr_min_factor: f64, beta_min: f64, beta_max: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&lr_min_factor),
-            "lr_min_factor must be in [0,1], got {lr_min_factor}"
-        );
-        assert!(
-            (0.0..1.0).contains(&beta_min) && beta_min <= beta_max && beta_max < 1.0,
-            "momentum range [{beta_min}, {beta_max}] invalid"
-        );
-        OneCycle {
-            lr_min_factor,
-            beta_max,
-            beta_min,
-        }
-    }
-
-    fn triangle(&self, x: f64) -> f64 {
-        // rises 0 -> 1 over [0, 1/2], falls back over [1/2, 1]
-        if x < 0.5 {
-            2.0 * x
-        } else {
-            2.0 * (1.0 - x)
-        }
+/// Rises 0 -> 1 over progress [0, 1/2] and falls back over [1/2, 1].
+fn triangle(x: f64) -> f64 {
+    if x < 0.5 {
+        2.0 * x
+    } else {
+        2.0 * (1.0 - x)
     }
 }
 
 impl Schedule for OneCycle {
     fn factor(&mut self, t: u64, total: u64) -> f64 {
-        let tri = self.triangle(progress(t, total));
-        self.lr_min_factor + (1.0 - self.lr_min_factor) * tri
+        let tri = triangle(progress(t, total));
+        LR_MIN_FACTOR + (1.0 - LR_MIN_FACTOR) * tri
     }
 
     fn momentum(&mut self, t: u64, total: u64) -> Option<f64> {
-        let tri = self.triangle(progress(t, total));
+        let tri = triangle(progress(t, total));
         // momentum is the mirror image: high when LR is low
-        Some(self.beta_max - (self.beta_max - self.beta_min) * tri)
+        Some(BETA_MAX - (BETA_MAX - BETA_MIN) * tri)
     }
 
     fn name(&self) -> String {
@@ -98,7 +62,7 @@ mod tests {
 
     #[test]
     fn symmetric_triangle() {
-        let mut oc = OneCycle::default();
+        let mut oc = OneCycle;
         let up = oc.factor(25, 100);
         let down = oc.factor(75, 100);
         assert!((up - down).abs() < 1e-9);
@@ -106,20 +70,20 @@ mod tests {
 
     #[test]
     fn peak_at_half() {
-        let mut oc = OneCycle::default();
+        let mut oc = OneCycle;
         assert!((oc.factor(50, 100) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn ends_at_floor() {
-        let mut oc = OneCycle::default();
+        let mut oc = OneCycle;
         assert!((oc.factor(100, 100) - 0.1).abs() < 1e-9);
         assert!((oc.factor(0, 100) - 0.1).abs() < 1e-9);
     }
 
     #[test]
     fn momentum_mirrors_lr() {
-        let mut oc = OneCycle::default();
+        let mut oc = OneCycle;
         assert_eq!(oc.momentum(0, 100), Some(0.95));
         assert_eq!(oc.momentum(50, 100), Some(0.85));
         assert_eq!(oc.momentum(100, 100), Some(0.95));
@@ -127,16 +91,10 @@ mod tests {
 
     #[test]
     fn momentum_always_in_range() {
-        let mut oc = OneCycle::default();
+        let mut oc = OneCycle;
         for t in 0..=200u64 {
             let m = oc.momentum(t, 200).unwrap();
             assert!((0.85..=0.95).contains(&m));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum range")]
-    fn invalid_momentum_range_panics() {
-        let _ = OneCycle::with_settings(0.1, 0.95, 0.85);
     }
 }

@@ -3,6 +3,9 @@
 
 use crate::schedule::Schedule;
 
+/// The least drop in validation loss that counts as an improvement.
+const MIN_DELTA: f64 = 1e-4;
+
 /// **Decay on Plateau** — drops the LR by `gamma` whenever the validation
 /// loss has failed to improve for `patience` consecutive reports.
 ///
@@ -25,7 +28,6 @@ use crate::schedule::Schedule;
 pub struct DecayOnPlateau {
     patience: u32,
     gamma: f64,
-    min_delta: f64,
     best: f64,
     stale: u32,
     decays: u32,
@@ -47,17 +49,10 @@ impl DecayOnPlateau {
         DecayOnPlateau {
             patience,
             gamma,
-            min_delta: 1e-4,
             best: f64::INFINITY,
             stale: 0,
             decays: 0,
         }
-    }
-
-    /// Sets the minimum loss improvement that counts as progress.
-    pub fn with_min_delta(mut self, min_delta: f64) -> Self {
-        self.min_delta = min_delta;
-        self
     }
 
     /// Number of decays triggered so far.
@@ -77,7 +72,7 @@ impl Schedule for DecayOnPlateau {
     }
 
     fn on_validation(&mut self, loss: f64) {
-        if loss < self.best - self.min_delta {
+        if loss < self.best - MIN_DELTA {
             self.best = loss;
             self.stale = 0;
         } else {
@@ -87,12 +82,6 @@ impl Schedule for DecayOnPlateau {
                 self.stale = 0;
             }
         }
-    }
-
-    fn reset(&mut self) {
-        self.best = f64::INFINITY;
-        self.stale = 0;
-        self.decays = 0;
     }
 
     fn stateful(&self) -> bool {
@@ -157,20 +146,11 @@ mod tests {
 
     #[test]
     fn tiny_improvement_below_min_delta_is_stale() {
-        let mut s = DecayOnPlateau::new(1, 0.1).with_min_delta(0.01);
-        s.on_validation(1.0);
-        s.on_validation(0.999); // within min_delta -> stale -> decay
-        assert_eq!(s.decay_count(), 1);
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
         let mut s = DecayOnPlateau::new(1, 0.1);
         s.on_validation(1.0);
-        s.on_validation(1.0);
+        s.on_validation(0.99995); // within MIN_DELTA -> stale -> decay
         assert_eq!(s.decay_count(), 1);
-        s.reset();
-        assert_eq!(s.decay_count(), 0);
-        assert_eq!(s.factor(0, 1), 1.0);
+        s.on_validation(0.9998); // past MIN_DELTA -> improvement
+        assert_eq!(s.decay_count(), 1);
     }
 }

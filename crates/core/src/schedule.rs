@@ -34,10 +34,6 @@ pub trait Schedule: Send {
     /// Only [`crate::DecayOnPlateau`] reacts; the default is a no-op.
     fn on_validation(&mut self, _loss: f64) {}
 
-    /// Clears any internal state so the schedule can be reused for a new
-    /// run. Pure schedules need no action.
-    fn reset(&mut self) {}
-
     /// Whether the schedule carries mutable state that a checkpoint cannot
     /// capture. Pure schedules (every profile × sampling-rate combination)
     /// are functions of `(t, total)` alone and resume exactly; stateful
@@ -175,10 +171,6 @@ impl Schedule for Box<dyn Schedule> {
 
     fn on_validation(&mut self, loss: f64) {
         (**self).on_validation(loss)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
     }
 
     fn stateful(&self) -> bool {

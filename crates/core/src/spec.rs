@@ -133,7 +133,7 @@ impl ScheduleSpec {
             )),
             ScheduleSpec::Step => Box::new(StepSchedule::fifty_seventy_five()),
             ScheduleSpec::StepAt(knots, gamma) => Box::new(StepSchedule::new(knots, *gamma)),
-            ScheduleSpec::OneCycle => Box::new(OneCycle::default()),
+            ScheduleSpec::OneCycle => Box::new(OneCycle),
             ScheduleSpec::DecayOnPlateau(patience) => Box::new(DecayOnPlateau::new(*patience, 0.1)),
             ScheduleSpec::Polynomial(p) => Box::new(SampledProfile::new(
                 Polynomial::new(*p),

@@ -65,10 +65,6 @@ impl<S: Schedule> Schedule for DelayedDecay<S> {
         self.inner.on_validation(loss);
     }
 
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
     fn stateful(&self) -> bool {
         self.inner.stateful()
     }
@@ -86,21 +82,20 @@ impl<S: Schedule> Schedule for DelayedDecay<S> {
 /// after which the inner schedule takes over on the *remaining* steps.
 ///
 /// The paper's YOLO-VOC setting warms up for 2 epochs from 1e-5 to 1e-4 and
-/// explicitly excludes the warmup from the training budget; setting
-/// `counts_toward_budget = false` reproduces that accounting (the inner
-/// schedule sees `t − warmup_steps` of `total − warmup_steps`).
+/// explicitly excludes the warmup from the training budget, as this
+/// wrapper does: the inner schedule sees `t − warmup_steps` of
+/// `total − warmup_steps`.
 #[derive(Debug, Clone)]
 pub struct Warmup<S> {
     inner: S,
     warmup_steps: u64,
     start_factor: f64,
-    counts_toward_budget: bool,
 }
 
 impl<S: Schedule> Warmup<S> {
     /// Wraps `inner` with a linear warmup.
     ///
-    /// When the warmup does not count toward the budget, the caller must
+    /// The warmup does not count toward the budget, so the caller must
     /// give the schedule a `total` strictly greater than `warmup_steps`;
     /// otherwise the inner schedule sees a zero-length budget and holds its
     /// end-of-training value.
@@ -117,15 +112,7 @@ impl<S: Schedule> Warmup<S> {
             inner,
             warmup_steps,
             start_factor,
-            counts_toward_budget: false,
         }
-    }
-
-    /// Makes the warmup count toward the budget (the inner schedule then
-    /// sees the full `(t, total)` clock).
-    pub fn counting_toward_budget(mut self) -> Self {
-        self.counts_toward_budget = true;
-        self
     }
 
     /// Number of warmup iterations.
@@ -140,25 +127,19 @@ impl<S: Schedule> Schedule for Warmup<S> {
             let frac = (t as f64 + 1.0) / self.warmup_steps as f64;
             return self.start_factor + (1.0 - self.start_factor) * frac.min(1.0);
         }
-        if self.counts_toward_budget {
-            self.inner.factor(t, total)
-        } else {
-            let t2 = t - self.warmup_steps;
-            let total2 = total.saturating_sub(self.warmup_steps);
-            debug_assert!(
-                total2 > 0,
-                "warmup ({}) consumed the whole budget ({total})",
-                self.warmup_steps
-            );
-            self.inner.factor(t2, total2)
-        }
+        let t2 = t - self.warmup_steps;
+        let total2 = total.saturating_sub(self.warmup_steps);
+        debug_assert!(
+            total2 > 0,
+            "warmup ({}) consumed the whole budget ({total})",
+            self.warmup_steps
+        );
+        self.inner.factor(t2, total2)
     }
 
     fn momentum(&mut self, t: u64, total: u64) -> Option<f64> {
         if t < self.warmup_steps {
             None
-        } else if self.counts_toward_budget {
-            self.inner.momentum(t, total)
         } else {
             self.inner.momentum(
                 t - self.warmup_steps,
@@ -169,10 +150,6 @@ impl<S: Schedule> Schedule for Warmup<S> {
 
     fn on_validation(&mut self, loss: f64) {
         self.inner.on_validation(loss);
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
     }
 
     fn stateful(&self) -> bool {
@@ -272,12 +249,6 @@ mod tests {
         assert!((w.factor(10, 110) - 1.0).abs() < 1e-9);
         assert!((w.factor(60, 110) - 0.5).abs() < 1e-9);
         assert!(w.factor(110, 110).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warmup_counting_toward_budget_uses_full_clock() {
-        let mut w = Warmup::new(linear(), 10, 0.1).counting_toward_budget();
-        assert!((w.factor(50, 100) - 0.5).abs() < 1e-9);
     }
 
     #[test]

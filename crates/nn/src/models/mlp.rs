@@ -5,9 +5,9 @@ use rex_autograd::{Graph, NodeId, Param};
 use rex_tensor::{Prng, TensorError};
 
 use crate::layers::Linear;
-use crate::module::{Activation, Module};
+use crate::module::Module;
 
-/// A fully-connected network with a fixed activation between layers.
+/// A fully-connected network with a ReLU between layers.
 ///
 /// ```
 /// use rex_nn::{Mlp, Module};
@@ -25,7 +25,6 @@ use crate::module::{Activation, Module};
 #[derive(Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    activation: Activation,
 }
 
 impl Mlp {
@@ -36,20 +35,6 @@ impl Mlp {
     ///
     /// Panics if fewer than two sizes are given.
     pub fn new(name: &str, sizes: &[usize], rng: &mut Prng) -> Self {
-        Self::with_activation(name, sizes, Activation::Relu, rng)
-    }
-
-    /// Builds an MLP with an explicit activation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two sizes are given.
-    pub fn with_activation(
-        name: &str,
-        sizes: &[usize],
-        activation: Activation,
-        rng: &mut Prng,
-    ) -> Self {
         assert!(
             sizes.len() >= 2,
             "MLP needs at least input and output sizes"
@@ -59,7 +44,7 @@ impl Mlp {
             .enumerate()
             .map(|(i, w)| Linear::new(&format!("{name}.fc{i}"), w[0], w[1], rng))
             .collect();
-        Mlp { layers, activation }
+        Mlp { layers }
     }
 
     /// Number of linear layers.
@@ -74,7 +59,7 @@ impl Module for Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(g, h)?;
             if i + 1 < self.layers.len() {
-                h = self.activation.apply(g, h);
+                h = g.relu(h);
             }
         }
         Ok(h)

@@ -164,14 +164,13 @@ pub fn global_param_norm(params: &[Param]) -> f32 {
         .sqrt()
 }
 
-/// Stochastic gradient descent with optional (Nesterov) momentum and L2
+/// Stochastic gradient descent with optional classical momentum and L2
 /// weight decay — "SGDM" throughout the paper's tables.
 #[derive(Debug)]
 pub struct Sgd {
     params: Vec<Param>,
     lr: f32,
     momentum: f32,
-    nesterov: bool,
     weight_decay: f32,
     velocity: Vec<Tensor>,
     dtype: DType,
@@ -188,7 +187,6 @@ impl Sgd {
             params,
             lr,
             momentum: 0.0,
-            nesterov: false,
             velocity,
             weight_decay: 0.0,
             dtype: DType::F32,
@@ -198,12 +196,6 @@ impl Sgd {
     /// Enables classical momentum (the paper's default β = 0.9).
     pub fn with_momentum(mut self, momentum: f32) -> Self {
         self.momentum = momentum;
-        self
-    }
-
-    /// Enables Nesterov momentum.
-    pub fn nesterov(mut self) -> Self {
-        self.nesterov = true;
         self
     }
 
@@ -225,13 +217,8 @@ struct SgdTask<'a> {
 
 impl Optimizer for Sgd {
     fn step(&mut self) {
-        let (lr, momentum, nesterov, weight_decay, dtype) = (
-            self.lr,
-            self.momentum,
-            self.nesterov,
-            self.weight_decay,
-            self.dtype,
-        );
+        let (lr, momentum, weight_decay, dtype) =
+            (self.lr, self.momentum, self.weight_decay, self.dtype);
         // Gradients are cloned out before the value guards are taken:
         // `Param` keeps value and grad behind one `RefCell`, so `grad()`
         // must not run while a `value_mut()` borrow is live. The guards
@@ -261,18 +248,11 @@ impl Optimizer for Sgd {
                 }
             }
             if momentum != 0.0 {
-                // v = momentum*v + grad
+                // v = momentum*v + grad; the step follows v
                 for (vi, gi) in t.velocity.iter_mut().zip(t.grad.data()) {
                     *vi = momentum * *vi + gi;
                 }
-                if nesterov {
-                    // effective grad = grad + momentum * v
-                    for (g, &v) in t.grad.data_mut().iter_mut().zip(t.velocity.iter()) {
-                        *g += momentum * v;
-                    }
-                } else {
-                    t.grad.data_mut().copy_from_slice(t.velocity);
-                }
+                t.grad.data_mut().copy_from_slice(t.velocity);
             }
             // value += -lr * grad_eff
             for (w, &g) in t.value.iter_mut().zip(t.grad.data()) {
@@ -614,22 +594,6 @@ mod tests {
             last
         };
         assert!(run(0.9, 30) < run(0.0, 30));
-    }
-
-    #[test]
-    fn nesterov_updates_differ_from_classical() {
-        let mk = |nesterov: bool| {
-            let w = Param::new("w", Tensor::from_vec(vec![1.0], &[1]).unwrap());
-            let mut opt = Sgd::new(vec![w.clone()], 0.1).with_momentum(0.9);
-            if nesterov {
-                opt = opt.nesterov();
-            }
-            quadratic_step(&w, &mut opt);
-            quadratic_step(&w, &mut opt);
-            let final_w = w.value().data()[0];
-            final_w
-        };
-        assert_ne!(mk(true), mk(false));
     }
 
     #[test]

@@ -70,13 +70,24 @@ pub const MAX_DEFAULT_THREADS: usize = 32;
 
 static CONFIGURED: OnceLock<usize> = OnceLock::new();
 
+/// Parses a thread count: an integer of at least 1. The one parse behind
+/// `REX_NUM_THREADS` and every `--threads` flag.
+///
+/// # Errors
+///
+/// Names what a thread count must be.
+pub fn parse_threads(s: &str) -> Result<usize, String> {
+    (s.trim().parse().ok())
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| "a thread count must be an integer >= 1".to_owned())
+}
+
 fn resolve_default() -> usize {
-    if let Ok(raw) = std::env::var("REX_NUM_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    if let Some(n) = std::env::var("REX_NUM_THREADS")
+        .ok()
+        .and_then(|raw| parse_threads(&raw).ok())
+    {
+        return n;
     }
     thread::available_parallelism()
         .map(|n| n.get())

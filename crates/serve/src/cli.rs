@@ -1,12 +1,142 @@
-//! The `rexctl serve` / `rexd` entry point: flag parsing and foreground
-//! server lifecycle. Lives here (not in `rex-cli`) so the daemon binary
-//! and the subcommand share one implementation without a dependency
-//! cycle.
+//! The command line of every binary in the workspace, and the
+//! `rexctl serve` / `rexd` entry point.
+//!
+//! [`Flags`] is the one flag parser: a command declares the `--key value`
+//! flags and the bare switches it reads, and the parser refuses anything
+//! else — an undeclared flag, a flag without its value, a stray argument —
+//! with a message naming it, which every binary turns into exit status 2.
+//! [`apply_threads_and_backend`] applies `--threads` and `--backend`. This
+//! lives in rex-serve (not in `rex-cli`) because rexctl, rexd and the
+//! rex-bench binaries all depend on it, and the daemon and the subcommand
+//! share one implementation without a dependency cycle.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
+
+use rex_tensor::BackendKind;
 
 use crate::server::{ServeConfig, Server};
+
+/// A command's flags, parsed against the ones it declares.
+#[derive(Debug, Default)]
+pub struct Flags {
+    values: BTreeMap<String, String>,
+    switches: Vec<String>,
+}
+
+impl Flags {
+    /// Parses `argv` (the arguments after the command's name): each
+    /// `--key` in `valued` takes the next argument as its value, each in
+    /// `switches` takes none. A repeated flag keeps its last value, and a
+    /// value never starts with `--`, so a forgotten value is named as
+    /// such instead of shifting every later flag.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first flag the command does not declare, a
+    /// flag missing its value, or an argument that is not a flag.
+    pub fn parse(argv: &[String], valued: &[&str], switches: &[&str]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut args = argv.iter();
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}"));
+            };
+            if switches.contains(&key) {
+                flags.switches.push(key.to_owned());
+            } else if valued.contains(&key) {
+                let value = (args.next())
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("missing value for --{key}"))?;
+                flags.values.insert(key.to_owned(), value.clone());
+            } else {
+                return Err(format!("unknown flag --{key}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The raw value of `--key`.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.values.get(key).map(String::as_str)
+    }
+
+    /// The raw value of `--key`, which the command requires.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing flag.
+    pub fn require(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing required --{key}"))
+    }
+
+    /// Whether the switch `--key` was given.
+    pub fn switch(&self, key: &str) -> bool {
+        self.switches.iter().any(|s| s == key)
+    }
+
+    /// The value of `--key` run through its vocabulary's `parse`; `None`
+    /// when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// `parse`'s message, prefixed with the flag and its value.
+    pub fn parse_with<T>(
+        &self,
+        key: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        (self.get(key))
+            .map(|v| parse(v).map_err(|e| format!("--{key} {v:?}: {e}")))
+            .transpose()
+    }
+
+    /// The value of `--key` parsed as a `T`; `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Flags::parse_with`].
+    pub fn value<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.parse_with(key, |v| v.parse().map_err(|e: T::Err| e.to_string()))
+    }
+
+    /// The value of `--key` parsed as a `T`, or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// As [`Flags::parse_with`].
+    pub fn get_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.value(key)?.unwrap_or(default))
+    }
+}
+
+/// Applies `--threads N` (N ≥ 1) to the worker pool and `--backend
+/// scalar|simd|auto` to the compute dispatch, when given. Each overrides
+/// its environment variable (`REX_NUM_THREADS`, `REX_BACKEND`) and must
+/// run before the first parallel task or dispatched op, which holds when
+/// a command calls this right after parsing its flags.
+///
+/// # Errors
+///
+/// A bad value, or a pool or backend that was already resolved.
+pub fn apply_threads_and_backend(flags: &Flags) -> Result<(), String> {
+    if let Some(n) = flags.parse_with("threads", rex_pool::parse_threads)? {
+        rex_pool::set_num_threads(n).map_err(|e| format!("--threads {n}: {e}"))?;
+    }
+    if let Some(kind) = flags.parse_with("backend", BackendKind::parse)? {
+        rex_tensor::backend::set_backend(kind).map_err(|e| format!("--backend: {e}"))?;
+    }
+    Ok(())
+}
 
 /// Usage text for the serve front end.
 pub const USAGE: &str = "\
@@ -38,93 +168,51 @@ Observability: --access-log appends one key=value line per request
 --profile on collects a phase-span profile per job and writes it to
 jobs/<id>/profile.json as Chrome trace-event JSON (load in Perfetto).";
 
-fn parse_flags(argv: &[String]) -> Result<BTreeMap<String, String>, String> {
-    let mut map = BTreeMap::new();
-    let mut i = 0;
-    while i < argv.len() {
-        let key = argv[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {:?}", argv[i]))?;
-        let value = argv
-            .get(i + 1)
-            .ok_or_else(|| format!("missing value for --{key}"))?;
-        map.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Ok(map)
-}
+/// The flags `rexctl serve` and `rexd` read.
+const SERVE_FLAGS: [&str; 13] = [
+    "addr",
+    "data-dir",
+    "queue-depth",
+    "workers",
+    "checkpoint-every",
+    "read-timeout-ms",
+    "retry-after-secs",
+    "max-retries",
+    "watchdog-secs",
+    "threads",
+    "backend",
+    "access-log",
+    "profile",
+];
 
-/// Builds a [`ServeConfig`] from `--flag value` arguments.
+/// Builds a [`ServeConfig`] from `--flag value` arguments, applying
+/// `--threads` and `--backend` on the way.
 ///
 /// # Errors
 ///
 /// A usage message naming the offending flag.
 pub fn config_from_args(argv: &[String]) -> Result<ServeConfig, String> {
-    let flags = parse_flags(argv)?;
-    let known = [
-        "addr",
-        "data-dir",
-        "queue-depth",
-        "workers",
-        "checkpoint-every",
-        "read-timeout-ms",
-        "retry-after-secs",
-        "max-retries",
-        "watchdog-secs",
-        "threads",
-        "backend",
-        "access-log",
-        "profile",
-    ];
-    if let Some(k) = flags.keys().find(|k| !known.contains(&k.as_str())) {
-        return Err(format!("unknown flag --{k}"));
-    }
-
-    if let Some(threads) = flags.get("threads") {
-        let n: usize = threads
-            .parse()
-            .map_err(|_| format!("--threads must be an integer >= 1, got {threads:?}"))?;
-        rex_pool::set_num_threads(n).map_err(|e| format!("--threads {n}: {e}"))?;
-    }
-    if let Some(backend) = flags.get("backend") {
-        let kind = rex_tensor::BackendKind::parse(backend)
-            .map_err(|e| format!("--backend {backend:?}: {e}"))?;
-        rex_tensor::backend::set_backend(kind).map_err(|e| format!("--backend: {e}"))?;
-    }
-
-    let defaults = ServeConfig::default();
-    let num = |key: &str, default: u64| -> Result<u64, String> {
-        match flags.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} must be a non-negative integer, got {v:?}")),
-        }
+    let flags = Flags::parse(argv, &SERVE_FLAGS, &[])?;
+    apply_threads_and_backend(&flags)?;
+    let on_off = |v: &str| match v {
+        "off" | "false" | "0" => Ok(false),
+        "on" | "true" | "1" => Ok(true),
+        _ => Err("expected on|off".to_owned()),
     };
-    let switch = |key: &str| -> Result<bool, String> {
-        match flags.get(key).map(String::as_str) {
-            None | Some("off" | "false" | "0") => Ok(false),
-            Some("on" | "true" | "1") => Ok(true),
-            Some(v) => Err(format!("--{key} must be on|off, got {v:?}")),
-        }
-    };
-    let cfg = ServeConfig {
-        addr: flags
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| defaults.addr.clone()),
-        data_dir: PathBuf::from(flags.get("data-dir").ok_or("missing required --data-dir")?),
-        queue_depth: num("queue-depth", defaults.queue_depth as u64)?.max(1) as usize,
-        workers: num("workers", defaults.workers as u64)?.max(1) as usize,
-        read_timeout_ms: num("read-timeout-ms", defaults.read_timeout_ms)?,
-        retry_after_secs: num("retry-after-secs", defaults.retry_after_secs)?,
-        default_checkpoint_every: num("checkpoint-every", defaults.default_checkpoint_every)?,
+    let d = ServeConfig::default();
+    Ok(ServeConfig {
+        addr: flags.get("addr").unwrap_or(&d.addr).to_owned(),
+        data_dir: PathBuf::from(flags.require("data-dir")?),
+        queue_depth: flags.get_or("queue-depth", d.queue_depth)?.max(1),
+        workers: flags.get_or("workers", d.workers)?.max(1),
+        read_timeout_ms: flags.get_or("read-timeout-ms", d.read_timeout_ms)?,
+        retry_after_secs: flags.get_or("retry-after-secs", d.retry_after_secs)?,
+        default_checkpoint_every: flags.get_or("checkpoint-every", d.default_checkpoint_every)?,
         access_log: flags.get("access-log").map(PathBuf::from),
-        profile: switch("profile")?,
-        watchdog_secs: num("watchdog-secs", defaults.watchdog_secs)?,
-        default_max_retries: num("max-retries", defaults.default_max_retries)?,
-    };
-    Ok(cfg)
+        profile: flags.parse_with("profile", on_off)?.unwrap_or(d.profile),
+        watchdog_secs: flags.get_or("watchdog-secs", d.watchdog_secs)?,
+        default_max_retries: flags.get_or("max-retries", d.default_max_retries)?,
+    })
 }
 
 /// Set by the SIGTERM handler; polled by the foreground loop.
@@ -230,5 +318,81 @@ mod tests {
         assert!(config_from_args(&sv(&["--data-dir", "/tmp/x", "--workers", "two"])).is_err());
         assert!(config_from_args(&sv(&["--data-dir", "/tmp/x", "--profile", "maybe"])).is_err());
         assert!(config_from_args(&sv(&["--data-dir"])).is_err());
+        // a pool needs a thread, as on every other command line
+        let err = config_from_args(&sv(&["--data-dir", "/tmp/x", "--threads", "0"])).unwrap_err();
+        assert!(err.starts_with("--threads \"0\""), "{err}");
+    }
+
+    #[test]
+    fn parse_flag_pairs() {
+        let f = Flags::parse(
+            &sv(&["--budget", "10", "--schedule", "rex", "--budget", "20"]),
+            &["budget", "schedule", "missing"],
+            &[],
+        )
+        .unwrap();
+        assert_eq!(f.get("budget"), Some("20"), "the last value wins");
+        assert_eq!(f.get_or("budget", 0u32).unwrap(), 20);
+        assert_eq!(f.get_or("missing", 7u32).unwrap(), 7);
+        assert_eq!(f.value::<u32>("missing").unwrap(), None);
+        assert!(f.require("schedule").is_ok());
+        assert_eq!(
+            f.require("missing").unwrap_err(),
+            "missing required --missing"
+        );
+        let err = f.get_or("schedule", 0u32).unwrap_err();
+        assert!(err.starts_with("--schedule \"rex\": "), "{err}");
+    }
+
+    #[test]
+    fn switches_take_no_value() {
+        let argv = sv(&["--smoke", "--reps", "3"]);
+        let f = Flags::parse(&argv, &["reps", "out"], &["smoke"]).unwrap();
+        assert!(f.switch("smoke"));
+        assert_eq!(f.get_or("reps", 40usize).unwrap(), 3);
+        assert_eq!(f.get("out"), None);
+        let f = Flags::parse(&sv(&["--reps", "3"]), &["reps"], &["smoke"]).unwrap();
+        assert!(!f.switch("smoke"));
+    }
+
+    #[test]
+    fn malformed_flags_rejected() {
+        let refused = [
+            (&["--budget"][..], "missing value for --budget"),
+            (&["--budget", "--smoke"], "missing value for --budget"),
+            (&["--budgte", "50"], "unknown flag --budgte"),
+            (&["--smoke", "1"], "unexpected argument \"1\""),
+            (&["budget", "10"], "unexpected argument \"budget\""),
+            (
+                &["--budget", "10", "extra"],
+                "unexpected argument \"extra\"",
+            ),
+        ];
+        for (argv, want) in refused {
+            let err = Flags::parse(&sv(argv), &["budget"], &["smoke"]).unwrap_err();
+            assert_eq!(err, want, "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn schedule_vocabulary() {
+        use rex_core::ScheduleSpec;
+        let schedule = |v: &str| {
+            let f = Flags::parse(&sv(&["--schedule", v]), &["schedule"], &[]).unwrap();
+            f.get_or("schedule", ScheduleSpec::None)
+        };
+        assert_eq!(schedule("REX").unwrap(), ScheduleSpec::Rex);
+        assert_eq!(schedule("step").unwrap(), ScheduleSpec::Step);
+        assert!(matches!(
+            schedule("rex-beta=0.3").unwrap(),
+            ScheduleSpec::RexBeta(b) if (b - 0.3).abs() < 1e-12
+        ));
+        assert!(matches!(
+            schedule("delayed-linear=0.5").unwrap(),
+            ScheduleSpec::Delayed(_, d) if (d - 0.5).abs() < 1e-12
+        ));
+        assert!(schedule("warp-drive")
+            .unwrap_err()
+            .contains("unknown schedule"));
     }
 }

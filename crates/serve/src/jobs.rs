@@ -21,7 +21,7 @@ use rex_telemetry::json::{self, Value};
 use rex_telemetry::{FanoutSink, JsonlSink, MetricsRegistry, Recorder, RegistrySink};
 use rex_tensor::DType;
 use rex_train::settings::load_setting;
-use rex_train::{FtConfig, GuardPolicy, OptimizerKind, TrainError, TrainState};
+use rex_train::{Budget, FtConfig, GuardPolicy, OptimizerKind, TrainError, TrainState};
 
 /// Retry budget for jobs that do not specify `max_retries` (and for
 /// manifests written before the field existed).
@@ -96,11 +96,10 @@ impl JobSpec {
             },
             budget: match obj.get("budget") {
                 None => return Err("missing required field \"budget\"".to_owned()),
-                Some(v) => u32::try_from(
+                Some(v) => Budget::check_pct(
                     v.as_u64()
                         .ok_or_else(|| "field \"budget\" must be an integer".to_owned())?,
-                )
-                .map_err(|_| "field \"budget\" out of range".to_owned())?,
+                )?,
             },
             schedule: str_field("schedule", "rex")?,
             optimizer: str_field("optimizer", "sgdm")?,
@@ -141,7 +140,8 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Checks every field against the vocabularies it will be run with.
+    /// Checks every named field against the vocabulary it will be run
+    /// with (the budget is checked as it is decoded).
     ///
     /// # Errors
     ///
@@ -150,21 +150,8 @@ impl JobSpec {
         load_setting(&self.setting, 0)?;
         self.parsed_schedule()?;
         OptimizerKind::parse(&self.optimizer)?;
-        if self.budget == 0 || self.budget > 100 {
-            return Err(format!("budget must be in 1..=100, got {}", self.budget));
-        }
-        self.parsed_dtype()?;
+        DType::parse(&self.dtype)?;
         Ok(())
-    }
-
-    /// The storage dtype, parsed.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the invalid value.
-    pub fn parsed_dtype(&self) -> Result<DType, String> {
-        DType::parse(&self.dtype)
-            .ok_or_else(|| format!("unknown dtype {:?} (expected f32 | f16 | bf16)", self.dtype))
     }
 
     /// The schedule, parsed.
@@ -312,12 +299,9 @@ impl JobRecord {
         let spec = JobSpec {
             setting: get_str("setting")?,
             // a budget outside 1..=100 would panic the worker that runs it
-            budget: obj
-                .get("budget")
-                .and_then(Value::as_u64)
-                .and_then(|v| u32::try_from(v).ok())
-                .filter(|b| (1..=100).contains(b))
-                .ok_or("job record budget missing or out of range")?,
+            budget: Budget::check_pct(
+                (obj.get("budget").and_then(Value::as_u64)).ok_or("job record missing budget")?,
+            )?,
             schedule: get_str("schedule")?,
             optimizer: get_str("optimizer")?,
             seed: obj
@@ -784,7 +768,7 @@ pub fn run_job(
         let optimizer = OptimizerKind::parse(&spec.optimizer).map_err(TrainError::Config)?;
         let schedule = spec.parsed_schedule().map_err(TrainError::Config)?;
         let lr = spec.lr.unwrap_or_else(|| setting.default_lr(&optimizer));
-        let dtype = spec.parsed_dtype().map_err(TrainError::Config)?;
+        let dtype = DType::parse(&spec.dtype).map_err(TrainError::Config)?;
         let ft = FtConfig {
             checkpoint_every: (spec.checkpoint_every > 0).then_some(spec.checkpoint_every),
             checkpoint_path: (spec.checkpoint_every > 0).then(|| ckpt_path.clone()),
@@ -913,7 +897,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.dtype, "f16");
-        assert_eq!(s.parsed_dtype().unwrap(), DType::F16);
+        assert_eq!(DType::parse(&s.dtype).unwrap(), DType::F16);
         assert_eq!(s.max_retries, 0);
     }
 

@@ -465,6 +465,50 @@ fn rexd_help_prints_usage() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// A bad command line — `--threads 0` as on every other binary, an
+/// undeclared flag, a flag without its value, a bad value — exits 2
+/// with the flag's name on stderr's first line, before binding.
+#[test]
+fn rexd_refuses_bad_command_lines() {
+    let dir = std::env::temp_dir().join(format!("rex_e2e_refused_{}", std::process::id()));
+    let d = dir.to_str().unwrap();
+    let cases: [(&[&str], &str); 4] = [
+        (&["--data-dir", d, "--threads", "0"], "--threads"),
+        (&["--data-dir", d, "--warp", "9"], "--warp"),
+        (&["--data-dir", d, "--workers"], "--workers"),
+        (&["--data-dir", d, "--profile", "maybe"], "--profile"),
+    ];
+    for (args, flag) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rexd"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // a daemon that accepted the line would serve until killed
+        let deadline = Instant::now() + TIMEOUT;
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                let _ = std::fs::remove_dir_all(&dir);
+                panic!("rexd {args:?} started instead of refusing");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        let _ = std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr);
+        assert_eq!(status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(flag), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Keep `Path` in the imports honest (helper for future tests reading
 /// job dirs directly).
 #[allow(dead_code)]

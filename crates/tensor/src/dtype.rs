@@ -38,14 +38,19 @@ impl DType {
         }
     }
 
-    /// Parses a dtype name (case-insensitive).
-    pub fn parse(s: &str) -> Option<DType> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "f32" => DType::F32,
-            "f16" => DType::F16,
-            "bf16" => DType::Bf16,
-            _ => None?,
-        })
+    /// Parses a dtype name (case-insensitive): the one parse behind
+    /// `--dtype`, a job spec's `dtype` and a snapshot's dtype.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown dtype and the known ones.
+    pub fn parse(s: &str) -> Result<DType, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "f32" => Ok(DType::F32),
+            "f16" => Ok(DType::F16),
+            "bf16" => Ok(DType::Bf16),
+            _ => Err(format!("unknown dtype {s:?} (expected f32 | f16 | bf16)")),
+        }
     }
 
     /// Exact serialized payload size, in bytes, of `n` elements.
@@ -254,8 +259,8 @@ mod tests {
 
     #[test]
     fn dtype_parse_and_round() {
-        assert_eq!(DType::parse("F16"), Some(DType::F16));
-        assert_eq!(DType::parse("f64"), None);
+        assert_eq!(DType::parse("F16"), Ok(DType::F16));
+        assert!(DType::parse("f64").is_err());
         assert_eq!(DType::F16.nbytes(40), 80);
         assert_eq!(DType::F32.nbytes(40), 160);
         assert_eq!(DType::F32.round_val(0.1), 0.1);

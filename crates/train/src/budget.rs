@@ -26,11 +26,20 @@ impl Budget {
     /// Panics if `max_epochs == 0` or `pct` is 0 or above 100.
     pub fn new(max_epochs: usize, pct: u32) -> Self {
         assert!(max_epochs > 0, "max epochs must be positive");
-        assert!(
-            (1..=100).contains(&pct),
-            "budget must be 1..=100 %, got {pct}"
-        );
+        let pct = Budget::check_pct(pct.into()).unwrap_or_else(|e| panic!("{e}"));
         Budget { max_epochs, pct }
+    }
+
+    /// Checks a budget percent: 1..=100. The one check behind `--budget`,
+    /// `--budgets`, and a job spec's and a job manifest's `budget`.
+    ///
+    /// # Errors
+    ///
+    /// Names the range and the refused value.
+    pub fn check_pct(pct: u64) -> Result<u32, String> {
+        (u32::try_from(pct).ok())
+            .filter(|p| (1..=100).contains(p))
+            .ok_or_else(|| format!("budget must be 1..=100 (percent), got {pct}"))
     }
 
     /// The budgeted epoch count (rounded up, never zero).

@@ -180,8 +180,7 @@ impl TrainState {
         let (seed, total_samples, batch_size, epochs) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
         let lr = f32::from_bits(r.u32()?);
         let dtype_name = r.string(MAX_STR)?;
-        let dtype = DType::parse(&dtype_name)
-            .ok_or_else(|| invalid(format!("snapshot has unknown dtype {dtype_name:?}")))?;
+        let dtype = DType::parse(&dtype_name).map_err(|e| invalid(format!("snapshot has {e}")))?;
         let (backend, simd_level) = (r.string(MAX_STR)?, r.string(MAX_STR)?);
         r.finish()?;
 

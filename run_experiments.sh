@@ -13,7 +13,7 @@ mkdir -p "$OUT"
 failed=0
 # the schedule x budget grids run as `grid <name>`; the rest are binaries
 for exp in table2 "grid table4" "grid table5" "grid table6" "grid table7" \
-           "grid table8" "grid table9" table10_11 fig2 "grid fig3" fig4 \
+           "grid table8" "grid table9" table10_11 "grid fig3" fig4 \
            "grid ablations"; do
     name="${exp#grid }"
     echo "=== $name ($SCALE) ==="
@@ -23,8 +23,9 @@ for exp in table2 "grid table4" "grid table5" "grid table6" "grid table7" \
         failed=$((failed + 1))
     fi
 done
-# aggregates (consume the CSVs above)
-for bin in table1 fig1; do
+# fig2 (pure schedule curves) and the aggregates (which consume the CSVs
+# above) read only --out
+for bin in fig2 table1 fig1; do
     if ! ./target/release/$bin --out "$OUT" > "$OUT/$bin.md" 2> "$OUT/$bin.log"; then
         echo "FAILED: $bin (see $OUT/$bin.log)"
         failed=$((failed + 1))

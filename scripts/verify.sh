@@ -32,6 +32,11 @@ echo "==> perfbench check (the benchmark compiles against this workspace)"
 CARGO_TARGET_DIR=target/perfbench cargo check --offline --locked \
   --manifest-path perfbench/Cargo.toml
 
+echo "==> run_experiments.sh smoke (every paper binary with the flags the script passes)"
+# each binary refuses a flag it does not read, so the script and the
+# binaries' declared flags cannot drift apart
+bash run_experiments.sh smoke "$tmp_dir/experiments"
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -127,7 +127,6 @@ fn sgd_step_is_bitwise_identical_across_thread_counts() {
         let params = make_params(61);
         let mut opt = Sgd::new(params.clone(), 0.1)
             .with_momentum(0.9)
-            .nesterov()
             .with_weight_decay(5e-4);
         opt.step();
         opt.step();
