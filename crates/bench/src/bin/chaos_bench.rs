@@ -56,7 +56,7 @@ use rex_telemetry::json::{parse_object, Value};
 use rex_telemetry::{JsonlSink, Recorder};
 use rex_tensor::DType;
 use rex_train::settings::load_setting;
-use rex_train::{FtConfig, GuardPolicy, OptimizerKind};
+use rex_train::{FtConfig, OptimizerKind};
 
 /// Per-request client timeout; short because a dead daemon should fail
 /// fast, not stall the soak.
@@ -336,13 +336,7 @@ fn twin_trace(scratch: &Path, seed: u64) -> Vec<u8> {
     let ft = FtConfig {
         checkpoint_every: Some(CHECKPOINT_EVERY),
         checkpoint_path: Some(ckpt_path.clone()),
-        resume_from: None,
-        guard: GuardPolicy::Off,
-        halt_after_step: None,
-        stop_flag: None,
-        keep_checkpoints: None,
-        checkpoint_on_halt: false,
-        heartbeat: None,
+        ..FtConfig::default()
     };
     setting
         .run_ft(

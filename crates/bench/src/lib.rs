@@ -156,11 +156,20 @@ pub fn or_usage<T>(result: Result<T, String>, usage: &str) -> T {
     result.unwrap_or_else(|e| exit_with(&format!("error: {e}\n{usage}")))
 }
 
+/// Prints `usage` and exits 0 when `argv` asks for `--help` or `-h`.
+fn exit_on_help(argv: &[String], usage: &str) {
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("{usage}");
+        std::process::exit(0);
+    }
+}
+
 /// Parses this process's arguments against the `--key value` flags in
-/// `valued` and the bare `switches` a binary reads, exiting through
-/// [`or_usage`] on an error.
+/// `valued` and the bare `switches` a binary reads. `--help` prints the
+/// usage and exits 0; an error exits through [`or_usage`].
 pub fn parse_flags(usage: &str, valued: &[&str], switches: &[&str]) -> Flags {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    exit_on_help(&argv, usage);
     or_usage(Flags::parse(&argv, valued, switches), usage)
 }
 
@@ -183,10 +192,7 @@ impl Args {
             .fold("usage: <bin>".to_owned(), |u, (flag, form)| {
                 u + &format!(" [--{flag} {form}]")
             });
-        if argv.iter().any(|a| a == "--help" || a == "-h") {
-            eprintln!("{usage}");
-            std::process::exit(0);
-        }
+        exit_on_help(argv, &usage);
         let parsed = || -> Result<Args, String> {
             let flags = Flags::parse(argv, reads, &[])?;
             apply_threads_and_backend(&flags)?;

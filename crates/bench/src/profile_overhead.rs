@@ -12,7 +12,7 @@ use rex_core::ScheduleSpec;
 use rex_telemetry::span::{self, Detail};
 use rex_telemetry::{Profile, Recorder};
 use rex_train::settings::load_setting;
-use rex_train::{FtConfig, GuardPolicy, OptimizerKind};
+use rex_train::{FtConfig, OptimizerKind};
 
 use crate::floors::Kind;
 use crate::measure::{time_arms, Artifact, Sampling};
@@ -26,17 +26,6 @@ fn run_cell() {
     let setting = load_setting(SETTING, SEED).expect("load digits-mlp");
     let optimizer = OptimizerKind::sgdm();
     let lr = setting.default_lr(&optimizer);
-    let ft = FtConfig {
-        checkpoint_every: None,
-        checkpoint_path: None,
-        resume_from: None,
-        guard: GuardPolicy::Off,
-        halt_after_step: None,
-        stop_flag: None,
-        keep_checkpoints: None,
-        checkpoint_on_halt: false,
-        heartbeat: None,
-    };
     setting
         .run_ft(
             BUDGET_PCT,
@@ -45,7 +34,7 @@ fn run_cell() {
             lr,
             SEED,
             rex_tensor::DType::F32,
-            ft,
+            FtConfig::default(),
             &mut Recorder::disabled(),
         )
         .expect("train digits-mlp");

@@ -8,7 +8,7 @@ use rex_tensor::DType;
 use rex_train::marker::{self, CellKey};
 use rex_train::range_test::lr_range_test;
 use rex_train::settings::{load_setting, SettingSpec};
-use rex_train::{Budget, FtConfig, GuardPolicy, OptimizerKind, TrainState};
+use rex_train::{Budget, FtConfig, GuardPolicy, OptimizerKind};
 use std::path::{Path, PathBuf};
 
 /// The flags `rexctl curve` reads.
@@ -88,31 +88,8 @@ fn ft_from_flags(flags: &Flags) -> Result<FtConfig, String> {
         halt_after_step: flags.value("halt-after")?,
         stop_flag: None,
         keep_checkpoints,
-        checkpoint_on_halt: false,
         heartbeat: None,
     })
-}
-
-/// Resolves a `--resume DIR` checkpoint lineage to its newest valid
-/// generation before the trace recorder needs the snapshot's line cursor.
-/// Skipped generations are reported to stderr with their named reason;
-/// `ft.resume_from` is rewritten to the resolved generation file.
-fn resolve_resume(ft: &mut FtConfig) -> Result<(), String> {
-    let Some(path) = &ft.resume_from else {
-        return Ok(());
-    };
-    if !path.is_dir() {
-        return Ok(());
-    }
-    let (_, resolved, report) = rex_train::Lineage::resolve(path)
-        .map_err(|e| format!("cannot resume from lineage {}: {e}", path.display()))?;
-    if report.fallbacks() > 0 {
-        eprint!("{report}");
-        eprintln!();
-    }
-    eprintln!("resuming from {}", resolved.display());
-    ft.resume_from = Some(resolved);
-    Ok(())
 }
 
 /// Applies the optional `--profile FILE [--profile-detail phase|kernel]`
@@ -143,24 +120,16 @@ fn finish_profile(path: &Path) -> Result<(), String> {
 }
 
 /// Builds the recorder of the optional `--trace FILE` flag: disabled
-/// without it. A resumed run re-opens the existing trace and truncates it
-/// to the snapshot's line cursor, so the finished file is byte-identical
-/// to an uninterrupted run's; a fresh run creates (truncates) the file.
-fn recorder_from_flags(flags: &Flags, ft: &FtConfig) -> Result<Recorder, String> {
+/// without it. The trace is opened without truncating it; the run itself
+/// rewinds it (to nothing when fresh, to the snapshot's cursor when
+/// resumed), so a resumed trace is byte-identical to an uninterrupted
+/// run's.
+fn recorder_from_flags(flags: &Flags) -> Result<Recorder, String> {
     let Some(path) = flags.get("trace") else {
         return Ok(Recorder::disabled());
     };
-    let path = Path::new(path);
-    let sink = match &ft.resume_from {
-        Some(ckpt) => {
-            let cursor = TrainState::trace_cursor(ckpt)
-                .map_err(|e| format!("cannot read checkpoint {}: {e}", ckpt.display()))?;
-            JsonlSink::resume(path, cursor)
-                .map_err(|e| format!("cannot resume trace file {}: {e}", path.display()))?
-        }
-        None => JsonlSink::create(path)
-            .map_err(|e| format!("cannot create trace file {}: {e}", path.display()))?,
-    };
+    let sink = JsonlSink::open(Path::new(path))
+        .map_err(|e| format!("cannot open trace file {path}: {e}"))?;
     Ok(Recorder::new(Box::new(sink)))
 }
 
@@ -230,10 +199,9 @@ pub fn train(argv: &[String]) -> Result<(), String> {
     let optimizer =
         (flags.parse_with("optimizer", OptimizerKind::parse)?).unwrap_or_else(OptimizerKind::sgdm);
     let dtype = (flags.parse_with("dtype", DType::parse)?).unwrap_or(DType::F32);
-    let mut ft = ft_from_flags(&flags)?;
-    resolve_resume(&mut ft)?;
+    let ft = ft_from_flags(&flags)?;
     let profile_path = profile_from_flags(&flags)?;
-    let mut rec = recorder_from_flags(&flags, &ft)?;
+    let mut rec = recorder_from_flags(&flags)?;
 
     let t0 = std::time::Instant::now();
     let budget = Budget::new(setting.max_epochs(), budget_pct);
@@ -383,7 +351,7 @@ pub fn range_test(argv: &[String]) -> Result<(), String> {
         return Err("range-test supports image settings".into());
     };
     let built = model.build(data.num_classes, seed);
-    let mut rec = recorder_from_flags(&flags, &FtConfig::default())?;
+    let mut rec = recorder_from_flags(&flags)?;
     let result = lr_range_test(
         built.as_ref(),
         &data.train_images,

@@ -14,7 +14,16 @@ mod trace_cmd;
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let rest = argv.get(1..).unwrap_or_default();
+    let help = rest.iter().any(|a| a == "--help" || a == "-h");
     let result = match argv.first().map(String::as_str) {
+        Some("serve") if help => {
+            eprintln!("{}", rex_serve::cli::USAGE);
+            Ok(())
+        }
+        Some("schedules" | "curve" | "train" | "sweep" | "range-test" | "trace") if help => {
+            print_usage();
+            Ok(())
+        }
         Some("schedules") => commands::schedules(rest),
         Some("curve") => commands::curve(rest),
         Some("train") => commands::train(rest),
@@ -107,7 +116,8 @@ USAGE:
       lands in the submitted job's manifest; --profile on writes a span
       profile per job to jobs/<id>/profile.json.
 
-Each subcommand refuses, with exit status 2, a flag it does not read.
+Each subcommand refuses, with exit status 2, a flag it does not read or
+a flag given twice; `rexctl <subcommand> --help` prints its usage.
 
 THREADS:
   --threads N sizes the persistent worker pool (overrides the
@@ -134,8 +144,8 @@ FAULT TOLERANCE (train, every setting):
   state (model, optimizer, RNGs, schedule progress, trace cursor) every
   N optimizer steps, crash-consistently. With --keep-checkpoints N,
   PATH is a directory holding the N newest generational snapshots
-  (state.00017.rexstate ...) plus a LATEST pointer; without it, PATH is
-  a single file overwritten in place. --resume PATH continues an
+  (state.00017.rexstate ...); without it, PATH is a single file
+  overwritten in place. --resume PATH continues an
   interrupted run from its snapshot; pointing it at a lineage directory
   resumes the newest valid generation, falling back generation by
   generation past truncated/corrupt snapshots with a named reason per

@@ -151,11 +151,6 @@ pub struct Exponential {
 }
 
 impl Exponential {
-    /// Exponential profile with decay exponent `gamma` (usually negative).
-    pub fn new(gamma: f64) -> Self {
-        Exponential { gamma }
-    }
-
     /// The paper's exponential-decay baseline (γ = −3).
     pub fn paper_decay() -> Self {
         Exponential { gamma: -3.0 }

@@ -38,12 +38,8 @@ pub enum ScheduleSpec {
     Cosine,
     /// Exponential decay `e^{γ t/T}` with the paper's γ = −3.
     ExpDecay,
-    /// Exponential decay with explicit γ.
-    ExpDecayGamma(f64),
     /// Step schedule: ×0.1 at 50 % and 75 % of the budget.
     Step,
-    /// Step schedule with explicit fractional knots and decay factor.
-    StepAt(Vec<f64>, f64),
     /// OneCycle with the paper's recommended settings.
     OneCycle,
     /// Decay-on-plateau with the given patience (validation reports).
@@ -127,12 +123,7 @@ impl ScheduleSpec {
                 Exponential::paper_decay(),
                 SamplingRate::EveryIteration,
             )),
-            ScheduleSpec::ExpDecayGamma(g) => Box::new(SampledProfile::new(
-                Exponential::new(*g),
-                SamplingRate::EveryIteration,
-            )),
             ScheduleSpec::Step => Box::new(StepSchedule::fifty_seventy_five()),
-            ScheduleSpec::StepAt(knots, gamma) => Box::new(StepSchedule::new(knots, *gamma)),
             ScheduleSpec::OneCycle => Box::new(OneCycle),
             ScheduleSpec::DecayOnPlateau(patience) => Box::new(DecayOnPlateau::new(*patience, 0.1)),
             ScheduleSpec::Polynomial(p) => Box::new(SampledProfile::new(
@@ -186,9 +177,7 @@ impl ScheduleSpec {
             ScheduleSpec::Linear => "Linear Schedule".to_owned(),
             ScheduleSpec::Cosine => "Cosine Schedule".to_owned(),
             ScheduleSpec::ExpDecay => "Exp decay".to_owned(),
-            ScheduleSpec::ExpDecayGamma(g) => format!("Exp decay(gamma={g})"),
             ScheduleSpec::Step => "Step Schedule".to_owned(),
-            ScheduleSpec::StepAt(knots, gamma) => format!("Step{knots:?}x{gamma}"),
             ScheduleSpec::OneCycle => "OneCycle".to_owned(),
             ScheduleSpec::DecayOnPlateau(_) => "Decay on Plateau".to_owned(),
             ScheduleSpec::Polynomial(p) => format!("Poly(p={p})"),

@@ -4,7 +4,7 @@
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("--help") {
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
         println!("{}", rex_serve::cli::USAGE);
         return;
     }

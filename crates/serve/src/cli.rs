@@ -3,8 +3,9 @@
 //!
 //! [`Flags`] is the one flag parser: a command declares the `--key value`
 //! flags and the bare switches it reads, and the parser refuses anything
-//! else — an undeclared flag, a flag without its value, a stray argument —
-//! with a message naming it, which every binary turns into exit status 2.
+//! else — an undeclared or repeated flag, a flag without its value, a
+//! stray argument — with a message naming it, which every binary turns
+//! into exit status 2.
 //! [`apply_threads_and_backend`] applies `--threads` and `--backend`. This
 //! lives in rex-serve (not in `rex-cli`) because rexctl, rexd and the
 //! rex-bench binaries all depend on it, and the daemon and the subcommand
@@ -29,14 +30,15 @@ pub struct Flags {
 impl Flags {
     /// Parses `argv` (the arguments after the command's name): each
     /// `--key` in `valued` takes the next argument as its value, each in
-    /// `switches` takes none. A repeated flag keeps its last value, and a
-    /// value never starts with `--`, so a forgotten value is named as
-    /// such instead of shifting every later flag.
+    /// `switches` takes none. A value never starts with `--`, so a
+    /// forgotten value is named as such instead of shifting every later
+    /// flag.
     ///
     /// # Errors
     ///
     /// A message naming the first flag the command does not declare, a
-    /// flag missing its value, or an argument that is not a flag.
+    /// flag given twice, a flag missing its value, or an argument that is
+    /// not a flag.
     pub fn parse(argv: &[String], valued: &[&str], switches: &[&str]) -> Result<Flags, String> {
         let mut flags = Flags::default();
         let mut args = argv.iter();
@@ -44,6 +46,9 @@ impl Flags {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument {arg:?}"));
             };
+            if flags.values.contains_key(key) || flags.switch(key) {
+                return Err(format!("repeated flag --{key}"));
+            }
             if switches.contains(&key) {
                 flags.switches.push(key.to_owned());
             } else if valued.contains(&key) {
@@ -326,13 +331,13 @@ mod tests {
     #[test]
     fn parse_flag_pairs() {
         let f = Flags::parse(
-            &sv(&["--budget", "10", "--schedule", "rex", "--budget", "20"]),
+            &sv(&["--budget", "10", "--schedule", "rex"]),
             &["budget", "schedule", "missing"],
             &[],
         )
         .unwrap();
-        assert_eq!(f.get("budget"), Some("20"), "the last value wins");
-        assert_eq!(f.get_or("budget", 0u32).unwrap(), 20);
+        assert_eq!(f.get("budget"), Some("10"));
+        assert_eq!(f.get_or("budget", 0u32).unwrap(), 10);
         assert_eq!(f.get_or("missing", 7u32).unwrap(), 7);
         assert_eq!(f.value::<u32>("missing").unwrap(), None);
         assert!(f.require("schedule").is_ok());
@@ -366,6 +371,14 @@ mod tests {
             (
                 &["--budget", "10", "extra"],
                 "unexpected argument \"extra\"",
+            ),
+            (
+                &["--budget", "5", "--budget", "50"],
+                "repeated flag --budget",
+            ),
+            (
+                &["--smoke", "--budget", "5", "--smoke"],
+                "repeated flag --smoke",
             ),
         ];
         for (argv, want) in refused {

@@ -21,7 +21,7 @@ use rex_telemetry::json::{self, Value};
 use rex_telemetry::{FanoutSink, JsonlSink, MetricsRegistry, Recorder, RegistrySink};
 use rex_tensor::DType;
 use rex_train::settings::load_setting;
-use rex_train::{Budget, FtConfig, GuardPolicy, OptimizerKind, TrainError, TrainState};
+use rex_train::{Budget, FtConfig, OptimizerKind, TrainError};
 
 /// Retry budget for jobs that do not specify `max_retries` (and for
 /// manifests written before the field existed).
@@ -685,7 +685,7 @@ pub fn backoff_ms(id: &str, attempt: u64) -> u64 {
 /// heal (full disk, fault injection), while config errors, incompatible
 /// resumes, and numeric blowups will fail identically every attempt.
 fn is_transient(e: &TrainError) -> bool {
-    matches!(e, TrainError::Checkpoint { .. })
+    matches!(e, TrainError::Checkpoint { .. } | TrainError::Trace(_))
 }
 
 /// Supervision context for one job execution, threaded in by the worker:
@@ -700,11 +700,11 @@ pub struct RunCtx {
     pub heartbeat: Option<Arc<AtomicU64>>,
 }
 
-/// Executes job `id` to a terminal state or a supervised hand-back:
-/// builds the trace sink (resuming both trace and training state from the
-/// job's checkpoint when one exists — a poisoned checkpoint is
-/// quarantined and the job restarts from scratch), runs the cell through
-/// the shared setting runner, and persists the outcome.
+/// Executes job `id` to a terminal state or a supervised hand-back: opens
+/// the job's trace, runs the cell through the shared setting runner
+/// (resuming from the job's checkpoint when one exists — a poisoned
+/// checkpoint is quarantined and the job restarts from scratch), and
+/// persists the outcome.
 ///
 /// # Errors
 ///
@@ -729,32 +729,8 @@ pub fn run_job(
     ledger.set_state(id, JobState::Running, None, None)?;
 
     let spec = &record.spec;
-    let trace_path = ledger.trace_path(id);
     let ckpt_path = ledger.ckpt_path(id);
-    let mut resuming = spec.checkpoint_every > 0 && ckpt_path.is_file();
-
-    let jsonl = (|| -> std::io::Result<JsonlSink> {
-        if resuming {
-            match TrainState::load(&ckpt_path) {
-                Ok(state) => return JsonlSink::resume(&trace_path, state.trace_events),
-                Err(e) => {
-                    // A checkpoint that no longer decodes would fail every
-                    // resume forever: quarantine it and start over.
-                    let quarantined = ckpt_path.with_extension("state.poisoned");
-                    let _ = std::fs::rename(&ckpt_path, &quarantined);
-                    eprintln!(
-                        "rexd: quarantined poisoned checkpoint {} ({e}); \
-                         restarting {id} from scratch",
-                        ckpt_path.display()
-                    );
-                    registry.counter_inc("rex_ckpt_quarantined_total", 1);
-                    resuming = false;
-                }
-            }
-        }
-        JsonlSink::create(&trace_path)
-    })();
-    let jsonl = match jsonl {
+    let jsonl = match JsonlSink::open(&ledger.trace_path(id)) {
         Ok(sink) => sink,
         Err(e) => return Ok(RunOutcome::Retry(format!("trace sink: {e}"))),
     };
@@ -763,7 +739,7 @@ pub fn run_job(
         Box::new(RegistrySink::new(Arc::clone(registry))),
     ])));
 
-    let outcome = (|| -> Result<f64, TrainError> {
+    let mut run = |resume: bool| -> Result<f64, TrainError> {
         let setting = load_setting(&spec.setting, spec.seed).map_err(TrainError::Config)?;
         let optimizer = OptimizerKind::parse(&spec.optimizer).map_err(TrainError::Config)?;
         let schedule = spec.parsed_schedule().map_err(TrainError::Config)?;
@@ -772,14 +748,10 @@ pub fn run_job(
         let ft = FtConfig {
             checkpoint_every: (spec.checkpoint_every > 0).then_some(spec.checkpoint_every),
             checkpoint_path: (spec.checkpoint_every > 0).then(|| ckpt_path.clone()),
-            resume_from: resuming.then(|| ckpt_path.clone()),
-            guard: GuardPolicy::Off,
-            halt_after_step: None,
+            resume_from: resume.then(|| ckpt_path.clone()),
             stop_flag: Some(Arc::clone(&record.cancel)),
-            keep_checkpoints: None,
-            // a drain-halted job keeps its progress without trace drift
-            checkpoint_on_halt: spec.checkpoint_every > 0,
             heartbeat: ctx.heartbeat.clone(),
+            ..FtConfig::default()
         };
         setting.run_ft(
             spec.budget,
@@ -791,7 +763,27 @@ pub fn run_job(
             ft,
             &mut rec,
         )
-    })();
+    };
+    let outcome = match run(spec.checkpoint_every > 0 && ckpt_path.is_file()) {
+        Err(TrainError::Checkpoint {
+            action: "load",
+            source,
+            ..
+        }) => {
+            // A checkpoint that no longer decodes would fail every resume
+            // forever: quarantine it and start over.
+            let quarantined = ckpt_path.with_extension("state.poisoned");
+            let _ = std::fs::rename(&ckpt_path, &quarantined);
+            eprintln!(
+                "rexd: quarantined poisoned checkpoint {} ({source}); \
+                 restarting {id} from scratch",
+                ckpt_path.display()
+            );
+            registry.counter_inc("rex_ckpt_quarantined_total", 1);
+            run(false)
+        }
+        other => other,
+    };
     // run_ft flushed the finished trace; dropping the recorder flushes
     // (and fsyncs) whatever an early exit left unwritten
     drop(rec);
@@ -1198,6 +1190,45 @@ mod tests {
             .with_extension("state.poisoned")
             .is_file());
         assert!(registry.counter("rex_ckpt_quarantined_total") >= 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A trace shorter than its checkpoint's cursor is a trace fault, not
+    /// a poisoned checkpoint: the job is retried, naming the trace, and
+    /// the good checkpoint stays where it is.
+    #[test]
+    fn short_trace_is_retried_and_the_checkpoint_kept() {
+        let dir = tmp_dir("short_trace");
+        let ledger = Ledger::open(&dir).unwrap();
+        let registry = MetricsRegistry::shared();
+        let job = ledger.create(spec(), None);
+        ledger.commit(&job).unwrap();
+        std::fs::create_dir_all(ledger.job_dir(&job.id)).unwrap();
+        // the job's own run, halted after its step-2 checkpoint, whose
+        // trace never reached the job's trace file
+        let setting = load_setting("digits-mlp", 7).unwrap();
+        let sgdm = OptimizerKind::sgdm();
+        let ft = FtConfig {
+            checkpoint_every: Some(2),
+            checkpoint_path: Some(ledger.ckpt_path(&job.id)),
+            halt_after_step: Some(2),
+            ..FtConfig::default()
+        };
+        let mut rec = Recorder::new(Box::new(rex_telemetry::MemorySink::unbounded()));
+        let lr = setting.default_lr(&sgdm);
+        let halted = setting.run_ft(25, sgdm, ScheduleSpec::Rex, lr, 7, DType::F32, ft, &mut rec);
+        assert!(matches!(halted, Err(TrainError::Halted { step: 2 })));
+
+        let trace = ledger.trace_path(&job.id).display().to_string();
+        match run_job(&ledger, &registry, &job.id, &RunCtx::default()).unwrap() {
+            RunOutcome::Retry(msg) => assert!(msg.contains(&trace), "{msg}"),
+            other => panic!("expected a retry, got {other:?}"),
+        }
+        assert!(
+            ledger.ckpt_path(&job.id).is_file(),
+            "checkpoint quarantined"
+        );
+        assert_eq!(registry.counter("rex_ckpt_quarantined_total"), 0);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

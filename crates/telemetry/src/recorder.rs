@@ -10,10 +10,10 @@ use crate::sink::Sink;
 /// branch when telemetry is off.
 pub struct Recorder {
     sink: Option<Box<dyn Sink>>,
-    /// Deterministic events emitted so far — exactly the number of lines a
-    /// JSONL encoding of the stream holds. Snapshotted at checkpoint time
-    /// so resume can truncate a trace file to the prefix the restored
-    /// state has already produced.
+    /// Deterministic events in the trace so far — exactly the number of
+    /// lines a JSONL encoding of the stream holds. Snapshotted at
+    /// checkpoint time so resume can rewind the trace to the prefix the
+    /// restored state has already produced.
     lines: u64,
 }
 
@@ -72,10 +72,21 @@ impl Recorder {
         self.lines
     }
 
-    /// Overrides the deterministic-event count; called on resume so later
-    /// checkpoints carry absolute trace cursors.
-    pub fn set_lines_emitted(&mut self, lines: u64) {
+    /// Cuts the trace back to its first `lines` deterministic events and
+    /// counts on from there, so later checkpoints carry absolute trace
+    /// cursors: a fresh run rewinds to 0, a resumed one to its snapshot's
+    /// cursor.
+    ///
+    /// # Errors
+    ///
+    /// The sink's: its trace holds fewer than `lines` events, or a
+    /// filesystem error.
+    pub fn rewind(&mut self, lines: u64) -> std::io::Result<()> {
+        if let Some(sink) = &mut self.sink {
+            sink.rewind(lines)?;
+        }
         self.lines = lines;
+        Ok(())
     }
 
     /// Flushes the sink's buffered output.
@@ -112,7 +123,7 @@ mod tests {
             action: "skip".into(),
         });
         assert_eq!(rec.lines_emitted(), 2);
-        rec.set_lines_emitted(40);
+        rec.rewind(40).unwrap();
         rec.emit(Event::RunEnd { metric: 1.0 });
         assert_eq!(rec.lines_emitted(), 41);
 

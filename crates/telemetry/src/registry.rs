@@ -252,6 +252,10 @@ impl Sink for FanoutSink {
             sink.flush();
         }
     }
+
+    fn rewind(&mut self, lines: u64) -> std::io::Result<()> {
+        (self.sinks.iter_mut()).try_for_each(|sink| sink.rewind(lines))
+    }
 }
 
 #[cfg(test)]

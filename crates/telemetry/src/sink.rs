@@ -2,9 +2,9 @@
 
 use crate::event::Event;
 use std::cell::RefCell;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 /// A telemetry backend that consumes [`Event`]s from a [`Recorder`].
@@ -15,6 +15,15 @@ pub trait Sink {
     fn record(&mut self, event: &Event);
     /// Flush any buffered output (default: no-op).
     fn flush(&mut self) {}
+    /// Cut the stored trace back to its first `lines` events before a run
+    /// records into it (default: no-op, for sinks that store no trace).
+    ///
+    /// # Errors
+    ///
+    /// The trace holds fewer than `lines` events, or a filesystem error.
+    fn rewind(&mut self, _lines: u64) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Shared, cloneable view into a [`MemorySink`]'s buffer.
@@ -86,10 +95,10 @@ impl Sink for MemorySink {
 /// events are skipped), so same-seed runs produce byte-identical files.
 pub struct JsonlSink {
     writer: BufWriter<Box<dyn Write>>,
-    /// The underlying file when writing to one, kept so `flush` can fsync:
-    /// the trace is the resume contract's source of truth, so its flushed
-    /// prefix must actually be durable.
-    file: Option<File>,
+    /// The trace file behind the writer, with its path: `flush` fsyncs it
+    /// (the trace is the resume contract's source of truth, so its flushed
+    /// prefix must actually be durable) and `rewind` cuts it.
+    file: Option<(PathBuf, File)>,
     /// Whether a line was written since the last fsync: a flush with
     /// nothing new skips it.
     unsynced: bool,
@@ -104,84 +113,37 @@ impl std::fmt::Debug for JsonlSink {
 }
 
 impl JsonlSink {
-    /// Creates (truncating) the file at `path`, building parent directories
-    /// as needed.
+    /// Opens the trace at `path` for appending without truncating it,
+    /// creating the file and its parent directories as needed. The run
+    /// recording into it rewinds it: to nothing when fresh, to its
+    /// snapshot's cursor when resumed.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from directory or file creation.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
+    pub fn open(path: &Path) -> io::Result<Self> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)?;
         }
-        let file = File::create(path)?;
-        let handle = file.try_clone().ok();
+        let file = OpenOptions::new().append(true).create(true).open(path)?;
+        let handle = file.try_clone()?;
         let mut sink = Self::from_writer(Box::new(file));
-        sink.file = handle;
+        sink.file = Some((path.to_owned(), handle));
         Ok(sink)
     }
 
-    /// Re-opens an existing trace for a resumed run: keeps exactly the
-    /// first `keep_lines` lines (the prefix the restored training state
-    /// had already emitted — [`Recorder::lines_emitted`] at checkpoint
-    /// time), atomically rewrites the file to that prefix, and appends
-    /// from there. The finished resumed trace is byte-identical to an
-    /// uninterrupted run's.
-    ///
-    /// [`Recorder::lines_emitted`]: crate::Recorder::lines_emitted
-    ///
-    /// A kill mid-append can leave a torn final line (no trailing
-    /// newline); only `\n`-terminated lines count as complete, and a torn
-    /// trailing fragment past the cursor is truncated away with a logged
-    /// warning rather than silently promoted to a complete line.
+    /// [`open`](Self::open), emptying the file.
     ///
     /// # Errors
     ///
-    /// Fails with `InvalidData` when the file holds fewer than
-    /// `keep_lines` complete lines (the trace and checkpoint are from
-    /// different runs, or the trace was not flushed at checkpoint time);
-    /// propagates filesystem errors.
-    pub fn resume(path: &Path, keep_lines: u64) -> io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        let mut kept = String::with_capacity(text.len());
-        let mut count = 0u64;
-        // an unterminated tail is a torn append from a mid-write kill,
-        // whether it falls before or after the cursor
-        let torn = !text.is_empty() && !text.ends_with('\n');
-        for line in text.split_inclusive('\n') {
-            if count == keep_lines || !line.ends_with('\n') {
-                break;
-            }
-            kept.push_str(line);
-            count += 1;
-        }
-        if torn {
-            eprintln!(
-                "rex-telemetry: dropping torn trailing line of {} (interrupted append)",
-                path.display()
-            );
-        }
-        if count < keep_lines {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "trace {} holds {count} complete lines but the checkpoint cursor is \
-                     {keep_lines}; it does not belong to this checkpoint",
-                    path.display()
-                ),
-            ));
-        }
-        rex_faults::atomic_write("trace", path, kept.as_bytes())?;
-        let file = std::fs::OpenOptions::new().append(true).open(path)?;
-        let handle = file.try_clone().ok();
-        let mut sink = Self::from_writer(Box::new(file));
-        sink.file = handle;
+    /// As [`open`](Self::open).
+    pub fn create(path: &Path) -> io::Result<Self> {
+        let mut sink = Self::open(path)?;
+        sink.rewind(0)?;
         Ok(sink)
     }
 
-    /// Wraps an arbitrary writer.
+    /// Wraps an arbitrary writer, which [`Sink::rewind`] leaves as it is.
     pub fn from_writer(writer: Box<dyn Write>) -> Self {
         JsonlSink {
             writer: BufWriter::new(writer),
@@ -195,7 +157,7 @@ impl JsonlSink {
     /// process is killed right after checkpointing. fsyncs only when a
     /// line was written since the last fsync, and says whether it did.
     fn fsync_new_lines(&mut self) -> bool {
-        let Some(file) = self.file.as_ref().filter(|_| self.unsynced) else {
+        let Some((_, file)) = self.file.as_ref().filter(|_| self.unsynced) else {
             return false;
         };
         rex_faults::fsync_file(file);
@@ -207,11 +169,11 @@ impl JsonlSink {
 impl Sink for JsonlSink {
     fn record(&mut self, event: &Event) {
         if let Some(line) = event.to_jsonl() {
-            if self.file.is_some() {
+            if let Some((_, file)) = &self.file {
                 // a `kill-on-write=trace:N:mid` plan dies here with half
                 // the line on disk — the torn trailing line a real
                 // mid-append kill leaves behind
-                rex_faults::append_crash_point("trace", self.file.as_ref(), line.as_bytes());
+                rex_faults::append_crash_point("trace", Some(file), line.as_bytes());
             }
             // Telemetry must not abort training on a full disk; drop the
             // line and keep going.
@@ -223,6 +185,49 @@ impl Sink for JsonlSink {
     fn flush(&mut self) {
         let _ = self.writer.flush();
         self.fsync_new_lines();
+    }
+
+    /// Rewinding to 0 (a fresh run) empties the file in place. Any other
+    /// cursor (a resumed run) drops a torn trailing line with a warning,
+    /// refuses a file with fewer complete lines, and rewrites the kept
+    /// prefix through `atomic_write`. Every error names the file.
+    fn rewind(&mut self, lines: u64) -> io::Result<()> {
+        let Some((path, file)) = &self.file else {
+            return Ok(());
+        };
+        let path = path.clone();
+        let named =
+            |e: io::Error| io::Error::new(e.kind(), format!("trace {}: {e}", path.display()));
+        self.writer.flush().map_err(named)?;
+        if lines == 0 {
+            return file.set_len(0).map_err(named);
+        }
+        let text = std::fs::read_to_string(&path).map_err(named)?;
+        // an unterminated tail is a torn append from a mid-write kill,
+        // whether it falls before or after the cursor
+        if !text.is_empty() && !text.ends_with('\n') {
+            eprintln!(
+                "rex-telemetry: dropping torn trailing line of {} (interrupted append)",
+                path.display()
+            );
+        }
+        let complete: Vec<&str> = (text.split_inclusive('\n'))
+            .filter(|line| line.ends_with('\n'))
+            .collect();
+        let kept = usize::try_from(lines).ok().and_then(|n| complete.get(..n));
+        let Some(kept) = kept else {
+            return Err(named(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "holds {} complete lines but the checkpoint cursor is {lines}; \
+                     it does not belong to this checkpoint",
+                    complete.len()
+                ),
+            )));
+        };
+        rex_faults::atomic_write("trace", &path, kept.concat().as_bytes()).map_err(named)?;
+        *self = Self::open(&path).map_err(named)?;
+        Ok(())
     }
 }
 
@@ -261,19 +266,30 @@ mod tests {
         assert_eq!(handle.steps()[99].step, 99);
     }
 
-    #[test]
-    fn jsonl_resume_truncates_to_cursor_and_appends() {
+    /// A temp trace holding `n` complete step lines.
+    fn trace_of(tag: &str, n: u64) -> std::path::PathBuf {
         let path =
-            std::env::temp_dir().join(format!("rex_sink_resume_{}.jsonl", std::process::id()));
-        {
-            let mut sink = JsonlSink::create(&path).unwrap();
-            for i in 0..5 {
-                sink.record(&step(i));
-            }
+            std::env::temp_dir().join(format!("rex_sink_{tag}_{}.jsonl", std::process::id()));
+        let mut sink = JsonlSink::create(&path).unwrap();
+        for i in 0..n {
+            sink.record(&step(i));
         }
-        // resume keeping 3 lines, then append two fresh ones
+        path
+    }
+
+    /// Appends a torn fragment, as a kill mid-append leaves one.
+    fn tear(path: &Path) {
+        use std::io::Write as _;
+        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(b"{\"type\":\"step\",\"st").unwrap();
+    }
+
+    #[test]
+    fn jsonl_rewind_keeps_the_cursor_prefix_and_appends() {
+        let path = trace_of("rewind", 5);
         {
-            let mut sink = JsonlSink::resume(&path, 3).unwrap();
+            let mut sink = JsonlSink::open(&path).unwrap();
+            sink.rewind(3).unwrap();
             sink.record(&step(3));
             sink.record(&Event::RunEnd { metric: 0.5 });
         }
@@ -282,34 +298,17 @@ mod tests {
         let events = crate::parse_trace(&text).unwrap();
         assert_eq!(events[3].as_step().unwrap().step, 3);
         assert_eq!(events[4], Event::RunEnd { metric: 0.5 });
-
-        // a cursor beyond the file length is a hard error
-        let err = JsonlSink::resume(&path, 99).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
-    fn jsonl_resume_truncates_a_torn_trailing_line() {
-        let path = std::env::temp_dir().join(format!("rex_sink_torn_{}.jsonl", std::process::id()));
-        {
-            let mut sink = JsonlSink::create(&path).unwrap();
-            for i in 0..3 {
-                sink.record(&step(i));
-            }
-        }
-        // model a kill mid-append: a trailing fragment with no newline
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(b"{\"type\":\"step\",\"st").unwrap();
-        }
+    fn jsonl_rewind_drops_a_torn_trailing_line() {
+        let path = trace_of("torn", 3);
+        tear(&path);
         // the torn fragment is dropped; the 3 complete lines resume fine
         {
-            let mut sink = JsonlSink::resume(&path, 3).unwrap();
+            let mut sink = JsonlSink::open(&path).unwrap();
+            sink.rewind(3).unwrap();
             sink.record(&step(3));
         }
         let text = std::fs::read_to_string(&path).unwrap();
@@ -317,20 +316,36 @@ mod tests {
         let events = crate::parse_trace(&text).unwrap();
         assert_eq!(events.len(), 4);
         assert_eq!(events[3].as_step().unwrap().step, 3);
+        let _ = std::fs::remove_file(path);
+    }
 
+    #[test]
+    fn jsonl_rewind_refuses_a_cursor_past_the_last_complete_line() {
+        let path = trace_of("short", 4);
         // a torn fragment must never be promoted to a complete line: a
         // cursor that would need it is a hard mismatch, not silent reuse
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(b"{\"type\":\"step\",\"st").unwrap();
+        tear(&path);
+        for cursor in [5, 99] {
+            let err = JsonlSink::open(&path).unwrap().rewind(cursor).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains("4 complete lines"), "{msg}");
+            assert!(msg.contains(&path.display().to_string()), "{msg}");
         }
-        let err = JsonlSink::resume(&path, 5).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("4 complete lines"), "{err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn jsonl_fresh_run_over_an_existing_trace_starts_empty() {
+        let path = trace_of("fresh", 4);
+        tear(&path);
+        {
+            let mut sink = JsonlSink::open(&path).unwrap();
+            sink.rewind(0).unwrap();
+            sink.record(&step(0));
+        }
+        let events = crate::parse_trace(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(events, vec![step(0)]);
         let _ = std::fs::remove_file(path);
     }
 

@@ -39,6 +39,10 @@ pub enum TrainError {
     /// A loaded checkpoint is incompatible with the current run (wrong
     /// schedule, optimizer, seed, dataset size, …).
     Resume(String),
+    /// The trace could not be rewound to where the run starts: it holds
+    /// fewer lines than the snapshot's cursor, or a filesystem error. The
+    /// message names the trace file.
+    Trace(std::io::Error),
     /// The run configuration itself is unusable (a learning rate that is
     /// not finite and positive, zero checkpoint interval, stateful
     /// schedule, missing path, …).
@@ -70,6 +74,7 @@ impl std::fmt::Display for TrainError {
                 )
             }
             TrainError::Resume(msg) => write!(f, "resume rejected: {msg}"),
+            TrainError::Trace(e) => write!(f, "cannot rewind the trace: {e}"),
             TrainError::Config(msg) => write!(f, "invalid run config: {msg}"),
             TrainError::Halted { step } => write!(f, "halted after step {step} (resumable)"),
         }
@@ -80,7 +85,7 @@ impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrainError::Tensor(e) => Some(e),
-            TrainError::Checkpoint { source, .. } => Some(source),
+            TrainError::Checkpoint { source, .. } | TrainError::Trace(source) => Some(source),
             _ => None,
         }
     }

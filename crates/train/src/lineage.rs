@@ -5,9 +5,8 @@
 //! guarantees the previous generation survives a kill) but not
 //! corruption-proof: silent media damage to the one file on disk strands
 //! the run. A [`Lineage`] keeps the last *N* generations as
-//! `state.00017.rexstate` files in one directory plus a crash-atomic
-//! `LATEST` pointer naming the newest, and resume walks the generations
-//! newest-first, validating each one's container checksum and section
+//! `state.00017.rexstate` files in one directory, and resume walks the
+//! generations newest-first, validating each one's container checksum and section
 //! decode, falling back generation-by-generation until a valid snapshot
 //! is found. Every skipped generation gets a named reason in the
 //! [`LoadReport`] so operators can see *why* the run resumed where it
@@ -24,9 +23,6 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Name of the pointer file naming the newest generation.
-pub const LATEST_FILE: &str = "LATEST";
 
 /// Why a generation was accepted or skipped during fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +68,6 @@ pub struct GenerationReport {
 pub struct LoadReport {
     /// Validation attempts in the order they were made.
     pub attempts: Vec<GenerationReport>,
-    /// What the `LATEST` pointer named, if it was readable.
-    pub latest_hint: Option<String>,
 }
 
 impl LoadReport {
@@ -83,13 +77,6 @@ impl LoadReport {
             .iter()
             .filter(|a| a.status != GenerationStatus::Valid)
             .count()
-    }
-
-    /// The accepted generation, if any.
-    pub fn resumed(&self) -> Option<&GenerationReport> {
-        self.attempts
-            .iter()
-            .find(|a| a.status == GenerationStatus::Valid)
     }
 }
 
@@ -130,25 +117,18 @@ impl Lineage {
         }
     }
 
-    /// The lineage directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Writes `state` as a new generation, updates the `LATEST` pointer
-    /// crash-atomically, and prunes generations beyond the retention
-    /// count. Returns the generation file's path.
+    /// Writes `state` as a new generation crash-atomically and prunes
+    /// generations beyond the retention count. Returns the generation
+    /// file's path.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors (including injected ones) from the
-    /// generation or pointer write; pruning failures are ignored (a
-    /// leftover old generation is harmless).
+    /// generation write; pruning failures are ignored (a leftover old
+    /// generation is harmless).
     pub fn save(&self, state: &TrainState) -> io::Result<PathBuf> {
         let path = self.dir.join(generation_file(state.step));
         state.save(&path)?;
-        let name = format!("{}\n", generation_file(state.step));
-        rex_faults::atomic_write("latest", &self.dir.join(LATEST_FILE), name.as_bytes())?;
         if let Ok(gens) = generations(&self.dir) {
             for (_, old) in gens.iter().rev().skip(self.keep) {
                 let _ = fs::remove_file(old);
@@ -167,12 +147,7 @@ impl Lineage {
     /// `InvalidData` when every generation fails validation (the report's
     /// content is folded into the message).
     pub fn resolve(dir: &Path) -> io::Result<(TrainState, PathBuf, LoadReport)> {
-        let mut report = LoadReport {
-            attempts: Vec::new(),
-            latest_hint: fs::read_to_string(dir.join(LATEST_FILE))
-                .ok()
-                .map(|s| s.trim().to_owned()),
-        };
+        let mut report = LoadReport::default();
         let gens = generations(dir)?;
         if gens.is_empty() {
             return Err(io::Error::new(
@@ -217,8 +192,8 @@ impl Lineage {
 }
 
 /// The generation files in `dir`, sorted by step ascending. Files not
-/// matching `state.NNNNN.rexstate` (the `LATEST` pointer, temp siblings,
-/// quarantined snapshots) are ignored.
+/// matching `state.NNNNN.rexstate` (temp siblings, quarantined snapshots,
+/// a pointer file an older version wrote) are ignored.
 pub fn generations(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -304,8 +279,6 @@ mod tests {
             vec![10, 15, 20],
             "oldest generation pruned"
         );
-        let latest = fs::read_to_string(dir.join(LATEST_FILE)).unwrap();
-        assert_eq!(latest.trim(), "state.00020.rexstate");
         let (state, path, report) = Lineage::resolve(&dir).unwrap();
         assert_eq!(state.step, 20);
         assert!(path.ends_with("state.00020.rexstate"));
@@ -338,8 +311,8 @@ mod tests {
         assert_eq!(report.fallbacks(), 2);
         assert_eq!(report.attempts[0].status, GenerationStatus::Truncated);
         assert_eq!(report.attempts[1].status, GenerationStatus::Corrupt);
-        assert_eq!(report.resumed().unwrap().step, 5);
-        assert_eq!(report.latest_hint.as_deref(), Some("state.00015.rexstate"));
+        assert_eq!(report.attempts[2].status, GenerationStatus::Valid);
+        assert_eq!(report.attempts[2].step, 5);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,8 +9,9 @@ use rex_data::batches;
 use rex_nn::Module;
 use rex_optim::{global_grad_norm, global_param_norm};
 use rex_telemetry::{Event, Recorder, StepRecord};
-use rex_tensor::{Prng, Tensor, TensorError};
+use rex_tensor::{Prng, Tensor};
 
+use crate::error::TrainError;
 use crate::trainer::OptimizerKind;
 
 /// One `(lr, loss)` observation of the sweep.
@@ -38,14 +39,15 @@ pub struct RangeTestResult {
 /// from `lr_min` to `lr_max` over `steps` iterations (cycling through the
 /// dataset as needed) and analyses the smoothed loss curve.
 ///
-/// `rec` receives one [`StepRecord`] per sweep step (LR, smoothed loss,
-/// gradient/parameter norms) plus the suggested LR as the run metric;
-/// pass [`Recorder::disabled`] for none.
+/// `rec` is rewound to an empty trace, then receives one [`StepRecord`]
+/// per sweep step (LR, smoothed loss, gradient/parameter norms) plus the
+/// suggested LR as the run metric; pass [`Recorder::disabled`] for none.
 ///
 /// # Errors
 ///
-/// Propagates [`TensorError`]s from the model; also fails if `steps == 0`
-/// (reported as an invalid-geometry error for interface uniformity).
+/// Propagates tensor errors from the model (as [`TrainError::Tensor`])
+/// and a trace that cannot be rewound; a [`TrainError::Config`] if
+/// `steps == 0`.
 ///
 /// # Panics
 ///
@@ -62,16 +64,17 @@ pub fn lr_range_test(
     batch_size: usize,
     seed: u64,
     rec: &mut Recorder,
-) -> Result<RangeTestResult, TensorError> {
+) -> Result<RangeTestResult, TrainError> {
     assert!(lr_min > 0.0 && lr_max > lr_min, "need 0 < lr_min < lr_max");
     assert!(!labels.is_empty(), "empty dataset");
     if steps == 0 {
-        return Err(TensorError::InvalidGeometry {
-            reason: "range test needs at least one step".into(),
-        });
+        return Err(TrainError::Config(
+            "range test needs at least one step".into(),
+        ));
     }
     let mut opt = optimizer.build(model.params(), lr_min);
     let traced = rec.is_enabled();
+    rec.rewind(0).map_err(TrainError::Trace)?;
     rec.emit(Event::RunStart {
         run: "range_test".to_owned(),
         schedule: "ExponentialSweep".to_owned(),

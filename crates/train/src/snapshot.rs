@@ -78,8 +78,8 @@ pub struct TrainState {
     /// Trainer RNG state immediately *before* the in-flight epoch's
     /// shuffle — replaying it rebuilds the epoch's exact batch order.
     pub rng_epoch_start: [u64; 4],
-    /// Deterministic telemetry events emitted so far; a resumed run
-    /// truncates its JSONL trace to this many lines and appends.
+    /// Deterministic telemetry events in the trace so far; a resumed run
+    /// rewinds its JSONL trace to this many lines and appends.
     pub trace_events: u64,
     /// Model parameters by name.
     pub model: Vec<(String, Tensor)>,
@@ -141,17 +141,6 @@ impl TrainState {
     /// As [`decode`](Self::decode); propagates filesystem errors.
     pub fn load(path: &Path) -> io::Result<TrainState> {
         TrainState::decode(&fs::read(path)?)
-    }
-
-    /// The telemetry line cursor of a valid snapshot — what a resuming
-    /// caller needs to truncate the trace file *before* constructing the
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrainState::load`].
-    pub fn trace_cursor(path: &Path) -> io::Result<u64> {
-        Ok(TrainState::load(path)?.trace_events)
     }
 
     /// Decodes snapshot bytes, verifying the container checksum and every
@@ -431,7 +420,6 @@ mod tests {
         let path = tmp("roundtrip");
         state.save(&path).unwrap();
         let back = TrainState::load(&path).unwrap();
-        assert_eq!(TrainState::trace_cursor(&path).unwrap(), 23);
         let _ = std::fs::remove_file(&path);
         assert_eq!(state, back);
     }

@@ -10,7 +10,7 @@ use rex_telemetry::span::span;
 use rex_telemetry::{Event, Recorder, StepRecord};
 use rex_tensor::{DType, Prng, Tensor, TensorError};
 use std::cell::RefCell;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Which optimizer family to instantiate (the paper pairs every schedule
 /// with both SGDM and Adam; the BERT setting uses AdamW).
@@ -172,17 +172,24 @@ pub struct FtConfig {
     pub checkpoint_every: Option<u64>,
     /// Where snapshots are written (required with `checkpoint_every`).
     pub checkpoint_path: Option<PathBuf>,
-    /// Resume from this snapshot instead of starting fresh.
+    /// Resume from this snapshot file, or from the newest generation of
+    /// this [`Lineage`] directory that validates, instead of starting
+    /// fresh.
     pub resume_from: Option<PathBuf>,
     /// Numeric-guard policy for non-finite losses/gradients.
     pub guard: GuardPolicy,
     /// Stop cleanly with [`TrainError::Halted`] after this step completes
-    /// (its checkpoint included) — deterministic in-process "kill".
+    /// (its checkpoint included) — deterministic in-process "kill": like a
+    /// real kill, it writes no snapshot of its own.
     pub halt_after_step: Option<u64>,
     /// Cooperative cancellation: checked once per optimizer step (after
     /// the step's checkpoint, like `halt_after_step`); when another
-    /// thread sets it, the run stops with [`TrainError::Halted`]. The
-    /// snapshot on disk (if checkpointing is on) resumes the run.
+    /// thread sets it, the run stops with [`TrainError::Halted`]. With
+    /// checkpointing on, a halt at a step that is not a checkpoint
+    /// multiple also snapshots there, so a drain loses no completed
+    /// step. That snapshot emits *no* trace event — the trace stays
+    /// byte-identical to an uninterrupted run's — it only moves the
+    /// resume point forward.
     pub stop_flag: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     /// Retain this many snapshot generations instead of one file: with
     /// this set, `checkpoint_path` names a *directory* and every
@@ -191,12 +198,6 @@ pub struct FtConfig {
     /// directory falls back over damaged generations. Requires
     /// `checkpoint_every`; minimum 1.
     pub keep_checkpoints: Option<usize>,
-    /// Also snapshot when the run halts (via `halt_after_step` or the
-    /// stop flag) at a step that is not a checkpoint multiple. The
-    /// halt-time snapshot emits *no* trace event — the trace stays
-    /// byte-identical to an uninterrupted run's — it only moves the
-    /// resume point forward so a drain loses no completed steps.
-    pub checkpoint_on_halt: bool,
     /// Liveness heartbeat: when set, the last completed optimizer step is
     /// stored here every step. A supervisor can watch it to detect a run
     /// that stopped making progress (hung I/O, live-locked backend).
@@ -387,14 +388,18 @@ impl Trainer {
     ///
     /// With `cfg.ft.checkpoint_every` set, a full [`TrainState`] is
     /// written crash-consistently every N steps; `cfg.ft.resume_from`
-    /// restores one and continues bit-for-bit — the finished trace is
-    /// byte-identical to an uninterrupted run's.
+    /// restores one and continues bit-for-bit. This is the one place a
+    /// run resumes: it decodes the snapshot once, restores the run, and
+    /// rewinds `rec` to the snapshot's trace cursor, so the finished
+    /// trace is byte-identical to an uninterrupted run's. A fresh run
+    /// rewinds `rec` to 0.
     ///
     /// # Errors
     ///
     /// Propagates [`TensorError`]s from the task (as
-    /// [`TrainError::Tensor`]), checkpoint/resume failures, guard aborts,
-    /// and the deliberate [`TrainError::Halted`].
+    /// [`TrainError::Tensor`]), checkpoint/resume failures, a trace that
+    /// cannot be rewound ([`TrainError::Trace`]), guard aborts, and the
+    /// deliberate [`TrainError::Halted`].
     pub fn run<T: Task>(
         &mut self,
         task: &T,
@@ -437,21 +442,12 @@ impl Trainer {
             rolled_back_at: None,
         };
         if let Some(resume_path) = &ft.resume_from {
-            // a directory is a checkpoint lineage: resolve the newest
-            // generation that validates, falling back over damaged ones
-            let state = if resume_path.is_dir() {
-                Lineage::resolve(resume_path).map(|(state, _, _)| state)
-            } else {
-                TrainState::load(resume_path)
-            }
-            .map_err(|source| TrainError::Checkpoint {
-                action: "load",
-                path: resume_path.clone(),
-                source,
-            })?;
+            let state = load_resume_point(resume_path)?;
             self.check_resume(&state, &cfg, &live.kind, total_samples)?;
-            live.restore(&state, rec)?;
+            live.restore(&state)?;
+            rec.rewind(state.trace_events).map_err(TrainError::Trace)?;
         } else {
+            rec.rewind(0).map_err(TrainError::Trace)?;
             rec.emit(Event::RunStart {
                 run: live.kind.clone(),
                 schedule: schedule_name.clone(),
@@ -593,11 +589,9 @@ impl Trainer {
                     }
                 }
                 rex_faults::crash_point(step);
-                if ft.halt_after_step == Some(step) || ft.stop_requested() {
-                    if ft.checkpoint_on_halt
-                        && ft.checkpoint_every.is_some()
-                        && last_ckpt_step != Some(step)
-                    {
+                let stopped = ft.stop_requested();
+                if ft.halt_after_step == Some(step) || stopped {
+                    if stopped && ft.checkpoint_every.is_some() && last_ckpt_step != Some(step) {
                         // snapshot at the halt boundary with *no* trace
                         // event: the cursor covers exactly the flushed
                         // deterministic prefix, so the resumed trace is
@@ -861,10 +855,10 @@ impl<T: Task> Live<'_, T> {
     }
 
     /// Installs a snapshot into the live training objects (params,
-    /// buffers, streams, optimizer internals, RNG stream, loop position,
-    /// telemetry cursor). Shared by resume-from-file and in-memory
-    /// rollback.
-    fn restore(&mut self, state: &TrainState, rec: &mut Recorder) -> Result<(), TrainError> {
+    /// buffers, streams, optimizer internals, RNG stream, loop position).
+    /// Shared by resume-from-file and in-memory rollback; only the resume
+    /// rewinds the trace, since a rollback's aborted lines stay in it.
+    fn restore(&mut self, state: &TrainState) -> Result<(), TrainError> {
         checkpoint::restore_params(&state.model, &self.task.params())
             .map_err(TrainError::Resume)?;
         let live = self.task.buffers();
@@ -914,7 +908,6 @@ impl<T: Task> Live<'_, T> {
             .import_state(&state.optim)
             .map_err(TrainError::Resume)?;
         self.rng = Prng::from_state(state.rng);
-        rec.set_lines_emitted(state.trace_events);
         self.st = LoopSt {
             epoch: state.epoch,
             batch_in_epoch: state.batch_in_epoch,
@@ -977,13 +970,36 @@ impl<T: Task> Live<'_, T> {
                     ));
                 };
                 self.rolled_back_at = Some(step);
-                let restored = self.restore(&snap, rec);
+                let restored = self.restore(&snap);
                 self.mem_snap = Some(snap);
                 restored?;
                 Ok(GuardOutcome::RestartFromSnapshot)
             }
         }
     }
+}
+
+/// Decodes the snapshot a run resumes from: `path` itself, or the newest
+/// generation of the lineage directory `path` that validates, falling
+/// back over damaged ones. A lineage resume reports each skipped
+/// generation and the one it resumes from on stderr.
+fn load_resume_point(path: &Path) -> Result<TrainState, TrainError> {
+    let loaded = if path.is_dir() {
+        Lineage::resolve(path).map(|(state, resolved, report)| {
+            if report.fallbacks() > 0 {
+                eprintln!("{report}");
+            }
+            eprintln!("resuming from {}", resolved.display());
+            state
+        })
+    } else {
+        TrainState::load(path)
+    };
+    loaded.map_err(|source| TrainError::Checkpoint {
+        action: "load",
+        path: path.to_owned(),
+        source,
+    })
 }
 
 /// Routes a captured snapshot to disk: a rotating [`Lineage`] generation
@@ -1148,6 +1164,54 @@ mod tests {
             }
             assert!(handle.is_empty(), "lr {lr}: the refused run emitted events");
         }
+    }
+
+    /// A stop-flag halt off the checkpoint grid snapshots where it stops,
+    /// so a drain loses no step; a `halt_after_step` halt, which stands in
+    /// for a kill, leaves only the grid's snapshots.
+    #[test]
+    fn only_a_stop_flag_halt_snapshots_off_the_checkpoint_grid() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let data = synth_cifar10(2, 1, 19);
+        let model = Mlp::new("m", &[3 * 12 * 12, 4, 10], &mut Prng::new(19));
+        let (train, test) = (
+            flatten_images(&data.train_images),
+            flatten_images(&data.test_images),
+        );
+        let task =
+            ClassifierTask::new(&model, &train, &data.train_labels, &test, &data.test_labels);
+        let ckpt = std::env::temp_dir().join(format!("rex_halt_{}.state", std::process::id()));
+        let halt = |halt_after_step, stop_flag| {
+            let _ = std::fs::remove_file(&ckpt);
+            let ft = FtConfig {
+                checkpoint_every: Some(3),
+                checkpoint_path: Some(ckpt.clone()),
+                halt_after_step,
+                stop_flag,
+                ..FtConfig::default()
+            };
+            let mut rec = Recorder::new(Box::new(MemorySink::unbounded()));
+            let run = Trainer::new(TrainConfig {
+                ft,
+                ..config(2, 4, 0.05, ScheduleSpec::Rex)
+            })
+            .run(&task, &mut rec);
+            assert!(
+                matches!(run, Err(TrainError::Halted { step: 1 })),
+                "{run:?}"
+            );
+            rec.lines_emitted()
+        };
+
+        halt(Some(1), None);
+        assert!(!ckpt.exists(), "a simulated kill wrote a snapshot");
+
+        let lines = halt(None, Some(Arc::new(AtomicBool::new(true))));
+        let state = TrainState::load(&ckpt).expect("the stop flag's halt snapshot");
+        assert_eq!(state.step, 1);
+        assert_eq!(state.trace_events, lines, "run_start, epoch, step 0");
+        let _ = std::fs::remove_file(&ckpt);
     }
 
     #[test]

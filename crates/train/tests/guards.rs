@@ -12,7 +12,7 @@ use rex_data::images::synth_cifar10;
 use rex_data::ClassificationDataset;
 use rex_faults::FaultPlan;
 use rex_nn::{Mlp, Module};
-use rex_telemetry::{Event, MemorySink, Recorder};
+use rex_telemetry::{Event, JsonlSink, MemorySink, Recorder};
 use rex_tensor::{Prng, Tensor};
 use rex_train::tasks::ClassifierTask;
 use rex_train::{
@@ -222,6 +222,51 @@ fn rollback_restores_the_checkpoint_and_matches_the_clean_run() {
     for name in ["rollback_clean", "rollback_fault"] {
         let _ = std::fs::remove_file(tmp(name));
     }
+}
+
+/// A rollback leaves the aborted step's line in the trace, so every later
+/// checkpoint's cursor must count it: a rollback run halted after step 5
+/// and resumed from its step-4 snapshot finishes with the uninterrupted
+/// rollback run's trace bytes, `{"ev":"checkpoint","step":4}` included.
+#[test]
+fn resume_after_a_rollback_keeps_every_trace_line() {
+    let data = synth_cifar10(4, 2, 56);
+    let dir = std::env::temp_dir().join(format!("rex_guards_resume_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let traced_run = |name: &str, halt_after_step: Option<u64>, resume: bool| {
+        let ckpt = dir.join(format!("{name}.state"));
+        let ft = FtConfig {
+            checkpoint_every: Some(2),
+            checkpoint_path: Some(ckpt.clone()),
+            resume_from: resume.then_some(ckpt),
+            guard: GuardPolicy::Rollback,
+            halt_after_step,
+            ..FtConfig::default()
+        };
+        let sink = JsonlSink::open(&dir.join(format!("{name}.jsonl"))).unwrap();
+        let m = model(57);
+        let plan = FaultPlan::parse("nan-loss-at-step=3:1").unwrap();
+        rex_faults::with_plan(plan, || {
+            run(
+                config(2, 10, ft),
+                &data,
+                &m,
+                &mut Recorder::new(Box::new(sink)),
+            )
+        })
+    };
+    traced_run("full", None, false).unwrap();
+    let err = traced_run("cut", Some(5), false).unwrap_err();
+    assert!(matches!(err, TrainError::Halted { step: 5 }), "{err:?}");
+    traced_run("cut", None, true).unwrap();
+
+    let full = std::fs::read_to_string(dir.join("full.jsonl")).unwrap();
+    let cut = std::fs::read_to_string(dir.join("cut.jsonl")).unwrap();
+    // 2 epochs of 4 steps, step 2 recorded twice, 4 checkpoints, the
+    // run and epoch frames
+    assert_eq!(full.lines().count(), 19);
+    assert_eq!(cut, full, "the resumed rollback trace lost or gained lines");
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -37,6 +37,21 @@ echo "==> run_experiments.sh smoke (every paper binary with the flags the script
 # binaries' declared flags cannot drift apart
 bash run_experiments.sh smoke "$tmp_dir/experiments"
 
+echo "==> --help (every release binary and rexctl subcommand prints its usage, exit 0)"
+for bin in rexctl rexd grid table1 table2 table10_11 fig1 fig2 fig4 \
+  kernel-bench profile-bench serve-bench chaos-bench bench-guard; do
+  "./target/release/$bin" --help >/dev/null 2>&1 || {
+    echo "$bin --help exited non-zero" >&2
+    exit 1
+  }
+done
+for cmd in schedules curve train sweep range-test serve trace; do
+  ./target/release/rexctl "$cmd" --help >/dev/null 2>&1 || {
+    echo "rexctl $cmd --help exited non-zero" >&2
+    exit 1
+  }
+done
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 

@@ -2,8 +2,8 @@
 //! generation must not strand a run.
 //!
 //! A `rexctl train --keep-checkpoints` run killed mid-flight leaves a
-//! directory of generational `REXSTATE1` snapshots plus a `LATEST`
-//! pointer. These tests damage the newest generation — bit-flips in the
+//! directory of generational `REXSTATE1` snapshots. These tests damage
+//! the newest generation — bit-flips in the
 //! header, body, and trailing-checksum regions, plus truncations that
 //! leave a decodable-length and an undecodable-length stub — then
 //! resume from the directory and assert:

@@ -7,7 +7,9 @@
 //! (mid-epoch, one step past the last snapshot — so resume must both
 //! truncate the over-written trace tail and replay a partially consumed
 //! epoch shuffle), resumes from the snapshot, and compares the two trace
-//! files with a plain byte comparison plus the final metric. The
+//! files with a plain byte comparison plus the final metric. Every run
+//! opens its trace with `JsonlSink::open` and leaves the rewind to the
+//! trainer, as the front ends do. The
 //! `vgg16-cifar100` and `vae-mnist` settings run the same protocol: their
 //! models draw dropout masks and latent noise from private RNG streams,
 //! which the snapshot must carry too.
@@ -21,9 +23,7 @@ use rex::telemetry::{JsonlSink, Recorder};
 use rex::tensor::{DType, Prng};
 use rex::train::settings::load_setting;
 use rex::train::tasks::ClassifierTask;
-use rex::train::{
-    FtConfig, OptimizerKind, TrainConfig, TrainError, TrainResult, TrainState, Trainer,
-};
+use rex::train::{FtConfig, OptimizerKind, TrainConfig, TrainError, TrainResult, Trainer};
 
 const SEED: u64 = 0xBEE5;
 const EPOCHS: usize = 4; // 60 samples / batch 16 → 4 steps per epoch
@@ -36,8 +36,7 @@ fn workdir(cell: &str) -> PathBuf {
     dir
 }
 
-/// One training run of the cell, tracing into `trace` (a fresh file unless
-/// `ft.resume_from` is set, in which case the caller prepared the sink).
+/// One training run of the cell, tracing into `sink`.
 fn run_cell(
     spec: &ScheduleSpec,
     opt: OptimizerKind,
@@ -146,7 +145,7 @@ fn check_resume(cell: &str, run: impl Fn(JsonlSink, FtConfig) -> Result<f64, Tra
 
     // uninterrupted baseline (checkpointing on, so the event streams match)
     let baseline = run(
-        JsonlSink::create(&full_trace).unwrap(),
+        JsonlSink::open(&full_trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             checkpoint_path: Some(full_ckpt.clone()),
@@ -157,7 +156,7 @@ fn check_resume(cell: &str, run: impl Fn(JsonlSink, FtConfig) -> Result<f64, Tra
 
     // interrupted run: snapshot at step 5, halt after step 6
     let err = run(
-        JsonlSink::create(&cut_trace).unwrap(),
+        JsonlSink::open(&cut_trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             checkpoint_path: Some(cut_ckpt.clone()),
@@ -171,10 +170,9 @@ fn check_resume(cell: &str, run: impl Fn(JsonlSink, FtConfig) -> Result<f64, Tra
         "{err:?}"
     );
 
-    // resume: truncate the trace to the snapshot's line cursor, finish
-    let cursor = TrainState::trace_cursor(&cut_ckpt).expect("snapshot readable");
+    // resume: the trainer cuts the trace to the snapshot's cursor
     let resumed = run(
-        JsonlSink::resume(&cut_trace, cursor).unwrap(),
+        JsonlSink::open(&cut_trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             checkpoint_path: Some(cut_ckpt.clone()),
@@ -312,7 +310,7 @@ fn snapshot_without_streams_is_refused_by_a_model_with_one() {
     let ckpt = dir.join("ckpt.state");
     let run = |sink, ft| run_setting("vae-mnist", 1, OptimizerKind::sgdm(), DType::F32, sink, ft);
     let err = run(
-        JsonlSink::create(&trace).unwrap(),
+        JsonlSink::open(&trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             checkpoint_path: Some(ckpt.clone()),
@@ -332,11 +330,10 @@ fn snapshot_without_streams_is_refused_by_a_model_with_one() {
         "the VAE snapshot holds a stream"
     );
     save_state(&ckpt, &sections).unwrap();
-    assert!(TrainState::load(&ckpt).unwrap().streams.is_empty());
 
-    let cursor = TrainState::trace_cursor(&ckpt).unwrap();
+    // the snapshot decodes as "no streams", so the model refuses it
     let err = run(
-        JsonlSink::resume(&trace, cursor).unwrap(),
+        JsonlSink::open(&trace).unwrap(),
         FtConfig {
             resume_from: Some(ckpt),
             ..FtConfig::default()
@@ -362,7 +359,7 @@ fn dtype_mismatched_resume_is_refused() {
     let err = run_cell_dtype(
         &ScheduleSpec::Rex,
         OptimizerKind::sgdm(),
-        JsonlSink::create(&trace).unwrap(),
+        JsonlSink::open(&trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             checkpoint_path: Some(ckpt.clone()),
@@ -374,11 +371,10 @@ fn dtype_mismatched_resume_is_refused() {
     .expect_err("interrupted run must halt");
     assert!(matches!(err, TrainError::Halted { .. }), "{err:?}");
 
-    let cursor = TrainState::trace_cursor(&ckpt).expect("snapshot readable");
     let err = run_cell_dtype(
         &ScheduleSpec::Rex,
         OptimizerKind::sgdm(),
-        JsonlSink::resume(&trace, cursor).unwrap(),
+        JsonlSink::open(&trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             checkpoint_path: Some(ckpt.clone()),
@@ -411,7 +407,7 @@ fn resuming_twice_converges_to_the_same_trace() {
     run_cell(
         &ScheduleSpec::Rex,
         OptimizerKind::sgdm(),
-        JsonlSink::create(&baseline_trace).unwrap(),
+        JsonlSink::open(&baseline_trace).unwrap(),
         FtConfig {
             checkpoint_every: Some(CHECKPOINT_EVERY),
             checkpoint_path: Some(baseline_ckpt),
@@ -422,24 +418,15 @@ fn resuming_twice_converges_to_the_same_trace() {
 
     // halt at 6, resume, halt again at 11, resume again
     for halt in [Some(6), Some(11), None] {
-        let resume_from = if trace.exists() {
-            let cursor = TrainState::trace_cursor(&ckpt).unwrap();
-            Some((cursor, ckpt.clone()))
-        } else {
-            None
-        };
-        let sink = match &resume_from {
-            Some((cursor, _)) => JsonlSink::resume(&trace, *cursor).unwrap(),
-            None => JsonlSink::create(&trace).unwrap(),
-        };
+        let resume_from = trace.exists().then(|| ckpt.clone());
         let result = run_cell(
             &ScheduleSpec::Rex,
             OptimizerKind::sgdm(),
-            sink,
+            JsonlSink::open(&trace).unwrap(),
             FtConfig {
                 checkpoint_every: Some(CHECKPOINT_EVERY),
                 checkpoint_path: Some(ckpt.clone()),
-                resume_from: resume_from.map(|(_, p)| p),
+                resume_from,
                 halt_after_step: halt,
                 ..FtConfig::default()
             },
